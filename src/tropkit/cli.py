@@ -449,9 +449,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         default="json",
                         help="output format (csv: tree redmap; dot: tree "
                              "morphism)")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="accepted for interface stability; every "
-                             "computation here is deterministic")
 
 
 def _graph_flags(parser: argparse.ArgumentParser,

@@ -262,8 +262,7 @@ class LinearSystem:
         self.degree: Fraction = deg
         self._pots: dict[tuple, PLFunction] = {
             gens[0].key(): PLFunction.constant(graph, 0)}
-        self._rho_cache: dict[tuple, Fraction] = {}
-        self._path_cache: dict[tuple, Divisor] = {}
+        self._pairs: dict[tuple, PLFunction] = {}
         self.memo: dict = {}
         for i, g in enumerate(gens):
             if not self.potential(g).slopes_integer():
@@ -286,16 +285,14 @@ class LinearSystem:
         self._pots.setdefault(d.key(), pot)
 
     def pair_function(self, a: Divisor, b: Divisor) -> PLFunction:
-        """Min-normalized potential from a to b, via cached references."""
-        return self.potential(b).sub(self.potential(a)).minus_min()
+        """Min-normalized potential from a to b (cached per ordered pair)."""
+        key = (a.key(), b.key())
+        if key not in self._pairs:
+            self._pairs[key] = self.potential(b).sub(self.potential(a)).minus_min()
+        return self._pairs[key]
 
     def rho(self, a: Divisor, b: Divisor) -> Fraction:
-        key = tuple(sorted((a.key(), b.key())))
-        hit = self._rho_cache.get(key)
-        if hit is None:
-            hit = self.pair_function(a, b).max_value()
-            self._rho_cache[key] = hit
-        return hit
+        return self.pair_function(a, b).max_value()
 
     def path_point(self, a: Divisor, b: Divisor, t) -> Divisor:
         """Divisor at parameter t along the segment from a to b.
@@ -304,17 +301,12 @@ class LinearSystem:
         costs no additional solves.
         """
         t = as_fraction(t)
-        key = (a.key(), b.key(), t)
-        hit = self._path_cache.get(key)
-        if hit is not None:
-            return hit
         f = self.pair_function(a, b)
         if not (0 <= t <= f.max_value()):
             raise InputError(f"t must lie in [0, {f.max_value()}]")
         clipped = f.clip_max(t)
         point = clipped.divisor().add(a)
         self.register(point, clipped.add(self.potential(a)))
-        self._path_cache[key] = point
         return point
 
     def is_generator(self, d: Divisor) -> bool:
@@ -331,9 +323,9 @@ def _check_target(T: LinearSystem, e: Divisor) -> None:
         raise InputError("the target divisor must be effective")
 
 
-def _min_sets_cover(T: LinearSystem, gens: Sequence[Divisor], e: Divisor):
-    """Union of minimizer sets of the potentials toward each generator."""
-    sets = [T.pair_function(e, g).extremum_set("min") for g in gens]
+def _cover(fns: Sequence[PLFunction]):
+    """Minimizer sets of the functions, and their union."""
+    sets = [f.extremum_set("min") for f in fns]
     union = sets[0]
     for s in sets[1:]:
         union = union.union(s)
@@ -355,7 +347,7 @@ def ls_member(T: LinearSystem, e: Divisor):
     if not T.potential(e).slopes_integer():
         return False, {"member": False, "reason": "not linearly equivalent to the generators",
                        "min_sets": [], "uncovered": []}
-    sets, union = _min_sets_cover(T, T.generators, e)
+    sets, union = _cover([T.pair_function(e, g) for g in T.generators])
     covered = union.covers_graph()
     cert = {
         "member": covered,
@@ -371,8 +363,9 @@ def ls_project(T: LinearSystem, e: Divisor):
     Residuated construction: shift each generator potential to touch zero
     and take the pointwise minimum f*; the projection is div(f*) + e. Each
     generator is then checked for additivity of the linear pseudonorm
-    through the projection and for a common minimizer witness; failure of
-    either check raises CertificateError.
+    through the projection and for a common minimizer witness; the
+    potentials from the projection toward the generators also give the
+    membership certificate. A failed check raises CertificateError.
     """
     _check_target(T, e)
     g_bars = [T.pair_function(e, g) for g in T.generators]
@@ -386,8 +379,9 @@ def ls_project(T: LinearSystem, e: Divisor):
     T.register(projection, f_star.add(T.potential(e)))
     f_star_min = f_star.extremum_set("min")
     checks = []
-    for i, g_bar in enumerate(g_bars):
-        to_projection = g_bar.sub(f_star).minus_min()
+    # potentials from the projection toward each generator
+    to_projections = [g_bar.sub(f_star).minus_min() for g_bar in g_bars]
+    for i, (g_bar, to_projection) in enumerate(zip(g_bars, to_projections)):
         b_total = g_bar.integral()
         b_upper = to_projection.integral()
         b_lower = f_star.integral()
@@ -407,11 +401,12 @@ def ls_project(T: LinearSystem, e: Divisor):
             raise CertificateError(
                 "projection failed the minimizer intersection certificate",
                 {"generator": i})
-    member, member_cert = ls_member(T, projection)
-    if not member:
+    sets, union = _cover(to_projections)
+    if not (T.potential(projection).slopes_integer() and union.covers_graph()):
         raise CertificateError("projection is not a member of the system",
                                {"projection": str(projection)})
-    return projection, {"checks": checks, "membership": member_cert}
+    membership = {"member": True, "min_sets": sets, "uncovered": []}
+    return projection, {"checks": checks, "membership": membership}
 
 
 def ls_reduced(T: LinearSystem, q: GraphPoint):
@@ -435,7 +430,7 @@ def ls_extremals(T: LinearSystem) -> list[Divisor]:
         changed = False
         for i in range(len(gens)):
             others = gens[:i] + gens[i + 1:]
-            _, union = _min_sets_cover(T, others, gens[i])
+            _, union = _cover([T.pair_function(gens[i], g) for g in others])
             if union.covers_graph():
                 gens.pop(i)
                 changed = True

@@ -283,14 +283,10 @@ class PLFunction:
     # -- pointwise arithmetic ----------------------------------------------
 
     def _zip(self, other: "PLFunction", fn) -> "PLFunction":
-        data = {}
-        for e in self.graph.edges:
-            offs = sorted({o for o, _ in self.data[e.id]} | {o for o, _ in other.data[e.id]})
-            pts = [GraphPoint(edge=e.id, offset=o) if 0 < o < e.length
-                   else GraphPoint(vertex=e.tail if o == 0 else e.head) for o in offs]
-            data[e.id] = tuple((o, fn(self.eval(p), other.eval(p)))
-                               for o, p in zip(offs, pts))
-        return PLFunction(self.graph, data)
+        return PLFunction(self.graph, {
+            e.id: tuple((o, fn(a, b)) for o, a, b
+                        in _merge(self.data[e.id], other.data[e.id]))
+            for e in self.graph.edges})
 
     def add(self, other: "PLFunction") -> "PLFunction":
         return self._zip(other, lambda a, b: a + b)
@@ -311,33 +307,20 @@ class PLFunction:
         """Pointwise minimum, inserting crossing breakpoints exactly."""
         data = {}
         for e in self.graph.edges:
-            offs = sorted({o for o, _ in self.data[e.id]} | {o for o, _ in other.data[e.id]})
-            vals_a = [self._eval_on(e, o) for o in offs]
-            vals_b = [other._eval_on(e, o) for o in offs]
-            bps: list[tuple[Fraction, Fraction]] = []
-            for k in range(len(offs)):
-                bps.append((offs[k], min(vals_a[k], vals_b[k])))
-                if k + 1 < len(offs):
-                    d1 = vals_a[k] - vals_b[k]
-                    d2 = vals_a[k + 1] - vals_b[k + 1]
-                    if (d1 > 0 > d2) or (d1 < 0 < d2):
-                        o_star = offs[k] + (offs[k + 1] - offs[k]) * d1 / (d1 - d2)
-                        v_star = vals_a[k] + (vals_a[k + 1] - vals_a[k]) \
-                            * (o_star - offs[k]) / (offs[k + 1] - offs[k])
-                        bps.append((o_star, v_star))
+            pts = list(_merge(self.data[e.id], other.data[e.id]))
+            bps = [(pts[0][0], min(pts[0][1], pts[0][2]))]
+            for (o0, a0, b0), (o, a, b) in zip(pts, pts[1:]):
+                d1, d2 = a0 - b0, a - b
+                if (d1 > 0 > d2) or (d1 < 0 < d2):
+                    o_star = o0 + (o - o0) * d1 / (d1 - d2)
+                    bps.append((o_star, a0 + (a - a0) * (o_star - o0) / (o - o0)))
+                bps.append((o, min(a, b)))
             data[e.id] = tuple(bps)
         return PLFunction(self.graph, data)
 
     def clip_max(self, c) -> "PLFunction":
         """Pointwise min(f, c) for a constant c."""
         return self.min_with(PLFunction.constant(self.graph, c))
-
-    def _eval_on(self, e: Edge, offset: Fraction) -> Fraction:
-        if offset == 0:
-            return self.data[e.id][0][1]
-        if offset == e.length:
-            return self.data[e.id][-1][1]
-        return self.eval(GraphPoint(edge=e.id, offset=offset))
 
     # -- global quantities ---------------------------------------------------
 
@@ -417,6 +400,26 @@ class PLFunction:
             if segs:
                 intervals[e.id] = segs
         return ClosedSubset(self.graph, vertices, intervals)
+
+
+def _merge(a: tuple, b: tuple):
+    """Yield (offset, a value, b value) at every breakpoint of either of two
+    breakpoint tuples on one edge, interpolating the other one; one pass."""
+    i = j = 0
+    while i < len(a):
+        (oa, va), (ob, vb) = a[i], b[j]
+        if oa == ob:
+            yield oa, va, vb
+            i += 1
+            j += 1
+        elif oa < ob:
+            o1, v1 = b[j - 1]
+            yield oa, va, v1 + (vb - v1) * (oa - o1) / (ob - o1)
+            i += 1
+        else:
+            o1, v1 = a[i - 1]
+            yield ob, v1 + (va - v1) * (ob - o1) / (oa - o1), vb
+            j += 1
 
 
 def _simplify(bps: tuple) -> tuple:

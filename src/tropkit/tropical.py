@@ -315,7 +315,9 @@ def tp_member(S: TropGeneratorSet, gamma: TropPoint):
     Returns (bool, certificate). The certificate lists, per generator, the
     extremum set of generator - gamma (argmin for lower hulls, argmax for
     upper hulls); membership holds iff those sets cover the ground set.
-    On a positive answer the returned coefficients reproduce gamma exactly.
+    On a positive answer the coefficients reproduce gamma exactly: through
+    tp_combine for lower hulls; for upper hulls as the maximum of c_i plus
+    the maximum-zero representative of g_i (not tp_combine on S.points).
     """
     if gamma.dim != S.dim:
         raise InputError("point dimension does not match generators")
@@ -372,7 +374,8 @@ def tp_project(S: TropGeneratorSet, gamma: TropPoint,
     """Nearest point of the hull, as (projection, certificate).
 
     The projection is the residuated combination min_i (g_i + c_i) with
-    c_i = -min(g_i - gamma) (negation dual for upper hulls). It is the
+    c_i = -min(g_i - gamma); for upper hulls it is max_i (g_i + c_i) with
+    c_i = -max(g_i - gamma) on maximum-zero representatives. It is the
     unique minimizer of every weighted one-sided p-pseudonorm distance to
     gamma for finite p, is the identity on hull members, and is verified
     here by per-generator additivity and argmin-intersection certificates.

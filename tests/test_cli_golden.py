@@ -1,0 +1,131 @@
+"""Golden CLI outputs: exit code and SHA-256 of stdout per invocation.
+
+The table was recorded from the library before the PL kernel and the
+linear-system caches were reworked, so it pins the default output of every
+subcommand on the bundled fixtures byte for byte.  Paths are relative to
+the repository root, as in ``perfbench/cli_expected.json``, whose 41
+invocations are all included here.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from tropkit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GOLDEN = [
+    (["graph", "validate", "tests/fixtures/c6.json"], 0,
+     "ceb0346c72f9765664d0be6a76f8bf60dc21242e3078e31e68324d2a40ec8411"),
+    (["graph", "validate", "tests/fixtures/banana.json"], 0,
+     "573e4580b4c6d7480ee7d18516e968836519af7111abf1d1d5ad0fde1884c4d8"),
+    (["tp", "project", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--point", "O"], 0,
+     "0471b1d0c008031e9fc859d4595527cc7e75e0ca22dbeaaded3c27a8bf73a064"),
+    (["tp", "project", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--point", "O", "--mode", "upper"], 0,
+     "6289017f674dd21dc4bbeb6f76782fe5e3271d401b9254a6c1392d3df4c8710b"),
+    (["tp", "member", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--point", "A"], 0,
+     "8f84aea5f1cb8bfdcb3d16f1363fc43a02797f564bafb891e198f592d4703f37"),
+    (["tp", "member", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--point", "O"], 1,
+     "eede8a51eef20747727e77a02b0bf0e5566a32a86af38a9590a1d5c5c504f735"),
+    (["tp", "extremals", "--space", "tests/fixtures/tp3.json", "--generators", "rect"], 0,
+     "70f4b90106b8e14000c8a751506632d56ab8ec7098b33d94e235aeaef1de4099"),
+    (["tp", "extremals", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--mode", "upper"], 0,
+     "98f9395e388d62bb0c375649b3a7198de4c8f9796f8d9a704dd294ffb23e236a"),
+    (["tp", "independence", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--kind", "weak"], 1,
+     "531026bd6ced6576dc422c4d6a6569698dc3e5e62c612a87d6ce40cd1f211aff"),
+    (["tp", "independence", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--kind", "gondran_minoux"], 1,
+     "1e9f3911386a56dc878b4b85de5a2000b4fc53c948e458b0b80d68d2d16a8b37"),
+    (["tp", "independence", "--space", "tests/fixtures/tp3.json", "--generators", "rect", "--kind", "tropical"], 1,
+     "a130df92bde2c0a589dd742ed1e8bed5c2099bf59e09af8d360109202d18bb40"),
+    (["tp", "norm", "--space", "tests/fixtures/tp3.json", "--point", "A", "--p", "1"], 0,
+     "5767ade61abaa408ba566f5368ff71f42e5d41b3ac6d1b23cb5b92ac2ab345b2"),
+    (["tp", "norm", "--space", "tests/fixtures/tp3.json", "--point", "D", "--p", "inf", "--mode", "upper"], 0,
+     "ddf7da59ba8d2d98fbed26646dcd779a4892b5380483f5d05bb4e95e39b10e91"),
+    (["div", "equiv", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "D2"], 0,
+     "0d38bead99777069f677c98e64c7594db2d98aafb33405602607fbe2de0d4f14"),
+    (["div", "equiv", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "[[{\"vertex\":\"w12\"},\"3\"]]"], 1,
+     "da1524430fc03f16643a6c7e5735bfea9705277bd03afea6fdc0d0a21e2857c4"),
+    (["div", "equiv", "--graph", "tests/fixtures/c6.json", "--divisor", "NOPE", "--divisor", "D1"], 2,
+     "454d43cf5caa4604c9c4e889b823323a0ff768c86d03aa9469df8ceea1138af7"),
+    (["div", "rho", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "D2"], 0,
+     "c4f743a4d22864fe728c7f06dcb59c8576db4136010521294d68d4e1fd0b7e9d"),
+    (["div", "path", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "D2", "--t", "1"], 0,
+     "62111909d4ee7d1aa6a2d09138fd6c85bdd501a9921c0a0d42128419bbd4bb03"),
+    (["div", "b1", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "D2"], 0,
+     "9999b8409d32c07a4737776ac036aafb974eee6a83231dcf5cadd33b6dd10f63"),
+    (["div", "reduce", "--graph", "tests/fixtures/c6.json", "--divisor", "D12", "--at", "{\"vertex\":\"v1\"}"], 0,
+     "dab512038bf960e77b5e364373fbcb9a1dab30754f395f05b40927a25c671c40"),
+    (["div", "reduce", "--graph", "tests/fixtures/c6.json", "--divisor", "D0", "--at", "{\"edge\":\"e1\",\"offset\":\"1/2\"}"], 0,
+     "6e806eaeb527ebf0d8cf8817ed311215def4becf4dfaa314cf618cb6d85949e8"),
+    (["sys", "member", "--graph", "tests/fixtures/c6.json", "--system", "complete", "--divisor", "D0"], 0,
+     "ef278de65cad358780a5087b86aae7335d2c4fedc0d46b98b0951664d98e09e1"),
+    (["sys", "member", "--graph", "tests/fixtures/c6.json", "--system", "seg_D1_D3", "--divisor", "D2"], 1,
+     "7b0221fdc59ff830f3a2e1ffe3affc94ee1f63e8a5ac41fe3bb3c0078c293b6e"),
+    (["sys", "project", "--graph", "tests/fixtures/c6.json", "--system", "complete", "--divisor", "D12"], 0,
+     "396663c8b742c5d3863c021117c1a42de27986ec955038cba793a3c29d2eef1e"),
+    (["sys", "project", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid", "--divisor", "D1"], 0,
+     "9e4179e9d2afcff99b8be09df9109b20ff51b8b602fccd34e88bd66d33496c90"),
+    (["sys", "reduced", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid", "--at", "{\"vertex\":\"v1\"}"], 0,
+     "ad0d92019401281d6052d95b4bcefd6fb887f7673443a5fc4ca16d4178655e3a"),
+    (["sys", "reduced", "--graph", "tests/fixtures/c6.json", "--system", "complete", "--at", "{\"edge\":\"e3\",\"offset\":\"1/3\"}"], 0,
+     "bb56e7219a9f193c1300efe9d91efcd2c870dc556728a7ad2af778d5e79f80eb"),
+    (["sys", "extremals", "--graph", "tests/fixtures/c6.json", "--system", "complete"], 0,
+     "4141a7e78299dde81ed8befc97019553d350e920357c7f07a5789d077efd50f2"),
+    (["tree", "check", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid"], 0,
+     "b0965c5eee49ff00701342fc26ed55b9bfdfc680b4ee87a8920dd26825c613b7"),
+    (["tree", "check", "--graph", "tests/fixtures/c6.json", "--system", "triangle_bad"], 1,
+     "87b58d4b1afb7efaa70dd3ef9d88e37969f0cde25ac4664606542e2426fb2b02"),
+    (["tree", "support", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid"], 0,
+     "31aa17005ee6b76619128e45ed3e48bd99d626118fdbd0449d652024e9ea8273"),
+    (["tree", "dominant", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid"], 0,
+     "62b4af72c96e67b0081624fc244d6b069b8aabe5702f8a5e66b938e3ecdc8647"),
+    (["tree", "dominant", "--graph", "tests/fixtures/banana.json", "--system", "seg_E1_E3"], 1,
+     "7ec7323002712b5edb6d5242d4ea8c954a40eaaaecd59a753c75eaab5423466b"),
+    (["tree", "preimage", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid", "--divisor", "D12"], 0,
+     "6f57725cb4699f5530a0c3fe90ad8122852bf6ef5c0d88736bfeb81ef7c2f415"),
+    (["tree", "redmap", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid", "--format", "csv"], 0,
+     "9b8060a4cefd572d8c2a6917e085ddadcbf0bff46c2258baf4d85323ea7f9287"),
+    (["tree", "redmap", "--graph", "tests/fixtures/c6.json", "--system", "complete", "--samples", "1"], 0,
+     "3b0dc0bd4a26811f8eed5d724c4522138781b010f4d5602ab1723f0cb25fc780"),
+    (["tree", "morphism", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid"], 0,
+     "fdeb85f31153583a38bf3263ddab506a1b2729470062e3d06647fe11f4a26933"),
+    (["tree", "morphism", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid", "--format", "dot"], 0,
+     "73a75158569875d6cad7eb7f0f38b852d44623f398937c91d837b1930289ceb7"),
+    (["tree", "harmonize", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid"], 0,
+     "a150647ebc2fc5ec805554b2f69a1095ef298e36609fcf485814cb9f57d86d81"),
+    (["tree", "witness", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid", "--degree", "3"], 0,
+     "ce74d27c4f13f518290d9fc0e02f2fe468273217908d8478ec400c1f15de7eeb"),
+    (["tree", "witness", "--graph", "tests/fixtures/banana.json", "--system", "seg_E1_E3", "--degree", "3"], 1,
+     "87b7d7522e7fda6deb9df4aa894f2c694511d8e63723e64888b88a6b7f0420a7"),
+    (["tree", "check", "--graph", "tests/fixtures/banana.json", "--system", "witness4"], 0,
+     "4ad6c99dbb882619fee5838af78a3d3e1ca68813e4b64af7b739591c6680e33e"),
+    (["tree", "support", "--graph", "tests/fixtures/banana.json", "--system", "witness4"], 0,
+     "a722ecd9c81216285343a0d98da44a9db27e2f86e8d6d593c4c379d841ec0c68"),
+    (["tree", "dominant", "--graph", "tests/fixtures/banana.json", "--system", "witness4"], 0,
+     "20fb66c49dee9ad44da1ac2b2b3478f6ed1de7be3ed6bcee67b47e80d6fb4be5"),
+    (["tree", "morphism", "--graph", "tests/fixtures/banana.json", "--system", "witness4"], 0,
+     "332486d0885850ff32a4e6b37681093c71d43d0988d76a99821dd5a48da56cbd"),
+    (["tree", "harmonize", "--graph", "tests/fixtures/banana.json", "--system", "witness4"], 0,
+     "40055d775e1a96880ddde3e786927857195f9bcfcb267e8bedbcc5fb4712c622"),
+    (["tree", "redmap", "--graph", "tests/fixtures/banana.json", "--system", "witness4"], 0,
+     "5cf56522bafecd2d93f623c62d0332ea29929a297930a984d667a600f92156cf"),
+    (["tree", "morphism", "--graph", "tests/fixtures/banana.json", "--system", "witness4", "--format", "dot"], 0,
+     "9aa7cb042e8584df276248ee608acd9a85b1b66f6abd4f75a4b53e9fef231fd8"),
+    (["tree", "witness", "--graph", "tests/fixtures/banana.json", "--system", "witness4", "--degree", "4"], 0,
+     "48e3fa9c1591434c4983712fdf9559959df7a4d6654847356af4912579dbd0f0"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_cli_output_is_unchanged(argv, exit_code, digest, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == exit_code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

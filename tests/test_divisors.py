@@ -239,6 +239,24 @@ class TestLinearSystems:
         with pytest.raises(InputError):
             ls_bases(triangle, c6.divisor("D1"))
 
+    @pytest.mark.parametrize("fixture,system", [
+        ("c6", "complete"), ("c6", "triangle_mid"), ("banana", "witness4")])
+    def test_projection_membership_matches_ls_member(self, request, fixture,
+                                                      system):
+        """ls_project's membership certificate, built from its own
+        potentials, equals ls_member run on a fresh system."""
+        T = request.getfixturevalue(fixture).system(system)
+        for q in sample_points(T.graph):
+            target = Divisor.of(T.graph, [(q, T.degree)])
+            projection, cert = ls_project(T, target)
+            fresh = LinearSystem(T.graph, T.generators)
+            member, expected = ls_member(fresh, projection)
+            got = cert["membership"]
+            assert member and got["member"] == expected["member"]
+            assert [s.key() for s in got["min_sets"]] == \
+                [s.key() for s in expected["min_sets"]]
+            assert got["uncovered"] == expected["uncovered"] == []
+
     def test_rejects_bad_generators(self, c6):
         g = c6.need_graph()
         with pytest.raises(InputError):

@@ -8,6 +8,7 @@ import pytest
 from tropkit import (
     ClosedSubset,
     Divisor,
+    GraphPoint,
     InputError,
     MetricGraph,
     PLFunction,
@@ -130,6 +131,31 @@ class TestPotentials:
         const = PLFunction.constant(g, 5)
         assert not pl_extremum_set(const, "min") \
             .intersect(pl_extremum_set(const, "max")).is_empty()
+
+    def test_pointwise_operations_agree_with_eval(self):
+        """add, sub and min_with against eval of the inputs, at every
+        breakpoint of either input and every midpoint between them."""
+        rng = random.Random(29)
+        crossings = 0
+        for _ in range(15):
+            g = random_graph(rng)
+            f = mg_potential(g, *equal_degree_pair(rng, g))
+            h = mg_potential(g, *equal_degree_pair(rng, g))
+            low = f.min_with(h)
+            results = [(f.add(h), lambda a, b: a + b),
+                       (f.sub(h), lambda a, b: a - b),
+                       (low, min)]
+            for e in g.edges:
+                offs = sorted({o for o, _ in f.data[e.id]}
+                              | {o for o, _ in h.data[e.id]})
+                mids = [(x + y) / 2 for x, y in zip(offs, offs[1:])]
+                for o in offs + mids:
+                    p = (GraphPoint(edge=e.id, offset=o) if 0 < o < e.length
+                         else GraphPoint(vertex=e.tail if o == 0 else e.head))
+                    for result, op in results:
+                        assert result.eval(p) == op(f.eval(p), h.eval(p))
+                crossings += len({o for o, _ in low.data[e.id]} - set(offs))
+        assert crossings > 0  # the sample exercises crossing insertion
 
 
 class TestJFunctions:

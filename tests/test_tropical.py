@@ -57,6 +57,13 @@ def hull_with_member(draw, max_gens: int = 4):
     return gens, tp_combine(gens, coeffs, "lower")
 
 
+def upper_rebuild(S: TropGeneratorSet, coeffs) -> TropPoint:
+    """max_i (c_i + g_i) over the maximum-zero representatives of S."""
+    reps = [p.max_normalized() for p in S.points]
+    return TropPoint.of([max(c + r[k] for c, r in zip(coeffs, reps))
+                         for k in range(S.dim)])
+
+
 def weighted_space(dim: int, seedlist) -> GroundSpace:
     weights = [Fraction(w) for w in seedlist[:dim]]
     return GroundSpace.of([f"x{i}" for i in range(dim)], weights)
@@ -301,6 +308,25 @@ class TestMembershipAndProjection:
         bound = max(tp_dist(a, b) for a, b in zip(gens, betas))
         assert tp_dist(gamma, proj) <= bound
 
+    def test_upper_coefficients_act_on_maximum_zero_representatives(self):
+        S = TropGeneratorSet.of([(0, 2, 5), (3, 0, 1), (1, 4, 0)], "upper")
+        gamma = tp_combine(S.points, [0, Fraction(1, 2), -1], "upper")
+        assert gamma == TropPoint.of((Fraction(1, 2), 0, 2))
+        ok, cert = tp_member(S, gamma)
+        assert ok and cert["coefficients"] == [0, Fraction(-3, 2), -2]
+        # tp_combine works on the canonical (minimum-zero) points, so it
+        # does not rebuild gamma from these coefficients
+        assert tp_combine(S.points, cert["coefficients"], "upper") == \
+            TropPoint.of((0, Fraction(1, 2), Fraction(7, 2)))
+        assert upper_rebuild(S, cert["coefficients"]) == gamma
+
+    @given(hull_instance())
+    def test_upper_projection_coefficients_rebuild_it(self, inst):
+        gens, (gamma,) = inst
+        S = TropGeneratorSet.of(gens, "upper")
+        proj, cert = tp_project(S, gamma)
+        assert upper_rebuild(S, cert["coefficients"]) == proj
+
     def test_singleton_hull(self):
         g = TropPoint.of((1, 5, 2))
         S = TropGeneratorSet.of([g], "lower")
@@ -376,7 +402,7 @@ class TestIndependence:
     def test_duplicates_do_not_change_the_verdict(self, inst):
         gens, _ = inst
         S = TropGeneratorSet.of(gens, "lower")
-        doubled = TropGeneratorSet.of(list(gens) + [gens[0]], "lower")
+        doubled = TropGeneratorSet(S.points + (S.points[0],), "lower")
         for kind in ("weak", "gondran_minoux", "tropical"):
             assert tp_independence(S, kind)["status"] == \
                 tp_independence(doubled, kind)["status"]
