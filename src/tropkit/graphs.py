@@ -801,47 +801,50 @@ class Subdivision:
         return GraphPoint(edge=node[1], offset=node[2])
 
 
-def _gauss_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination; raises if the system is singular."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise InputError("singular system (graph not connected?)")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+def _ldl_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve A x = rhs for symmetric positive definite A, given as the upper
+    triangle row by row ({column: entry}, column >= row, diagonal present).
 
-
-def solve_node_potentials(sub: Subdivision, injections: dict[int, Fraction]) -> list[Fraction]:
-    """Node potentials for the given net current injections (sums to zero).
-
-    Conductance of a segment is the reciprocal of its length; node 0 is
-    grounded. Exact over the rationals.
+    Sparse exact LDL^T elimination in row order: positive definiteness
+    makes every pivot nonzero, so no pivot search is needed. rows and rhs
+    are overwritten.
     """
-    n = len(sub.nodes)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for a, b, length, _, _ in sub.segments:
-        c = 1 / length
-        lap[a][a] += c
-        lap[b][b] += c
-        lap[a][b] -= c
-        lap[b][a] -= c
-    rhs = [Fraction(0)] * n
-    for idx, cur in injections.items():
-        rhs[idx] += cur
-    if sum(rhs, Fraction(0)) != 0:
-        raise InputError("injections must sum to zero")
-    if n == 1:
-        return [Fraction(0)]
-    inner = _gauss_solve([row[1:] for row in lap[1:]], rhs[1:])
-    return [Fraction(0)] + inner
+    for k, row in enumerate(rows):
+        pivot = row[k]
+        for i, a_ki in row.items():
+            if i == k:
+                continue
+            f = a_ki / pivot
+            target = rows[i]
+            for j, a_kj in row.items():
+                if j >= i:
+                    target[j] = target.get(j, 0) - f * a_kj
+            rhs[i] -= f * rhs[k]
+    x = [Fraction(0)] * len(rows)
+    for k in reversed(range(len(rows))):
+        row = rows[k]
+        x[k] = (rhs[k] - sum(a * x[j] for j, a in row.items() if j != k)) / row[k]
+    return x
+
+
+def _elimination_order(graph: MetricGraph) -> dict[str, int]:
+    """Position of every vertex in a minimum-degree elimination order of the
+    vertex Laplacian; the first vertex is grounded and gets position -1."""
+    ground = graph.vertices[0]
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices[1:]}
+    for e in graph.edges:
+        if ground not in (e.tail, e.head):
+            adj[e.tail].add(e.head)
+            adj[e.head].add(e.tail)
+    pos = {ground: -1}
+    while adj:
+        v = min(adj, key=lambda u: len(adj[u]))
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+        pos[v] = len(pos) - 1
+    return pos
 
 
 def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFunction:
@@ -849,18 +852,49 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
 
     Unique up to a constant; returned with minimum value zero. Requires the
     two divisors to have equal degree.
+
+    The matrix order is |V| - 1 for any divisor. Each interior support point
+    is a degree-2 node, and its Schur complement folds a coefficient c at
+    offset o on an edge (t, h, l) onto the ends: c(l - o)/l to t and c o/l
+    to h. The grounded vertex Laplacian (conductances 1/l, the first vertex
+    at 0) is then solved by sparse exact elimination (`_ldl_solve`) in a
+    minimum-degree order, which keeps the fill small on grids. The
+    value at a cut point o is the linear interpolation of the edge's end
+    values plus sum_i c_i min(o, o_i)(l - max(o, o_i))/l over that edge's
+    cut points: the Green's function of the interval with both ends held.
     """
     if d_from.degree() != d_to.degree():
         raise InputError("divisors must have equal degree")
-    delta = d_to.sub(d_from)
-    sub = Subdivision(graph, delta.support())
-    injections = {sub.node_of(p): c for p, c in delta.items()}
-    vals = solve_node_potentials(sub, injections)
-    vertex_vals = {v: vals[sub.index[("v", v)]] for v in graph.vertices}
-    cuts = {eid: [(o, vals[sub.index[("p", eid, o)]]) for o in offs]
-            for eid, offs in sub.cuts.items()}
-    f = PLFunction.from_node_values(graph, vertex_vals, cuts)
-    return f.minus_min()
+    pos = _elimination_order(graph)
+    rows: list[dict[int, Fraction]] = [{i: Fraction(0)} for i in range(len(pos) - 1)]
+    for e in graph.edges:
+        c = 1 / e.length
+        a, b = sorted((pos[e.tail], pos[e.head]))
+        rows[b][b] += c
+        if a >= 0:
+            rows[a][a] += c
+            rows[a][b] = rows[a].get(b, 0) - c
+    rhs = [Fraction(0)] * len(pos)  # the grounded vertex (-1) fills the spare last slot
+    cuts: dict[str, list[tuple[Fraction, Fraction]]] = {}
+    for p, c in d_to.sub(d_from).entries.items():
+        if p.is_vertex:
+            rhs[pos[p.vertex]] += c
+            continue
+        e = graph.edge_map[p.edge]
+        rhs[pos[e.tail]] += c * (e.length - p.offset) / e.length
+        rhs[pos[e.head]] += c * p.offset / e.length
+        cuts.setdefault(e.id, []).append((p.offset, c))
+    x = _ldl_solve(rows, rhs[:-1]) + [Fraction(0)]
+    vals = {v: x[i] for v, i in pos.items()}
+    cut_vals = {}
+    for eid, pts in cuts.items():
+        e = graph.edge_map[eid]
+        t, h, ell = vals[e.tail], vals[e.head], e.length
+        cut_vals[eid] = [
+            (o, t + (h - t) * o / ell
+             + sum(c * min(o, oi) * (ell - max(o, oi)) for oi, c in pts) / ell)
+            for o, _ in pts]
+    return PLFunction.from_node_values(graph, vals, cut_vals).minus_min()
 
 
 def mg_jfunction(graph: MetricGraph, q: GraphPoint, p: GraphPoint) -> PLFunction:

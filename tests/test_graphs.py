@@ -22,6 +22,7 @@ from tropkit import (
 )
 
 from conftest import equal_degree_pair, random_graph, random_point
+from potential_oracle import oracle_potential
 
 
 class TestGraphConstruction:
@@ -156,6 +157,53 @@ class TestPotentials:
                         assert result.eval(p) == op(f.eval(p), h.eval(p))
                 crossings += len({o for o, _ in low.data[e.id]} - set(offs))
         assert crossings > 0  # the sample exercises crossing insertion
+
+    def test_equals_the_dense_subdivided_oracle(self):
+        """Equal breakpoint tuples on every edge: equal values at every
+        vertex and every breakpoint."""
+        seen = set()
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_graph(rng)
+            crowded = rng.choice(g.edges)
+            pairs = [(g.point(edge=crowded.id, offset=crowded.length * Fraction(k, 5)),
+                      Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])))
+                     for k in (1, 2, 4)]
+            pairs += [(random_point(rng, g), Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])))
+                      for _ in range(4)]
+            d_to = Divisor.of(g, pairs)
+            d_from = Divisor.of(g, [(random_point(rng, g), d_to.degree())])
+            assert mg_potential(g, d_from, d_to).data == oracle_potential(g, d_from, d_to).data
+            delta = d_to.sub(d_from)
+            ends = [frozenset((e.tail, e.head)) for e in g.edges]
+            cut_edges = [p.edge for p in delta.support() if not p.is_vertex]
+            halves = {h for a, b, _ in g.loop_aliases.values() for h in (a, b)}
+            seen.update(case for case, hit in [
+                ("parallel", len(set(ends)) < len(ends)),
+                ("loop cut", not halves.isdisjoint(cut_edges)),
+                ("shared edge", len(set(cut_edges)) < len(cut_edges)),
+                ("negative", any(c < 0 for c in delta.entries.values())),
+                ("fractional", not delta.is_integral())] if hit)
+        assert seen == {"parallel", "loop cut", "shared edge", "negative", "fractional"}
+
+    def test_foster_theorem(self):
+        """Sum over edges of R(tail, head)/length is |V| - 1."""
+        for seed in range(5):
+            g = random_graph(random.Random(seed))
+            total = sum((mg_resistance(g, g.vertex_point(e.tail), g.vertex_point(e.head))
+                         / e.length for e in g.edges), Fraction(0))
+            assert total == len(g.vertices) - 1
+
+    def test_resistance_between_two_points_on_one_edge_of_a_cycle(self):
+        """Two cut points on one edge, an arc a apart on a cycle of length
+        L: the resistance is a(L - a)/L."""
+        g = MetricGraph.of(["x", "y", "z"], [("e", "x", "y", 3), ("f", "y", "z", Fraction(5, 2)),
+                                             ("g", "z", "x", Fraction(7, 3))])
+        total = g.total_length
+        for o1, o2 in [(Fraction(1, 2), 2), (Fraction(1, 7), Fraction(29, 10)), (1, Fraction(4, 3))]:
+            p, q = g.point(edge="e", offset=o1), g.point(edge="e", offset=o2)
+            a = abs(Fraction(o2) - Fraction(o1))
+            assert mg_resistance(g, p, q) == mg_resistance(g, q, p) == a * (total - a) / total
 
 
 class TestJFunctions:
