@@ -41,6 +41,7 @@ from .trees import (
 )
 from .tropical import (
     TropPoint,
+    as_fraction,
     tp_extremals,
     tp_independence,
     tp_member,
@@ -50,10 +51,10 @@ from .tropical import (
 )
 from .workspace import (
     Workspace,
+    _reject_float,
     divisor_from_json,
     dumps_canonical,
     load_workspace,
-    parse_rational,
     point_from_json,
     rational_str,
     to_jsonable,
@@ -67,12 +68,9 @@ __all__ = ["main"]
 
 
 def _loads_strict(text: str, location: str):
-    def reject(raw: str):
-        raise InputError(
-            f"floats are not accepted; write {raw!r} as a \"p/q\" string",
-            location)
     try:
-        return json.loads(text, parse_float=reject)
+        return json.loads(
+            text, parse_float=lambda raw: _reject_float(raw, location))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", location) from None
 
@@ -97,7 +95,7 @@ def _resolve_trop_point(ws: Workspace, text: str, location: str) -> TropPoint:
         if not isinstance(data, list):
             raise InputError("a point is a JSON array of rationals",
                              location)
-        return TropPoint.of([parse_rational(c, f"{location}[{i}]")
+        return TropPoint.of([as_fraction(c, f"{location}[{i}]")
                              for i, c in enumerate(data)])
     return ws.point(s)
 
@@ -236,7 +234,7 @@ def _cmd_div_path(args):
     d1, d2 = _two_divisors(ws, args)
     if args.t is None:
         raise InputError("div path needs --t", "--t")
-    t = parse_rational(args.t, "--t")
+    t = as_fraction(args.t, "--t")
     divisor = dv_path(ws.need_graph(), d1, d2, t)
     return 0, {"t": t, "divisor": divisor}, "json"
 

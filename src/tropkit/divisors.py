@@ -378,13 +378,13 @@ def ls_project(T: LinearSystem, e: Divisor):
                                {"projection": str(projection)})
     T.register(projection, f_star.add(T.potential(e)))
     f_star_min = f_star.extremum_set("min")
+    b_lower = f_star.integral()
     checks = []
     # potentials from the projection toward each generator
     to_projections = [g_bar.sub(f_star).minus_min() for g_bar in g_bars]
     for i, (g_bar, to_projection) in enumerate(zip(g_bars, to_projections)):
         b_total = g_bar.integral()
         b_upper = to_projection.integral()
-        b_lower = f_star.integral()
         witness = to_projection.extremum_set("min").intersect(f_star_min)
         checks.append({
             "generator": i,

@@ -231,6 +231,20 @@ class PLFunction:
                 elif known != val:
                     raise InputError(f"discontinuity at vertex {vname!r}")
 
+    @classmethod
+    def _of_valid(cls, graph: MetricGraph, data: dict) -> "PLFunction":
+        """Wrap exact data that already holds every invariant __init__ checks,
+        as operations on valid functions leave it: no coercion, no checks."""
+        f = object.__new__(cls)
+        f.graph = graph
+        f.data = data
+        f.vertex_values = dict.fromkeys(graph.vertices)
+        for e in graph.edges:
+            bps = data[e.id]
+            f.vertex_values[e.tail] = bps[0][1]
+            f.vertex_values[e.head] = bps[-1][1]
+        return f
+
     def _validate(self) -> None:
         for e in self.graph.edges:
             bps = self.data.get(e.id)
@@ -249,8 +263,8 @@ class PLFunction:
     @classmethod
     def constant(cls, graph: MetricGraph, value) -> "PLFunction":
         value = as_fraction(value)
-        return cls(graph, {e.id: ((Fraction(0), value), (e.length, value))
-                           for e in graph.edges})
+        return cls._of_valid(graph, {e.id: ((Fraction(0), value), (e.length, value))
+                                     for e in graph.edges})
 
     @classmethod
     def from_node_values(cls, graph: MetricGraph, vertex_vals: dict,
@@ -263,10 +277,8 @@ class PLFunction:
         data = {}
         for e in graph.edges:
             mids = sorted(cuts.get(e.id, ()))
-            bps = [(Fraction(0), as_fraction(vertex_vals[e.tail]))]
-            bps += [(as_fraction(o), as_fraction(v)) for o, v in mids]
-            bps += [(e.length, as_fraction(vertex_vals[e.head]))]
-            data[e.id] = tuple(bps)
+            data[e.id] = ((Fraction(0), vertex_vals[e.tail]), *mids,
+                          (e.length, vertex_vals[e.head]))
         return cls(graph, data)
 
     def eval(self, point: GraphPoint) -> Fraction:
@@ -283,9 +295,9 @@ class PLFunction:
     # -- pointwise arithmetic ----------------------------------------------
 
     def _zip(self, other: "PLFunction", fn) -> "PLFunction":
-        return PLFunction(self.graph, {
-            e.id: tuple((o, fn(a, b)) for o, a, b
-                        in _merge(self.data[e.id], other.data[e.id]))
+        return PLFunction._of_valid(self.graph, {
+            e.id: _simplify(tuple((o, fn(a, b)) for o, a, b
+                                  in _merge(self.data[e.id], other.data[e.id])))
             for e in self.graph.edges})
 
     def add(self, other: "PLFunction") -> "PLFunction":
@@ -295,13 +307,13 @@ class PLFunction:
         return self._zip(other, lambda a, b: a - b)
 
     def neg(self) -> "PLFunction":
-        return PLFunction(self.graph, {eid: tuple((o, -v) for o, v in bps)
-                                       for eid, bps in self.data.items()})
+        return PLFunction._of_valid(self.graph, {eid: tuple((o, -v) for o, v in bps)
+                                                 for eid, bps in self.data.items()})
 
     def add_const(self, c) -> "PLFunction":
         c = as_fraction(c)
-        return PLFunction(self.graph, {eid: tuple((o, v + c) for o, v in bps)
-                                       for eid, bps in self.data.items()})
+        return PLFunction._of_valid(self.graph, {eid: tuple((o, v + c) for o, v in bps)
+                                                 for eid, bps in self.data.items()})
 
     def min_with(self, other: "PLFunction") -> "PLFunction":
         """Pointwise minimum, inserting crossing breakpoints exactly."""
@@ -315,8 +327,8 @@ class PLFunction:
                     o_star = o0 + (o - o0) * d1 / (d1 - d2)
                     bps.append((o_star, a0 + (a - a0) * (o_star - o0) / (o - o0)))
                 bps.append((o, min(a, b)))
-            data[e.id] = tuple(bps)
-        return PLFunction(self.graph, data)
+            data[e.id] = _simplify(tuple(bps))
+        return PLFunction._of_valid(self.graph, data)
 
     def clip_max(self, c) -> "PLFunction":
         """Pointwise min(f, c) for a constant c."""

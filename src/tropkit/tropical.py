@@ -44,20 +44,25 @@ __all__ = [
 ]
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce an int, string like '3/4', or Fraction to an exact rational."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+def as_fraction(value, location: str = "") -> Fraction:
+    """The exact rational an outside value stands for: a Fraction, an int
+    that is not a bool, or a string that ``Fraction`` parses ("-3", "5/3",
+    the exact decimal "1.5", the exponent form "1e3"). Floats, booleans and
+    anything else raise InputError at location."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise InputError("expected a rational, got a boolean", location)
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise InputError('floats are not accepted; write rationals as "p/q" strings', location)
+    if isinstance(value, str):
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not an exact rational: {x!r}") from exc
-    if isinstance(x, float):
-        raise InputError(f"floats are not accepted, use a rational string: {x!r}")
-    raise InputError(f"not an exact rational: {x!r}")
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"not a rational: {value!r}", location) from None
+    raise InputError(f"expected a rational, got {type(value).__name__}", location)
 
 
 @dataclass(frozen=True)

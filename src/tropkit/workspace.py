@@ -5,8 +5,9 @@ edges, named divisors, and named systems (lists of divisor names); point
 workspaces carry a ground set with weights, named points, and named
 generator sets.  One file may carry both blocks.
 
-All rationals are encoded as JSON integers or as strings "p/q" with q > 0
-(or a bare integer string).  Floats are rejected: the toolkit is exact.
+Rationals are JSON integers, or strings such as "-3", "5/3", the exact
+decimal "1.5" or the exponent form "1e3" (``tropical.as_fraction`` parses
+them). JSON floats and booleans are rejected: the toolkit is exact.
 Serialization is canonical; parsing a file, serializing it, and parsing
 again yields the same workspace, and serialization output is byte-stable.
 """
@@ -20,14 +21,13 @@ from fractions import Fraction
 from .divisors import LinearSystem
 from .errors import InputError
 from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, mg_validate
-from .tropical import GroundSpace, TropGeneratorSet, TropPoint
+from .tropical import GroundSpace, TropGeneratorSet, TropPoint, as_fraction
 
 __all__ = [
     "Workspace",
     "divisor_from_json",
     "dumps_canonical",
     "load_workspace",
-    "parse_rational",
     "parse_workspace",
     "point_from_json",
     "rational_str",
@@ -40,26 +40,6 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # rationals
-
-
-def parse_rational(value, location: str) -> Fraction:
-    """Exact rational from a JSON value: integer, "p/q" string, or integer
-    string."""
-    if isinstance(value, bool):
-        raise InputError("expected a rational, got a boolean", location)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise InputError(
-            "floats are not accepted; write rationals as \"p/q\" strings",
-            location)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"not a rational: {value!r}", location) from None
-    raise InputError(f"expected a rational, got {type(value).__name__}",
-                     location)
 
 
 def rational_str(value: Fraction) -> str:
@@ -99,7 +79,7 @@ def point_from_json(graph: MetricGraph, data, location: str) -> GraphPoint:
         raise InputError("a point needs either \"vertex\" or both \"edge\" "
                          "and \"offset\"", location)
     eid = _expect(data["edge"], str, "edge id", f"{location}.edge")
-    offset = parse_rational(data["offset"], f"{location}.offset")
+    offset = as_fraction(data["offset"], f"{location}.offset")
     try:
         return graph.point(edge=eid, offset=offset)
     except InputError as exc:
@@ -117,7 +97,7 @@ def divisor_from_json(graph: MetricGraph, data, location: str) -> Divisor:
             raise InputError("a divisor entry is a [point, coefficient] "
                              "pair", here)
         point = point_from_json(graph, entry[0], here)
-        coeff = parse_rational(entry[1], f"{here}[1]")
+        coeff = as_fraction(entry[1], f"{here}[1]")
         pairs.append((point, coeff))
     return Divisor.of(graph, pairs)
 
@@ -216,7 +196,7 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
                 _expect(e["id"], str, "edge id", f"{here}.id"),
                 _expect(e["tail"], str, "edge tail", f"{here}.tail"),
                 _expect(e["head"], str, "edge head", f"{here}.head"),
-                parse_rational(e["length"], f"{here}.length"),
+                as_fraction(e["length"], f"{here}.length"),
             ))
         try:
             graph, report = mg_validate(
@@ -261,7 +241,7 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
             if len(raw) != len(labels):
                 raise InputError("need exactly one weight per ground "
                                  "element", f"{location}.weights")
-            weights = [parse_rational(w, f"{location}.weights[{i}]")
+            weights = [as_fraction(w, f"{location}.weights[{i}]")
                        for i, w in enumerate(raw)]
         try:
             ws.space = GroundSpace.of(labels, weights)
@@ -276,7 +256,7 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
                 raise InputError("point dimension does not match the "
                                  "ground set", here)
             ws.points[str(name)] = TropPoint.of(
-                [parse_rational(c, f"{here}[{i}]")
+                [as_fraction(c, f"{here}[{i}]")
                  for i, c in enumerate(coords)])
         sets = _expect(data.get("sets", {}), dict, "sets",
                        f"{location}.sets")
@@ -312,10 +292,13 @@ def load_workspace(path: str) -> Workspace:
     return parse_workspace(data, path)
 
 
-def _reject_float(text: str):
+def _reject_float(text: str, location: str = "number"):
+    """``parse_float`` hook for ``json.loads``: a float is an input error
+    at location ("number" in a file, the flag name for inline JSON on the
+    command line)."""
     raise InputError(
         f"floats are not accepted; write {text!r} as a \"p/q\" string",
-        "number")
+        location)
 
 
 # ---------------------------------------------------------------------------

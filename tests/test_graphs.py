@@ -134,8 +134,11 @@ class TestPotentials:
             .intersect(pl_extremum_set(const, "max")).is_empty()
 
     def test_pointwise_operations_agree_with_eval(self):
-        """add, sub and min_with against eval of the inputs, at every
-        breakpoint of either input and every midpoint between them."""
+        """add, sub, min_with, neg, add_const, clip_max and minus_min against
+        eval of the inputs, at every breakpoint of either input and every
+        midpoint between them. Operations build their results unchecked, so
+        each result must pass the checked constructor unchanged: exact,
+        continuous, and simplified even where kinks cancel, as in (f+h)-h."""
         rng = random.Random(29)
         crossings = 0
         for _ in range(15):
@@ -143,9 +146,21 @@ class TestPotentials:
             f = mg_potential(g, *equal_degree_pair(rng, g))
             h = mg_potential(g, *equal_degree_pair(rng, g))
             low = f.min_with(h)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            cap = (f.min_value() + f.max_value()) / 2
+            shift = f.sub(h).min_value()
             results = [(f.add(h), lambda a, b: a + b),
                        (f.sub(h), lambda a, b: a - b),
-                       (low, min)]
+                       (low, min),
+                       (f.neg(), lambda a, b: -a),
+                       (f.add_const(c), lambda a, b: a + c),
+                       (f.clip_max(cap), lambda a, b: min(a, cap)),
+                       (f.sub(h).minus_min(), lambda a, b: a - b - shift),
+                       (f.add(h).sub(h), lambda a, b: a)]
+            for result, _ in results:
+                checked = PLFunction(result.graph, result.data)
+                assert checked.data == result.data
+                assert checked.vertex_values == result.vertex_values
             for e in g.edges:
                 offs = sorted({o for o, _ in f.data[e.id]}
                               | {o for o, _ in h.data[e.id]})
@@ -204,6 +219,31 @@ class TestPotentials:
             p, q = g.point(edge="e", offset=o1), g.point(edge="e", offset=o2)
             a = abs(Fraction(o2) - Fraction(o1))
             assert mg_resistance(g, p, q) == mg_resistance(g, q, p) == a * (total - a) / total
+
+
+class TestPLFunctionChecks:
+    """Every rejection of the checked constructor, one case each, on two
+    parallel edges a-b of lengths 2 and 1."""
+
+    @pytest.mark.parametrize("data, message", [
+        ({"e": ((0, 0), (2, 0))}, "missing data for edge 'f'"),
+        ({"e": ((0, 0), (2, 0)), "f": ((0, 0), (1, 0)), "x": ((0, 0), (1, 0))},
+         "function must cover exactly the graph's edges"),
+        ({"e": ((0, 0), (1, 0)), "f": ((0, 0), (1, 0))},
+         "breakpoints of edge 'e' must span [0, length]"),
+        ({"e": ((0, 0), (Fraction(3, 2), 1), (Fraction(1, 2), 1), (2, 0)),
+          "f": ((0, 0), (1, 0))},
+         "breakpoints of edge 'e' must increase"),
+        ({"e": ((0, 0), (2, 0)), "f": ((0, 1), (1, 0))},
+         "discontinuity at vertex 'a'"),
+        ({"e": ((0, 0.5), (2, 0)), "f": ((0, 0), (1, 0))},
+         'floats are not accepted; write rationals as "p/q" strings'),
+    ])
+    def test_rejections(self, data, message):
+        g = MetricGraph.of(["a", "b"], [("e", "a", "b", 2), ("f", "a", "b", 1)])
+        with pytest.raises(InputError) as exc:
+            PLFunction(g, data)
+        assert str(exc.value) == message
 
 
 class TestJFunctions:

@@ -3,10 +3,17 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from tropkit import (
+    Divisor,
+    GraphPoint,
+    InputError,
+    MetricGraph,
+    TropPoint,
+    as_fraction,
     dumps_canonical,
     load_workspace,
     parse_workspace,
@@ -65,7 +72,20 @@ class TestErrorHandling:
         }))
         code, payload = run_json(capsys, "graph", "validate", str(bad))
         assert code == 2
-        assert "float" in payload["message"]
+        assert payload["location"] == "number"
+        assert payload["message"] == \
+            "floats are not accepted; write '1.5' as a \"p/q\" string"
+
+    def test_inline_floats_are_rejected_at_the_flag(self, capsys):
+        code, payload = run_json(capsys, "div", "rho", "--graph", C6,
+                                 "--divisor", '[[{"vertex":"v1"}, 1.5]]',
+                                 "--divisor", "D1")
+        assert code == 2
+        assert payload == {
+            "code": "input-error",
+            "location": "--divisor",
+            "message": "floats are not accepted; write '1.5' as a \"p/q\" string",
+        }
 
     def test_missing_schema_version(self, tmp_path, capsys):
         bad = tmp_path / "nover.json"
@@ -98,6 +118,34 @@ class TestErrorHandling:
         code, payload = run_json(capsys, "sys", "member", "--graph", C6,
                                  "--system", "missing", "--divisor", "D0")
         assert code == 2
+
+
+class TestRationalParsing:
+    """The library entry points parse outside values like workspace files."""
+
+    ENTRY_POINTS = [
+        lambda x: MetricGraph.of(["a", "b"], [("e", "a", "b", x)]),
+        lambda x: Divisor.of(MetricGraph.of(["a", "b"], [("e", "a", "b", 1)]),
+                             [(GraphPoint(vertex="a"), x)]),
+        lambda x: TropPoint.of([x, 0]),
+    ]
+
+    @pytest.mark.parametrize("build", ENTRY_POINTS,
+                             ids=["MetricGraph.of", "Divisor.of", "TropPoint.of"])
+    @pytest.mark.parametrize("value, message", [
+        (True, "expected a rational, got a boolean"),
+        ("x/y", "not a rational: 'x/y'"),
+        (None, "expected a rational, got NoneType"),
+        (1.5, 'floats are not accepted; write rationals as "p/q" strings'),
+    ], ids=["bool", "junk", "None", "float"])
+    def test_rejected_values(self, build, value, message):
+        with pytest.raises(InputError) as exc:
+            build(value)
+        assert str(exc.value) == message
+
+    def test_accepted_forms(self):
+        assert [as_fraction(x) for x in (3, "-3", "5/3", "1.5", "1e3")] == \
+            [3, -3, Fraction(5, 3), Fraction(3, 2), 1000]
 
 
 class TestExamples:
