@@ -380,8 +380,8 @@ def ls_project(T: LinearSystem, e: Divisor):
     f_star_min = f_star.extremum_set("min")
     b_lower = f_star.integral()
     checks = []
-    # potentials from the projection toward each generator
-    to_projections = [g_bar.sub(f_star).minus_min() for g_bar in g_bars]
+    # potentials from the projection toward each generator (g_bar - f_star, shifted)
+    to_projections = [T.pair_function(projection, g) for g in T.generators]
     for i, (g_bar, to_projection) in enumerate(zip(g_bars, to_projections)):
         b_total = g_bar.integral()
         b_upper = to_projection.integral()

@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 from .errors import InputError
 from .tropical import as_fraction
 
+_ZERO = Fraction(0)
+
 __all__ = [
     "Edge",
     "MetricGraph",
@@ -63,7 +65,7 @@ class GraphPoint:
 
     def key(self) -> tuple:
         if self.is_vertex:
-            return ("v", self.vertex, Fraction(0))
+            return ("v", self.vertex, _ZERO)
         return ("e", self.edge, self.offset)
 
     def __str__(self) -> str:
@@ -276,7 +278,7 @@ class PLFunction:
         cuts = cuts or {}
         data = {}
         for e in graph.edges:
-            mids = sorted(cuts.get(e.id, ()))
+            mids = sorted(cuts.get(e.id, ()), key=lambda cut: as_fraction(cut[0]))
             data[e.id] = ((Fraction(0), vertex_vals[e.tail]), *mids,
                           (e.length, vertex_vals[e.head]))
         return cls(graph, data)
@@ -312,6 +314,8 @@ class PLFunction:
 
     def add_const(self, c) -> "PLFunction":
         c = as_fraction(c)
+        if c == 0:
+            return self
         return PLFunction._of_valid(self.graph, {eid: tuple((o, v + c) for o, v in bps)
                                                  for eid, bps in self.data.items()})
 
@@ -353,8 +357,8 @@ class PLFunction:
         total = Fraction(0)
         for bps in self.data.values():
             for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-                total += (v1 + v2) * (o2 - o1) / 2
-        return total
+                total += (v1 + v2) * (o2 - o1)
+        return total / 2
 
     def slopes_integer(self) -> bool:
         for bps in self.data.values():
@@ -411,7 +415,7 @@ class PLFunction:
                 segs.append((bps[-1][0], bps[-1][0]))
             if segs:
                 intervals[e.id] = segs
-        return ClosedSubset(self.graph, vertices, intervals)
+        return ClosedSubset._of_valid(self.graph, vertices, intervals)
 
 
 def _merge(a: tuple, b: tuple):
@@ -473,12 +477,13 @@ def pl_integral(f: PLFunction) -> Fraction:
 class Divisor:
     """Finite formal sum of points with rational coefficients."""
 
-    __slots__ = ("graph", "entries")
+    __slots__ = ("graph", "entries", "_key")
 
     def __init__(self, graph: MetricGraph, entries: dict):
         self.graph = graph
         self.entries: dict[GraphPoint, Fraction] = {
             p: as_fraction(c) for p, c in entries.items() if c != 0}
+        self._key = None  # key() fills it once: a divisor never changes
 
     @classmethod
     def of(cls, graph: MetricGraph, pairs: Iterable) -> "Divisor":
@@ -528,7 +533,9 @@ class Divisor:
         return Divisor(self.graph, {p: k * c for p, c in self.entries.items()})
 
     def key(self) -> tuple:
-        return tuple((p.key(), c) for p, c in self.items())
+        if self._key is None:
+            self._key = tuple((p.key(), c) for p, c in self.items())
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Divisor) and self.key() == other.key()
@@ -551,15 +558,16 @@ class Divisor:
 # ---------------------------------------------------------------------------
 
 class ClosedSubset:
-    """Closed subset: a vertex set plus closed intervals on each edge."""
+    """Closed subset: a vertex set plus closed intervals on each edge. The
+    constructor checks and coerces outside input; extremum_set, union and
+    intersect build their results through the unchecked _of_valid."""
 
     __slots__ = ("graph", "vertices", "intervals")
 
     def __init__(self, graph: MetricGraph, vertices: Iterable[str] = (),
                  intervals: dict | None = None):
-        self.graph = graph
         verts = set(vertices)
-        ivs: dict[str, tuple[tuple[Fraction, Fraction], ...]] = {}
+        ivs: dict[str, list[tuple[Fraction, Fraction]]] = {}
         for eid, raw in (intervals or {}).items():
             e = graph.edge_map.get(eid)
             if e is None:
@@ -568,22 +576,37 @@ class ClosedSubset:
             for a, b in segs:
                 if not (0 <= a <= b <= e.length):
                     raise InputError(f"interval [{a},{b}] outside edge {eid!r}")
-            merged: list[list[Fraction]] = []
+            ivs[eid] = segs
+        for v in verts:
+            if v not in graph.incidence:
+                raise InputError(f"unknown vertex {v!r}")
+        self._close(graph, verts, ivs)
+
+    @classmethod
+    def _of_valid(cls, graph: MetricGraph, vertices: set, intervals: dict) -> "ClosedSubset":
+        """Build from known vertices and sorted Fraction intervals in their edges."""
+        s = object.__new__(cls)
+        s._close(graph, vertices, intervals)
+        return s
+
+    def _close(self, graph: MetricGraph, verts: set, intervals: dict) -> None:
+        ivs: dict[str, tuple[tuple[Fraction, Fraction], ...]] = {}
+        for eid, segs in intervals.items():
+            merged: list[tuple[Fraction, Fraction]] = []
             for a, b in segs:
                 if merged and a <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], b)
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], b))
                 else:
-                    merged.append([a, b])
+                    merged.append((a, b))
             if merged:
                 # closed sets reaching an endpoint contain the vertex there
+                e = graph.edge_map[eid]
                 if merged[0][0] == 0:
                     verts.add(e.tail)
                 if merged[-1][1] == e.length:
                     verts.add(e.head)
-                ivs[eid] = tuple((a, b) for a, b in merged)
-        for v in verts:
-            if v not in graph.incidence:
-                raise InputError(f"unknown vertex {v!r}")
+                ivs[eid] = tuple(merged)
+        self.graph = graph
         self.vertices = frozenset(verts)
         self.intervals = ivs
 
@@ -622,10 +645,9 @@ class ClosedSubset:
     # -- set algebra -----------------------------------------------------------
 
     def union(self, other: "ClosedSubset") -> "ClosedSubset":
-        ivs: dict[str, list] = {}
-        for eid in set(self.intervals) | set(other.intervals):
-            ivs[eid] = list(self.intervals.get(eid, ())) + list(other.intervals.get(eid, ()))
-        return ClosedSubset(self.graph, set(self.vertices) | set(other.vertices), ivs)
+        ivs = {eid: sorted(self.intervals.get(eid, ()) + other.intervals.get(eid, ()))
+               for eid in self.intervals.keys() | other.intervals.keys()}
+        return ClosedSubset._of_valid(self.graph, set(self.vertices) | other.vertices, ivs)
 
     def intersect(self, other: "ClosedSubset") -> "ClosedSubset":
         ivs: dict[str, list] = {}
@@ -636,10 +658,8 @@ class ClosedSubset:
                     lo, hi = max(a1, a2), min(b1, b2)
                     if lo <= hi:
                         out.append((lo, hi))
-            if out:
-                ivs[eid] = out
-        verts = set(self.vertices) & set(other.vertices)
-        return ClosedSubset(self.graph, verts, ivs)
+            ivs[eid] = out
+        return ClosedSubset._of_valid(self.graph, set(self.vertices) & other.vertices, ivs)
 
     # -- structure ---------------------------------------------------------------
 

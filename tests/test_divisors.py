@@ -257,6 +257,31 @@ class TestLinearSystems:
                 [s.key() for s in expected["min_sets"]]
             assert got["uncovered"] == expected["uncovered"] == []
 
+    @pytest.mark.parametrize("fixture,system", [("banana", "witness4"), ("c6", "complete")])
+    def test_repeated_projections_match_fresh_systems(self, request, fixture, system):
+        """Two ls_reduced sweeps on one system give the projections and
+        certificates of a fresh system per call. The first sweep caches
+        the potentials from each projection toward the generators, so the
+        second, which repeats every projection, adds nothing to the cache."""
+        W = request.getfixturevalue(fixture).system(system)
+        T = LinearSystem(W.graph, W.generators)
+        points = sample_points(T.graph)
+
+        def summary(projection, cert):
+            checks = [(c["generator"], c["b1_total"], c["b1_to_projection"],
+                       c["b1_from_projection"], c["witness"].key()) for c in cert["checks"]]
+            return (projection.key(), checks,
+                    [s.key() for s in cert["membership"]["min_sets"]])
+
+        first = [summary(*ls_reduced(T, q)) for q in points]
+        assert all((s[0], g.key()) in T._pairs for s in first for g in T.generators)
+        cached = len(T._pairs)
+        second = [summary(*ls_reduced(T, q)) for q in points]
+        assert len(T._pairs) == cached
+        for q, got1, got2 in zip(points, first, second):
+            expected = summary(*ls_reduced(LinearSystem(T.graph, T.generators), q))
+            assert got1 == got2 == expected
+
     def test_rejects_bad_generators(self, c6):
         g = c6.need_graph()
         with pytest.raises(InputError):

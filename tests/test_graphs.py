@@ -245,6 +245,13 @@ class TestPLFunctionChecks:
             PLFunction(g, data)
         assert str(exc.value) == message
 
+    def test_from_node_values_orders_string_offsets_as_rationals(self):
+        """"1/3" sorts after "1/2" as text but before it as a rational."""
+        g = MetricGraph.of(["a", "b"], [("e", "a", "b", 1)])
+        f = PLFunction.from_node_values(g, {"a": 0, "b": 0},
+                                        {"e": [("1/3", 2), ("1/2", 1)]})
+        assert f.data["e"] == ((0, 0), (Fraction(1, 3), 2), (Fraction(1, 2), 1), (1, 0))
+
 
 class TestJFunctions:
     def test_c6_reference_values(self, c6):
@@ -335,3 +342,67 @@ class TestClosedSubsets:
         assert {str(p) for p in pts} == {"v1", "e3@1/2"}
         band = ClosedSubset(g, set(), {"e1": [(Fraction(0), Fraction(1, 2))]})
         assert band.finite_points() is None
+
+    def test_derived_sets_are_canonical_and_exact(self):
+        """extremum_set, union and intersect build their sets without the
+        constructor's checks. Each result holds exactly the points it
+        should at every probe (vertices, the inputs' breakpoints and the
+        midpoints between them), is canonical (sorted intervals with gaps
+        between them, every edge end they reach among the vertices), and
+        the checked constructor rebuilds it from its intervals and the
+        vertices not at their ends."""
+        seen = set()
+        for seed in range(8):
+            rng = random.Random(seed)
+            g = random_graph(rng)
+            fns = [mg_potential(g, *equal_degree_pair(rng, g)) for _ in range(3)]
+            fns += [f.clip_max((f.min_value() + f.max_value()) / 2) for f in fns]
+            cases = []  # (derived set, its membership test, probe offsets per edge)
+            for f in fns:
+                offs = {eid: {o for o, _ in bps} for eid, bps in f.data.items()}
+                for which, level in (("min", f.min_value()), ("max", f.max_value())):
+                    cases.append((f.extremum_set(which),
+                                  lambda p, f=f, level=level: f.eval(p) == level, offs))
+            base = [s for s, _, _ in cases]
+            for i, a in enumerate(base):
+                for b in base[i + 1:]:
+                    offs = {eid: {x for s in (a, b) for seg in s.intervals.get(eid, ()) for x in seg}
+                            for eid in g.edge_map}
+                    cases.append((a.union(b), lambda p, a=a, b=b: a.contains(p) or b.contains(p),
+                                  offs))
+                    cases.append((a.intersect(b),
+                                  lambda p, a=a, b=b: a.contains(p) and b.contains(p), offs))
+                    if any(b1 == a2 or b2 == a1
+                           for eid in a.intervals.keys() & b.intervals.keys()
+                           for a1, b1 in a.intervals[eid] for a2, b2 in b.intervals[eid]):
+                        seen.add("touching")
+            for s, inside, offs in cases:
+                for p in _probe_points(g, offs):
+                    assert s.contains(p) == inside(p)
+                ends = set()
+                for eid, segs in s.intervals.items():
+                    e = g.edge_map[eid]
+                    assert all(b1 < a2 for (_, b1), (a2, _) in zip(segs, segs[1:]))
+                    if segs[0][0] == 0:
+                        ends.add(e.tail)
+                    if segs[-1][1] == e.length:
+                        ends.add(e.head)
+                    if any(a == b and 0 < a < e.length for a, b in segs):
+                        seen.add("isolated point")
+                if ends:
+                    seen.add("edge end")
+                assert ends <= s.vertices
+                rebuilt = ClosedSubset(g, s.vertices - ends, s.intervals)
+                assert rebuilt.key() == s.key()
+        assert seen == {"touching", "isolated point", "edge end"}
+
+
+def _probe_points(g, offsets):
+    """Every vertex and, on each edge, every interior offset given and the
+    midpoints between consecutive offsets and the edge ends."""
+    pts = [g.vertex_point(v) for v in g.vertices]
+    for e in g.edges:
+        offs = sorted({Fraction(0), e.length} | offsets.get(e.id, set()))
+        for o in offs[1:-1] + [(x + y) / 2 for x, y in zip(offs, offs[1:])]:
+            pts.append(GraphPoint(edge=e.id, offset=o))
+    return pts
