@@ -5,12 +5,14 @@ The bundled fixture glues two theta-shaped banana components along a
 bridge. A degree 3 segment of divisors forms a tropical tree but fails to
 dominate the graph, while a degree 4 system passes every stage: tree
 recognition, dominance, the reduced-divisor morphism, harmonization, and
-the final witness verification. The script narrates each stage.
+the final witness verification. The script narrates each stage and
+exits nonzero when a verdict differs from the expected one.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from tropkit import (
@@ -32,7 +34,8 @@ def banner(text: str) -> None:
     print("-" * len(text))
 
 
-def describe_failure(ws, name: str) -> None:
+def describe_failure(ws, name: str) -> list[str]:
+    """Narrate the system; return the verdicts that are wrong for it."""
     banner(f"stage 1: the degree 3 system {name!r}")
     system = ws.system(name)
     print(f"generators: {[str(d) for d in system.generators]}")
@@ -47,9 +50,12 @@ def describe_failure(ws, name: str) -> None:
             print(f"missed component with vertices "
                   f"{component['vertices']} and "
                   f"{len(component['gaps'])} open edge gaps")
+    return [wrong for wrong, bad in [("not a tropical tree", not ok),
+                                     ("dominant", dominant)] if bad]
 
 
-def describe_witness(ws, name: str, degree: int) -> None:
+def describe_witness(ws, name: str, degree: int) -> list[str]:
+    """Narrate the system; return the verdicts that are wrong for it."""
     system = ws.system(name)
     banner(f"stage 2: the degree {degree} system {name!r}")
     print(f"generators: {[str(d) for d in system.generators]}")
@@ -81,6 +87,9 @@ def describe_witness(ws, name: str, degree: int) -> None:
     print(f"verified: {ok} ({verdict.get('method', verdict.get('reason'))})")
     if ok:
         print(f"stable gonality is at most {verdict['stably_gonal']}")
+    return [wrong for wrong, bad in [("not dominant", not dominant),
+                                     (f"harmonic degree {total}", total != degree),
+                                     ("witness rejected", not ok)] if bad]
 
 
 def main() -> None:
@@ -94,8 +103,10 @@ def main() -> None:
     print(f"graph: {report['vertices']} vertices, {report['edges']} edges, "
           f"genus {report['genus']}, total length {graph.total_length}")
 
-    describe_failure(ws, "seg_E1_E3")
-    describe_witness(ws, "witness4", 4)
+    wrong = [f"seg_E1_E3: {w}" for w in describe_failure(ws, "seg_E1_E3")]
+    wrong += [f"witness4: {w}" for w in describe_witness(ws, "witness4", 4)]
+    if wrong:
+        sys.exit("wrong verdicts: " + "; ".join(wrong))
 
 
 if __name__ == "__main__":

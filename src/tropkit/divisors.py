@@ -233,6 +233,16 @@ def dv_dhar_certificate(graph: MetricGraph, d: Divisor, q: GraphPoint):
 # linear systems
 # ---------------------------------------------------------------------------
 
+class SystemMemo:
+    """Tree-layer results of one system, each filled by trees.py on first use."""
+
+    __slots__ = ("criticals", "is_tree", "support", "dominant", "skeleton", "morphism")
+
+    def __init__(self):
+        self.criticals = self.is_tree = self.support = None
+        self.dominant = self.skeleton = self.morphism = None
+
+
 class LinearSystem:
     """Tropically convex family of effective divisors, given by generators.
 
@@ -263,7 +273,7 @@ class LinearSystem:
         self._pots: dict[tuple, PLFunction] = {
             gens[0].key(): PLFunction.constant(graph, 0)}
         self._pairs: dict[tuple, PLFunction] = {}
-        self.memo: dict = {}
+        self.memo = SystemMemo()
         for i, g in enumerate(gens):
             if not self.potential(g).slopes_integer():
                 raise InputError(

@@ -214,11 +214,18 @@ class PLFunction:
     data maps every edge id to a tuple of (offset, value) breakpoints with
     strictly increasing offsets running from 0 to the edge length; values
     at shared vertices must agree across edges.
+
+    Instances are immutable, so min_value, max_value, integral,
+    slopes_integer and extremum_set("min") are computed on first use and
+    kept. The cached minimizer set is returned to every caller and shared
+    with the certificates that include it: do not mutate it.
     """
 
-    __slots__ = ("graph", "data", "vertex_values")
+    __slots__ = ("graph", "data", "vertex_values",
+                 "_min", "_max", "_integral", "_int_slopes", "_min_set")
 
     def __init__(self, graph: MetricGraph, data: dict):
+        self._min = self._max = self._integral = self._int_slopes = self._min_set = None
         self.graph = graph
         self.data = {eid: _simplify(tuple((as_fraction(o), as_fraction(v)) for o, v in bps))
                      for eid, bps in data.items()}
@@ -238,6 +245,7 @@ class PLFunction:
         """Wrap exact data that already holds every invariant __init__ checks,
         as operations on valid functions leave it: no coercion, no checks."""
         f = object.__new__(cls)
+        f._min = f._max = f._integral = f._int_slopes = f._min_set = None
         f.graph = graph
         f.data = data
         f.vertex_values = dict.fromkeys(graph.vertices)
@@ -341,10 +349,14 @@ class PLFunction:
     # -- global quantities ---------------------------------------------------
 
     def min_value(self) -> Fraction:
-        return min(v for bps in self.data.values() for _, v in bps)
+        if self._min is None:
+            self._min = min(v for bps in self.data.values() for _, v in bps)
+        return self._min
 
     def max_value(self) -> Fraction:
-        return max(v for bps in self.data.values() for _, v in bps)
+        if self._max is None:
+            self._max = max(v for bps in self.data.values() for _, v in bps)
+        return self._max
 
     def minus_min(self) -> "PLFunction":
         return self.add_const(-self.min_value())
@@ -354,19 +366,20 @@ class PLFunction:
 
     def integral(self) -> Fraction:
         """Integral against the length measure (trapezoid rule is exact)."""
-        total = Fraction(0)
-        for bps in self.data.values():
-            for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-                total += (v1 + v2) * (o2 - o1)
-        return total / 2
+        if self._integral is None:
+            total = Fraction(0)
+            for bps in self.data.values():
+                for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
+                    total += (v1 + v2) * (o2 - o1)
+            self._integral = total / 2
+        return self._integral
 
     def slopes_integer(self) -> bool:
-        for bps in self.data.values():
-            for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-                s = (v2 - v1) / (o2 - o1)
-                if s.denominator != 1:
-                    return False
-        return True
+        if self._int_slopes is None:
+            self._int_slopes = all(((v2 - v1) / (o2 - o1)).denominator == 1
+                                   for bps in self.data.values()
+                                   for (o1, v1), (o2, v2) in zip(bps, bps[1:]))
+        return self._int_slopes
 
     def breakpoint_values(self) -> list[Fraction]:
         return sorted({v for bps in self.data.values() for _, v in bps})
@@ -400,6 +413,8 @@ class PLFunction:
 
     def extremum_set(self, which: str = "min") -> "ClosedSubset":
         """Closed locus where the global minimum (or maximum) is attained."""
+        if which == "min" and self._min_set is not None:
+            return self._min_set
         target = self.min_value() if which == "min" else self.max_value()
         vertices = {v for v, val in self.vertex_values.items() if val == target}
         intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
@@ -415,7 +430,10 @@ class PLFunction:
                 segs.append((bps[-1][0], bps[-1][0]))
             if segs:
                 intervals[e.id] = segs
-        return ClosedSubset._of_valid(self.graph, vertices, intervals)
+        found = ClosedSubset._of_valid(self.graph, vertices, intervals)
+        if which == "min":
+            self._min_set = found
+        return found
 
 
 def _merge(a: tuple, b: tuple):
@@ -560,7 +578,9 @@ class Divisor:
 class ClosedSubset:
     """Closed subset: a vertex set plus closed intervals on each edge. The
     constructor checks and coerces outside input; extremum_set, union and
-    intersect build their results through the unchecked _of_valid."""
+    intersect build their results through the unchecked _of_valid.
+    Instances are immutable and may be shared: the minimizer set a function
+    caches is the one its certificates report, so never mutate one."""
 
     __slots__ = ("graph", "vertices", "intervals")
 
@@ -918,15 +938,15 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
         cuts.setdefault(e.id, []).append((p.offset, c))
     x = _ldl_solve(rows, rhs[:-1]) + [Fraction(0)]
     vals = {v: x[i] for v, i in pos.items()}
-    cut_vals = {}
-    for eid, pts in cuts.items():
-        e = graph.edge_map[eid]
+    data = {}
+    for e in graph.edges:
         t, h, ell = vals[e.tail], vals[e.head], e.length
-        cut_vals[eid] = [
+        pts = sorted(cuts.get(e.id, ()))
+        data[e.id] = _simplify(((_ZERO, t), *(
             (o, t + (h - t) * o / ell
              + sum(c * min(o, oi) * (ell - max(o, oi)) for oi, c in pts) / ell)
-            for o, _ in pts]
-    return PLFunction.from_node_values(graph, vals, cut_vals).minus_min()
+            for o, _ in pts), (ell, h)))
+    return PLFunction._of_valid(graph, data).minus_min()  # exact, continuous, simplified
 
 
 def mg_jfunction(graph: MetricGraph, q: GraphPoint, p: GraphPoint) -> PLFunction:

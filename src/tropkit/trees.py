@@ -60,9 +60,8 @@ def tt_critical(system: LinearSystem) -> list[Divisor]:
     values, so the critical set is the collection of path points at those
     levels, deduplicated and sorted canonically.
     """
-    cached = system.memo.get("criticals")
-    if cached is not None:
-        return list(cached)
+    if system.memo.criticals is not None:
+        return list(system.memo.criticals)
     crits: dict[tuple, Divisor] = {}
     for g in system.generators:
         crits.setdefault(g.key(), g)
@@ -74,7 +73,7 @@ def tt_critical(system: LinearSystem) -> list[Divisor]:
                 d = system.path_point(gens[i], gens[j], level)
                 crits.setdefault(d.key(), d)
     out = [crits[k] for k in sorted(crits)]
-    system.memo["criticals"] = tuple(out)
+    system.memo.criticals = tuple(out)
     return out
 
 
@@ -109,12 +108,10 @@ def tt_is_tree(system: LinearSystem) -> tuple[bool, dict]:
     generator segments: each direction change along such a segment is
     located and tested for membership on some generator segment.
     """
-    cached = system.memo.get("is_tree")
-    if cached is not None:
-        return cached[0], dict(cached[1])
-    verdict = _tree_check(system)
-    system.memo["is_tree"] = (verdict[0], dict(verdict[1]))
-    return verdict
+    if system.memo.is_tree is None:
+        ok, report = _tree_check(system)
+        system.memo.is_tree = (ok, dict(report))
+    return system.memo.is_tree[0], dict(system.memo.is_tree[1])
 
 
 def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
@@ -160,9 +157,8 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
     and the chips that never move sit in the supports of the endpoints.
     Each non-constant piece contributes its closed parameter interval.
     """
-    cached = system.memo.get("support")
-    if cached is not None:
-        return cached
+    if system.memo.support is not None:
+        return system.memo.support
     graph = system.graph
     vertices: set[str] = set()
     intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
@@ -184,9 +180,8 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
                 for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
                     if v1 != v2:
                         intervals.setdefault(eid, []).append((o1, o2))
-    out = ClosedSubset(graph, vertices, intervals)
-    system.memo["support"] = out
-    return out
+    system.memo.support = ClosedSubset(graph, vertices, intervals)
+    return system.memo.support
 
 
 def tt_support(system: LinearSystem) -> ClosedSubset:
@@ -213,9 +208,8 @@ def tt_is_dominant(system: LinearSystem) -> tuple[bool, dict]:
     fails that cross-check contradicts the coverage computation, so it is
     raised as a certificate failure instead of a negative verdict.
     """
-    cached = system.memo.get("dominant")
-    if cached is not None:
-        return cached[0], dict(cached[1])
+    if system.memo.dominant is not None:
+        return system.memo.dominant[0], dict(system.memo.dominant[1])
     ok, tree_report = tt_is_tree(system)
     if not ok:
         verdict = (False, {"dominant": False,
@@ -241,7 +235,7 @@ def tt_is_dominant(system: LinearSystem) -> tuple[bool, dict]:
             verdict = (True, {"dominant": True,
                               "method": "critical-set verified",
                               "spot_checks": len(samples)})
-    system.memo["dominant"] = (verdict[0], dict(verdict[1]))
+    system.memo.dominant = (verdict[0], dict(verdict[1]))
     return verdict
 
 
@@ -357,12 +351,9 @@ def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
     if not ok:
         raise InputError("the system is not a tropical tree: "
                          + report["reason"])
-    cached = system.memo.get("skeleton")
-    if cached is not None:
-        return cached
-    skel = _build_skeleton(system)
-    system.memo["skeleton"] = skel
-    return skel
+    if system.memo.skeleton is None:
+        system.memo.skeleton = _build_skeleton(system)
+    return system.memo.skeleton
 
 
 def _build_skeleton(system: LinearSystem) -> TreeSkeleton:
@@ -510,9 +501,8 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
     integer, and the midpoint must land exactly halfway between the
     endpoint images.  Finally the sub-arc images must cover every arc.
     """
-    cached = system.memo.get("morphism")
-    if cached is not None:
-        return cached
+    if system.memo.morphism is not None:
+        return system.memo.morphism
     ok, report = tt_is_dominant(system)
     if not ok:
         raise InputError("the system is not a dominant tropical tree: "
@@ -593,7 +583,7 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
     morphism = PseudoHarmonicMap(
         skeleton=skel, cut_points=cut_points, sub_arcs=tuple(sub_arcs),
         fibers=tuple(fibers), local_degrees=local_degrees)
-    system.memo["morphism"] = morphism
+    system.memo.morphism = morphism
     return morphism
 
 

@@ -173,9 +173,42 @@ class TestPotentials:
                 crossings += len({o for o, _ in low.data[e.id]} - set(offs))
         assert crossings > 0  # the sample exercises crossing insertion
 
+    def test_cached_invariants_match_a_fresh_checked_copy(self):
+        """min_value, max_value, integral, slopes_integer and
+        extremum_set("min") are kept after their first read. On potentials
+        and on the result of every operation, taken after the inputs have
+        filled their caches, two reads agree with each other and with a
+        fresh checked copy, and the minimizer set is read back as the same
+        object."""
+
+        def invariants(f):
+            return (f.min_value(), f.max_value(), f.integral(), f.slopes_integer(),
+                    f.extremum_set("min").key(), f.extremum_set("max").key())
+
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(12):
+            g = random_graph(rng)
+            f = mg_potential(g, *equal_degree_pair(rng, g))
+            h = mg_potential(g, *equal_degree_pair(rng, g))
+            for fn in (f, h):
+                invariants(fn)
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+            cap = (f.min_value() + f.max_value()) / 2
+            results = [f, h, f.add(h), f.sub(h), f.min_with(h), f.clip_max(cap),
+                       f.neg(), f.add_const(c), f.sub(h).minus_min(), f.neg().minus_min()]
+            for result in results:
+                fresh = invariants(PLFunction(result.graph, result.data))
+                first_set = result.extremum_set("min")
+                assert invariants(result) == invariants(result) == fresh
+                assert result.extremum_set("min") is first_set
+                verdicts.add(result.slopes_integer())
+        assert verdicts == {True, False}
+
     def test_equals_the_dense_subdivided_oracle(self):
         """Equal breakpoint tuples on every edge: equal values at every
-        vertex and every breakpoint."""
+        vertex and every breakpoint. The solver builds its result
+        unchecked, so the checked constructor must rebuild it unchanged."""
         seen = set()
         for seed in range(30):
             rng = random.Random(seed)
@@ -188,7 +221,11 @@ class TestPotentials:
                       for _ in range(4)]
             d_to = Divisor.of(g, pairs)
             d_from = Divisor.of(g, [(random_point(rng, g), d_to.degree())])
-            assert mg_potential(g, d_from, d_to).data == oracle_potential(g, d_from, d_to).data
+            f = mg_potential(g, d_from, d_to)
+            assert f.data == oracle_potential(g, d_from, d_to).data
+            checked = PLFunction(f.graph, f.data)
+            assert checked.data == f.data
+            assert checked.vertex_values == f.vertex_values
             delta = d_to.sub(d_from)
             ends = [frozenset((e.tail, e.head)) for e in g.edges]
             cut_edges = [p.edge for p in delta.support() if not p.is_vertex]
