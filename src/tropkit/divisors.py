@@ -13,6 +13,7 @@ each can certify the other in tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Sequence
 
@@ -250,7 +251,10 @@ class LinearSystem:
     one degree and pairwise linearly equivalent. Every divisor the system
     touches gets one exact potential solve against generator 0, cached, so
     segment sweeps and tree machinery are pure piecewise-linear arithmetic
-    afterwards.
+    afterwards. Caches, keyed by Divisor.key() values: _pots (d -> potential
+    relative to generator 0), _pairs ((a, b) -> pair_function), _projections
+    (target -> f* and projection; ls_project checks its certificates on
+    every call), _path_points ((a, b, t) -> path_point) and memo (SystemMemo).
     """
 
     def __init__(self, graph: MetricGraph, generators: Sequence[Divisor]):
@@ -273,6 +277,8 @@ class LinearSystem:
         self._pots: dict[tuple, PLFunction] = {
             gens[0].key(): PLFunction.constant(graph, 0)}
         self._pairs: dict[tuple, PLFunction] = {}
+        self._projections: dict[tuple, tuple[PLFunction, Divisor]] = {}
+        self._path_points: dict[tuple, Divisor] = {}
         self.memo = SystemMemo()
         for i, g in enumerate(gens):
             if not self.potential(g).slopes_integer():
@@ -290,9 +296,11 @@ class LinearSystem:
             self._pots[key] = pot
         return pot
 
-    def register(self, d: Divisor, pot: PLFunction) -> None:
-        """Record a known potential (relative to generator 0) for d."""
-        self._pots.setdefault(d.key(), pot)
+    def register(self, d: Divisor, f: PLFunction, base: Divisor) -> None:
+        """Record f + potential(base), when f's divisor is d - base, as the
+        potential of d (relative to generator 0), unless d already has one."""
+        if d.key() not in self._pots:
+            self._pots[d.key()] = f.add(self.potential(base))
 
     def pair_function(self, a: Divisor, b: Divisor) -> PLFunction:
         """Min-normalized potential from a to b (cached per ordered pair)."""
@@ -314,9 +322,12 @@ class LinearSystem:
         f = self.pair_function(a, b)
         if not (0 <= t <= f.max_value()):
             raise InputError(f"t must lie in [0, {f.max_value()}]")
-        clipped = f.clip_max(t)
-        point = clipped.divisor().add(a)
-        self.register(point, clipped.add(self.potential(a)))
+        key = (a.key(), b.key(), t)
+        point = self._path_points.get(key)
+        if point is None:
+            clipped = f.clip_max(t)
+            point = self._path_points[key] = clipped.divisor().add(a)
+            self.register(point, clipped, a)
         return point
 
     def is_generator(self, d: Divisor) -> bool:
@@ -379,14 +390,15 @@ def ls_project(T: LinearSystem, e: Divisor):
     """
     _check_target(T, e)
     g_bars = [T.pair_function(e, g) for g in T.generators]
-    f_star = g_bars[0]
-    for g in g_bars[1:]:
-        f_star = f_star.min_with(g)
-    projection = f_star.divisor().add(e)
+    memo = T._projections.get(e.key())
+    if memo is None:
+        f_star = reduce(PLFunction.min_with, g_bars)
+        memo = T._projections[e.key()] = f_star, f_star.divisor().add(e)
+        T.register(memo[1], f_star, e)
+    f_star, projection = memo
     if not projection.is_integral() or not projection.is_effective():
         raise CertificateError("projection is not an effective integer divisor",
                                {"projection": str(projection)})
-    T.register(projection, f_star.add(T.potential(e)))
     f_star_min = f_star.extremum_set("min")
     b_lower = f_star.integral()
     checks = []

@@ -213,23 +213,29 @@ class PLFunction:
 
     data maps every edge id to a tuple of (offset, value) breakpoints with
     strictly increasing offsets running from 0 to the edge length; values
-    at shared vertices must agree across edges.
+    at shared vertices must agree across edges. slopes maps every edge id
+    to the slopes of its segments, each an int when integral and else a
+    Fraction; consecutive slopes differ, as no breakpoint is kept where the
+    slope does not change.
 
-    Instances are immutable, so min_value, max_value, integral,
-    slopes_integer and extremum_set("min") are computed on first use and
-    kept. The cached minimizer set is returned to every caller and shared
-    with the certificates that include it: do not mutate it.
+    Instances are immutable, so min_value, max_value, integral and
+    extremum_set("min") are computed on first use and kept. The cached
+    minimizer set is returned to every caller and shared with the
+    certificates that include it: do not mutate it.
     """
 
-    __slots__ = ("graph", "data", "vertex_values",
-                 "_min", "_max", "_integral", "_int_slopes", "_min_set")
+    __slots__ = ("graph", "data", "slopes", "vertex_values",
+                 "_min", "_max", "_integral", "_min_set")
 
     def __init__(self, graph: MetricGraph, data: dict):
-        self._min = self._max = self._integral = self._int_slopes = self._min_set = None
+        self._min = self._max = self._integral = self._min_set = None
         self.graph = graph
-        self.data = {eid: _simplify(tuple((as_fraction(o), as_fraction(v)) for o, v in bps))
-                     for eid, bps in data.items()}
-        self._validate()
+        raw = {eid: tuple((as_fraction(o), as_fraction(v)) for o, v in bps)
+               for eid, bps in data.items()}
+        self._validate(raw)
+        self.data, self.slopes = {}, {}
+        for eid, bps in raw.items():
+            self.data[eid], self.slopes[eid] = _slope_form(bps)
         self.vertex_values = {v: None for v in graph.vertices}
         for e in graph.edges:
             bps = self.data[e.id]
@@ -241,13 +247,13 @@ class PLFunction:
                     raise InputError(f"discontinuity at vertex {vname!r}")
 
     @classmethod
-    def _of_valid(cls, graph: MetricGraph, data: dict) -> "PLFunction":
-        """Wrap exact data that already holds every invariant __init__ checks,
-        as operations on valid functions leave it: no coercion, no checks."""
+    def _of_valid(cls, graph: MetricGraph, data: dict, slopes: dict) -> "PLFunction":
+        """Wrap exact data and slopes that hold every invariant __init__ sets,
+        as operations on valid functions leave them: no coercion, no checks."""
         f = object.__new__(cls)
-        f._min = f._max = f._integral = f._int_slopes = f._min_set = None
+        f._min = f._max = f._integral = f._min_set = None
         f.graph = graph
-        f.data = data
+        f.data, f.slopes = data, slopes
         f.vertex_values = dict.fromkeys(graph.vertices)
         for e in graph.edges:
             bps = data[e.id]
@@ -255,9 +261,9 @@ class PLFunction:
             f.vertex_values[e.head] = bps[-1][1]
         return f
 
-    def _validate(self) -> None:
+    def _validate(self, data: dict) -> None:
         for e in self.graph.edges:
-            bps = self.data.get(e.id)
+            bps = data.get(e.id)
             if not bps:
                 raise InputError(f"missing data for edge {e.id!r}")
             offs = [o for o, _ in bps]
@@ -265,7 +271,7 @@ class PLFunction:
                 raise InputError(f"breakpoints of edge {e.id!r} must span [0, length]")
             if any(a >= b for a, b in zip(offs, offs[1:])):
                 raise InputError(f"breakpoints of edge {e.id!r} must increase")
-        if set(self.data) != set(self.graph.edge_map):
+        if set(data) != set(self.graph.edge_map):
             raise InputError("function must cover exactly the graph's edges")
 
     # -- evaluation --------------------------------------------------------
@@ -273,8 +279,8 @@ class PLFunction:
     @classmethod
     def constant(cls, graph: MetricGraph, value) -> "PLFunction":
         value = as_fraction(value)
-        return cls._of_valid(graph, {e.id: ((Fraction(0), value), (e.length, value))
-                                     for e in graph.edges})
+        return cls._of_valid(graph, {e.id: ((_ZERO, value), (e.length, value))
+                                     for e in graph.edges}, dict.fromkeys(graph.edge_map, (0,)))
 
     @classmethod
     def from_node_values(cls, graph: MetricGraph, vertex_vals: dict,
@@ -295,20 +301,23 @@ class PLFunction:
         if point.is_vertex:
             return self.vertex_values[point.vertex]
         bps = self.data[point.edge]
-        offs = [o for o, _ in bps]
-        i = bisect_right(offs, point.offset) - 1
-        if i == len(bps) - 1:
-            return bps[-1][1]
-        (o1, v1), (o2, v2) = bps[i], bps[i + 1]
-        return v1 + (v2 - v1) * (point.offset - o1) / (o2 - o1)
+        i = min(bisect_right([o for o, _ in bps], point.offset), len(bps) - 1) - 1
+        o1, v1 = bps[i]
+        return v1 + (point.offset - o1) * self.slopes[point.edge][i]
 
     # -- pointwise arithmetic ----------------------------------------------
 
     def _zip(self, other: "PLFunction", fn) -> "PLFunction":
-        return PLFunction._of_valid(self.graph, {
-            e.id: _simplify(tuple((o, fn(a, b)) for o, a, b
-                                  in _merge(self.data[e.id], other.data[e.id])))
-            for e in self.graph.edges})
+        """Pointwise fn, linear (add or sub), so it maps slopes as values."""
+        data, slopes = {}, {}
+        for e in self.graph.edges:
+            a, b = self.data[e.id], other.data[e.id]
+            bps, ss = [], []
+            for o, va, sa, vb, sb in _merge(a, self.slopes[e.id], b, other.slopes[e.id]):
+                _push(bps, ss, o, fn(va, vb), fn(sa, sb))
+            bps.append((e.length, fn(a[-1][1], b[-1][1])))
+            data[e.id], slopes[e.id] = tuple(bps), tuple(ss)
+        return PLFunction._of_valid(self.graph, data, slopes)
 
     def add(self, other: "PLFunction") -> "PLFunction":
         return self._zip(other, lambda a, b: a + b)
@@ -317,30 +326,36 @@ class PLFunction:
         return self._zip(other, lambda a, b: a - b)
 
     def neg(self) -> "PLFunction":
-        return PLFunction._of_valid(self.graph, {eid: tuple((o, -v) for o, v in bps)
-                                                 for eid, bps in self.data.items()})
+        return PLFunction._of_valid(
+            self.graph, {eid: tuple((o, -v) for o, v in bps) for eid, bps in self.data.items()},
+            {eid: tuple(-s for s in ss) for eid, ss in self.slopes.items()})
 
     def add_const(self, c) -> "PLFunction":
         c = as_fraction(c)
         if c == 0:
             return self
         return PLFunction._of_valid(self.graph, {eid: tuple((o, v + c) for o, v in bps)
-                                                 for eid, bps in self.data.items()})
+                                                 for eid, bps in self.data.items()},
+                                    self.slopes)
 
     def min_with(self, other: "PLFunction") -> "PLFunction":
         """Pointwise minimum, inserting crossing breakpoints exactly."""
-        data = {}
+        data, slopes = {}, {}
         for e in self.graph.edges:
-            pts = list(_merge(self.data[e.id], other.data[e.id]))
-            bps = [(pts[0][0], min(pts[0][1], pts[0][2]))]
-            for (o0, a0, b0), (o, a, b) in zip(pts, pts[1:]):
-                d1, d2 = a0 - b0, a - b
-                if (d1 > 0 > d2) or (d1 < 0 < d2):
-                    o_star = o0 + (o - o0) * d1 / (d1 - d2)
-                    bps.append((o_star, a0 + (a - a0) * (o_star - o0) / (o - o0)))
-                bps.append((o, min(a, b)))
-            data[e.id] = _simplify(tuple(bps))
-        return PLFunction._of_valid(self.graph, data)
+            a, b = self.data[e.id], other.data[e.id]
+            pts = [*_merge(a, self.slopes[e.id], b, other.slopes[e.id]),
+                   (e.length, a[-1][1], None, b[-1][1], None)]
+            ds = [va - vb for _, va, _, vb, _ in pts]
+            bps, ss = [], []
+            for (o0, a0, sa, b0, sb), d0, d1 in zip(pts, ds, ds[1:]):
+                v, s = (a0, sa) if d0 < 0 else (b0, sb) if d0 > 0 else (a0, min(sa, sb))
+                _push(bps, ss, o0, v, s)
+                if (d0 > 0 > d1) or (d0 < 0 < d1):
+                    step = d0 / (sb - sa)
+                    _push(bps, ss, o0 + step, a0 + step * sa, min(sa, sb))
+            bps.append((e.length, min(a[-1][1], b[-1][1])))
+            data[e.id], slopes[e.id] = tuple(bps), tuple(ss)
+        return PLFunction._of_valid(self.graph, data, slopes)
 
     def clip_max(self, c) -> "PLFunction":
         """Pointwise min(f, c) for a constant c."""
@@ -375,41 +390,23 @@ class PLFunction:
         return self._integral
 
     def slopes_integer(self) -> bool:
-        if self._int_slopes is None:
-            self._int_slopes = all(((v2 - v1) / (o2 - o1)).denominator == 1
-                                   for bps in self.data.values()
-                                   for (o1, v1), (o2, v2) in zip(bps, bps[1:]))
-        return self._int_slopes
+        return all(type(s) is int for ss in self.slopes.values() for s in ss)
 
     def breakpoint_values(self) -> list[Fraction]:
         return sorted({v for bps in self.data.values() for _, v in bps})
 
     def divisor(self) -> "Divisor":
         """Sum of incoming slopes at every point (supported on breakpoints)."""
-        acc: dict[tuple, Fraction] = {}
-
-        def bump(point: GraphPoint, val: Fraction):
-            if val == 0:
-                return
-            k = point.key()
-            acc[k] = acc.get(k, Fraction(0)) + val
-
-        vertex_sum: dict[str, Fraction] = {v: Fraction(0) for v in self.graph.vertices}
-        points: dict[tuple, GraphPoint] = {}
+        at_vertex = dict.fromkeys(self.graph.vertices, 0)
+        entries = {}
         for e in self.graph.edges:
-            bps = self.data[e.id]
-            slopes = [(v2 - v1) / (o2 - o1) for (o1, v1), (o2, v2) in zip(bps, bps[1:])]
-            vertex_sum[e.tail] -= slopes[0]
-            vertex_sum[e.head] += slopes[-1]
-            for k in range(1, len(bps) - 1):
-                p = GraphPoint(edge=e.id, offset=bps[k][0])
-                points[p.key()] = p
-                bump(p, slopes[k - 1] - slopes[k])
-        for v, s in vertex_sum.items():
-            p = GraphPoint(vertex=v)
-            points[p.key()] = p
-            bump(p, s)
-        return Divisor(self.graph, {points[k]: val for k, val in acc.items() if val != 0})
+            bps, ss = self.data[e.id], self.slopes[e.id]
+            at_vertex[e.tail] -= ss[0]
+            at_vertex[e.head] += ss[-1]
+            for k in range(1, len(ss)):
+                entries[GraphPoint(edge=e.id, offset=bps[k][0])] = ss[k - 1] - ss[k]
+        entries.update((GraphPoint(vertex=v), c) for v, c in at_vertex.items())
+        return Divisor(self.graph, entries)
 
     def extremum_set(self, which: str = "min") -> "ClosedSubset":
         """Closed locus where the global minimum (or maximum) is attained."""
@@ -421,11 +418,9 @@ class PLFunction:
         for e in self.graph.edges:
             bps = self.data[e.id]
             segs: list[tuple[Fraction, Fraction]] = []
-            for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-                if v1 == target and v2 == target:
-                    segs.append((o1, o2))
-                elif v1 == target:
-                    segs.append((o1, o1))
+            for (o1, v1), (o2, _), s in zip(bps, bps[1:], self.slopes[e.id]):
+                if v1 == target:
+                    segs.append((o1, o1 if s else o2))
             if bps[-1][1] == target:
                 segs.append((bps[-1][0], bps[-1][0]))
             if segs:
@@ -436,38 +431,45 @@ class PLFunction:
         return found
 
 
-def _merge(a: tuple, b: tuple):
-    """Yield (offset, a value, b value) at every breakpoint of either of two
-    breakpoint tuples on one edge, interpolating the other one; one pass."""
+def _merge(a: tuple, sa: tuple, b: tuple, sb: tuple):
+    """Yield (offset, a value, a slope, b value, b slope) at every breakpoint
+    of either of two functions on one edge but the last, each slope that of
+    the segment starting there; the other function is interpolated along its
+    slope, so no division is made. One pass."""
     i = j = 0
-    while i < len(a):
+    n, m = len(a) - 1, len(b) - 1
+    while i < n or j < m:
         (oa, va), (ob, vb) = a[i], b[j]
         if oa == ob:
-            yield oa, va, vb
+            yield oa, va, sa[i], vb, sb[j]
             i += 1
             j += 1
         elif oa < ob:
             o1, v1 = b[j - 1]
-            yield oa, va, v1 + (vb - v1) * (oa - o1) / (ob - o1)
+            yield oa, va, sa[i], v1 + (oa - o1) * sb[j - 1], sb[j - 1]
             i += 1
         else:
             o1, v1 = a[i - 1]
-            yield ob, v1 + (va - v1) * (ob - o1) / (oa - o1), vb
+            yield ob, v1 + (ob - o1) * sa[i - 1], sa[i - 1], vb, sb[j]
             j += 1
 
 
-def _simplify(bps: tuple) -> tuple:
-    """Drop interior breakpoints where the slope does not change."""
-    if len(bps) <= 2:
-        return bps
-    out = [bps[0]]
-    for k in range(1, len(bps) - 1):
-        (o1, v1), (o2, v2), (o3, v3) = out[-1], bps[k], bps[k + 1]
-        if (v2 - v1) * (o3 - o2) == (v3 - v2) * (o2 - o1):
-            continue
-        out.append(bps[k])
+def _push(bps: list, ss: list, o: Fraction, v: Fraction, s) -> None:
+    """Append breakpoint (o, v) and the slope s of the segment after it, as
+    an int if integral, unless s continues the last segment."""
+    if not ss or s != ss[-1]:
+        bps.append((o, v))
+        ss.append(s.numerator if s.denominator == 1 else s)
+
+
+def _slope_form(bps: tuple) -> tuple[tuple, tuple]:
+    """Breakpoints (increasing offsets) without those where the slope does
+    not change, and the slope of each remaining segment."""
+    out, ss = [], []
+    for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
+        _push(out, ss, o1, v1, (v2 - v1) / (o2 - o1))
     out.append(bps[-1])
-    return tuple(out)
+    return tuple(out), tuple(ss)
 
 
 def pl_eval(f: PLFunction, point: GraphPoint) -> Fraction:
@@ -915,6 +917,18 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
     values plus sum_i c_i min(o, o_i)(l - max(o, o_i))/l over that edge's
     cut points: the Green's function of the interval with both ends held.
     """
+    vals, cuts = _solve(graph, d_from, d_to)
+    data, slopes = {}, {}
+    for e in graph.edges:
+        pts = cuts.get(e.id, ())
+        data[e.id], slopes[e.id] = _slope_form(((_ZERO, vals[e.tail]), *(
+            (o, _cut_value(e, vals, pts, o)) for o, _ in pts), (e.length, vals[e.head])))
+    return PLFunction._of_valid(graph, data, slopes).minus_min()
+
+
+def _solve(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> tuple[dict, dict]:
+    """Vertex values of a potential with divisor d_to - d_from, and each
+    edge's sorted interior cuts (offset, coefficient): see mg_potential."""
     if d_from.degree() != d_to.degree():
         raise InputError("divisors must have equal degree")
     pos = _elimination_order(graph)
@@ -937,30 +951,31 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
         rhs[pos[e.head]] += c * p.offset / e.length
         cuts.setdefault(e.id, []).append((p.offset, c))
     x = _ldl_solve(rows, rhs[:-1]) + [Fraction(0)]
-    vals = {v: x[i] for v, i in pos.items()}
-    data = {}
-    for e in graph.edges:
-        t, h, ell = vals[e.tail], vals[e.head], e.length
-        pts = sorted(cuts.get(e.id, ()))
-        data[e.id] = _simplify(((_ZERO, t), *(
-            (o, t + (h - t) * o / ell
-             + sum(c * min(o, oi) * (ell - max(o, oi)) for oi, c in pts) / ell)
-            for o, _ in pts), (ell, h)))
-    return PLFunction._of_valid(graph, data).minus_min()  # exact, continuous, simplified
+    return {v: x[i] for v, i in pos.items()}, {eid: sorted(cs) for eid, cs in cuts.items()}
+
+
+def _cut_value(e: Edge, vals: dict, pts: list, o: Fraction) -> Fraction:
+    """Value at offset o on e of the potential _solve gives as vals and, on e, pts."""
+    t, h, ell = vals[e.tail], vals[e.head], e.length
+    return t + (h - t) * o / ell + sum(
+        c * min(o, oi) * (ell - max(o, oi)) for oi, c in pts) / ell
 
 
 def mg_jfunction(graph: MetricGraph, q: GraphPoint, p: GraphPoint) -> PLFunction:
     """Influence function: potential at x when unit current enters at p and
     exits at q, grounded so the value at q is zero (hence nonnegative)."""
-    one = Fraction(1)
-    return mg_potential(graph, Divisor.of(graph, [(q, one)]), Divisor.of(graph, [(p, one)]))
+    return mg_potential(graph, Divisor.of(graph, [(q, 1)]), Divisor.of(graph, [(p, 1)]))
 
 
 def mg_resistance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
-    """Effective resistance between two points."""
+    """Effective resistance between two points: the j-function's value at p,
+    read from the solve at p and q without building the function."""
     if p.key() == q.key():
         return Fraction(0)
-    return mg_jfunction(graph, q, p).eval(p)
+    vals, cuts = _solve(graph, Divisor.of(graph, [(q, 1)]), Divisor.of(graph, [(p, 1)]))
+    at_p, at_q = (vals[x.vertex] if x.is_vertex else _cut_value(
+        graph.edge_map[x.edge], vals, cuts[x.edge], x.offset) for x in (p, q))
+    return at_p - at_q
 
 
 def mg_distance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropkit import (
+    CertificateError,
     Divisor,
     InputError,
     LinearSystem,
@@ -261,8 +262,10 @@ class TestLinearSystems:
     def test_repeated_projections_match_fresh_systems(self, request, fixture, system):
         """Two ls_reduced sweeps on one system give the projections and
         certificates of a fresh system per call. The first sweep caches
-        the potentials from each projection toward the generators, so the
-        second, which repeats every projection, adds nothing to the cache."""
+        the potentials from each projection toward the generators and each
+        projection, so the second, which repeats every projection, adds
+        nothing to either cache. Repeated path points along every generator
+        segment likewise equal those of a fresh system."""
         W = request.getfixturevalue(fixture).system(system)
         T = LinearSystem(W.graph, W.generators)
         points = sample_points(T.graph)
@@ -275,12 +278,33 @@ class TestLinearSystems:
 
         first = [summary(*ls_reduced(T, q)) for q in points]
         assert all((s[0], g.key()) in T._pairs for s in first for g in T.generators)
-        cached = len(T._pairs)
+        cached = len(T._pairs), len(T._projections)
         second = [summary(*ls_reduced(T, q)) for q in points]
-        assert len(T._pairs) == cached
+        assert (len(T._pairs), len(T._projections)) == cached
         for q, got1, got2 in zip(points, first, second):
             expected = summary(*ls_reduced(LinearSystem(T.graph, T.generators), q))
             assert got1 == got2 == expected
+        walks = [(a, b, T.rho(a, b) * Fraction(k, 4))
+                 for a in T.generators for b in T.generators for k in range(5)]
+        first = [T.path_point(*walk) for walk in walks]
+        cached = len(T._path_points)
+        assert [T.path_point(*walk) for walk in walks] == first
+        assert len(T._path_points) == cached
+        for walk, point in zip(walks, first):
+            assert point == LinearSystem(T.graph, T.generators).path_point(*walk)
+
+    def test_a_projection_memo_hit_is_still_checked(self, c6):
+        """ls_project reuses (f*, projection) for a target it has seen, but
+        still runs every certificate: a non-member divisor put in the memo
+        in place of the projection is caught."""
+        T = LinearSystem(c6.need_graph(), c6.system("seg_D1_D3").generators)
+        target = Divisor.of(T.graph, [(T.graph.vertex_point("v2"), T.degree)])
+        ls_project(T, target)
+        f_star, _ = T._projections[target.key()]
+        assert not ls_member(LinearSystem(T.graph, T.generators), target)[0]
+        T._projections[target.key()] = (f_star, target)
+        with pytest.raises(CertificateError):
+            ls_project(T, target)
 
     def test_rejects_bad_generators(self, c6):
         g = c6.need_graph()

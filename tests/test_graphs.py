@@ -138,9 +138,12 @@ class TestPotentials:
         eval of the inputs, at every breakpoint of either input and every
         midpoint between them. Operations build their results unchecked, so
         each result must pass the checked constructor unchanged: exact,
-        continuous, and simplified even where kinks cancel, as in (f+h)-h."""
+        continuous, and simplified even where kinks cancel, as in (f+h)-h,
+        with the slopes the constructor derives, each an int exactly when it
+        is integral, and a divisor of Fraction coefficients."""
         rng = random.Random(29)
         crossings = 0
+        slope_types = set()
         for _ in range(15):
             g = random_graph(rng)
             f = mg_potential(g, *equal_degree_pair(rng, g))
@@ -160,7 +163,12 @@ class TestPotentials:
             for result, _ in results:
                 checked = PLFunction(result.graph, result.data)
                 assert checked.data == result.data
+                assert checked.slopes == result.slopes
                 assert checked.vertex_values == result.vertex_values
+                for s in (s for ss in result.slopes.values() for s in ss):
+                    assert type(s) is (int if s.denominator == 1 else Fraction)
+                    slope_types.add(type(s))
+                assert all(type(c) is Fraction for c in result.divisor().entries.values())
             for e in g.edges:
                 offs = sorted({o for o, _ in f.data[e.id]}
                               | {o for o, _ in h.data[e.id]})
@@ -172,10 +180,11 @@ class TestPotentials:
                         assert result.eval(p) == op(f.eval(p), h.eval(p))
                 crossings += len({o for o, _ in low.data[e.id]} - set(offs))
         assert crossings > 0  # the sample exercises crossing insertion
+        assert slope_types == {int, Fraction}
 
     def test_cached_invariants_match_a_fresh_checked_copy(self):
-        """min_value, max_value, integral, slopes_integer and
-        extremum_set("min") are kept after their first read. On potentials
+        """min_value, max_value, integral and extremum_set("min") are kept
+        after their first read; slopes_integer reads the stored slopes. On potentials
         and on the result of every operation, taken after the inputs have
         filled their caches, two reads agree with each other and with a
         fresh checked copy, and the minimizer set is read back as the same
@@ -246,6 +255,30 @@ class TestPotentials:
                          / e.length for e in g.edges), Fraction(0))
             assert total == len(g.vertices) - 1
 
+    def test_resistance_equals_the_jfunction_and_the_oracle(self):
+        """mg_resistance reads two values of the solve; the j-function and
+        the dense oracle build the whole potential and evaluate it at p."""
+        seen = set()
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = random_graph(rng)
+            v, w = rng.sample(g.vertices, 2)
+            e = rng.choice(g.edges)
+            pairs = {"vertex-vertex": (g.vertex_point(v), g.vertex_point(w)),
+                     "vertex-interior": (g.vertex_point(v), g.point(edge=e.id, offset=e.length / 3)),
+                     "one edge": (g.point(edge=e.id, offset=e.length / 4),
+                                  g.point(edge=e.id, offset=e.length * Fraction(3, 4)))}
+            for loop, (_, _, half) in g.loop_aliases.items():
+                pairs["loop halves"] = (g.point(edge=loop, offset=half / 2),
+                                        g.point(edge=loop, offset=half * Fraction(3, 2)))
+            for case, (p, q) in pairs.items():
+                jp, jq = (Divisor.of(g, [(x, 1)]) for x in (p, q))
+                r = mg_resistance(g, p, q)
+                assert r > 0
+                assert r == mg_jfunction(g, q, p).eval(p) == oracle_potential(g, jq, jp).eval(p)
+                seen.add(case)
+        assert seen == {"vertex-vertex", "vertex-interior", "one edge", "loop halves"}
+
     def test_resistance_between_two_points_on_one_edge_of_a_cycle(self):
         """Two cut points on one edge, an arc a apart on a cycle of length
         L: the resistance is a(L - a)/L."""
@@ -260,7 +293,9 @@ class TestPotentials:
 
 class TestPLFunctionChecks:
     """Every rejection of the checked constructor, one case each, on two
-    parallel edges a-b of lengths 2 and 1."""
+    parallel edges a-b of lengths 2 and 1; the last case is out of order
+    but collinear, so the offsets must be checked before breakpoints
+    where the slope does not change are dropped."""
 
     @pytest.mark.parametrize("data, message", [
         ({"e": ((0, 0), (2, 0))}, "missing data for edge 'f'"),
@@ -275,6 +310,9 @@ class TestPLFunctionChecks:
          "discontinuity at vertex 'a'"),
         ({"e": ((0, 0.5), (2, 0)), "f": ((0, 0), (1, 0))},
          'floats are not accepted; write rationals as "p/q" strings'),
+        ({"e": ((0, 0), (Fraction(3, 2), Fraction(3, 2)), (1, 1), (2, 2)),
+          "f": ((0, 0), (1, 2))},
+         "breakpoints of edge 'e' must increase"),
     ])
     def test_rejections(self, data, message):
         g = MetricGraph.of(["a", "b"], [("e", "a", "b", 2), ("f", "a", "b", 1)])
