@@ -305,9 +305,10 @@ class LinearSystem:
     def pair_function(self, a: Divisor, b: Divisor) -> PLFunction:
         """Min-normalized potential from a to b (cached per ordered pair)."""
         key = (a.key(), b.key())
-        if key not in self._pairs:
-            self._pairs[key] = self.potential(b).sub(self.potential(a)).minus_min()
-        return self._pairs[key]
+        f = self._pairs.get(key)
+        if f is None:
+            f = self._pairs[key] = self.potential(b).sub(self.potential(a)).minus_min()
+        return f
 
     def rho(self, a: Divisor, b: Divisor) -> Fraction:
         return self.pair_function(a, b).max_value()

@@ -424,32 +424,40 @@ def _integer_scale(points: Sequence[TropPoint]) -> int:
     return denom
 
 
-def _scale_point(p: TropPoint, s: int) -> TropPoint:
-    return TropPoint.of(tuple(c * s for c in p.coords))
+def _residuate(H: Sequence[list[int]], z: list[int]) -> list[int]:
+    """Least point of the lower cone spanned by the rows of H at or above z:
+    min_i (h_i + c_i) with c_i = max_k (z_k - h_ik). It is tp_project's
+    combination before normalization, so it commutes with adding constants."""
+    shifted = []
+    for h in H:
+        c = max(zk - hk for zk, hk in zip(z, h))
+        shifted.append([hk + c for hk in h])
+    return [min(col) for col in zip(*shifted)]
 
 
-def _gm_partition_meets(left: list[TropPoint], right: list[TropPoint], cap: int):
-    """Alternating residuated projections between two lower hulls.
+def _gm_partition_meets(left: list[list[int]], right: list[list[int]]):
+    """A common point of the lower cones of two integer families, or None.
 
-    Returns ('meet', point), ('disjoint', None) or ('undecided', None).
+    Alternating residuation from left[0] climbs monotonically; up to
+    constants it is the sequence of alternating projections. A common point
+    at or above the start bounds every iterate, and the least such point
+    touches the start in some coordinate (otherwise subtracting 1 from it
+    would give a smaller one), so an iterate above the start everywhere
+    proves the cones disjoint (Cuninghame-Green and Butkovic 2003). With
+    integer data each round without a meet raises the coordinate sum by at
+    least 1 while iterates keep a spread of at most D, the largest spread of
+    a generator, so the loop ends within 2*D*dim + 1 rounds.
     """
-    SL = TropGeneratorSet.of(left, "lower")
-    SR = TropGeneratorSet.of(right, "lower")
-    alpha = left[0]
-    prev = None
-    for _ in range(cap):
-        beta, _ = tp_project(SR, alpha)
-        if beta == alpha:
-            return "meet", alpha
-        alpha2, _ = tp_project(SL, beta)
-        if alpha2 == beta:
-            return "meet", beta
-        if alpha2 == alpha and prev == (alpha.coords, beta.coords):
-            # fixed pair at positive distance: the hulls do not meet
-            return "disjoint", None
-        prev = (alpha2.coords, beta.coords)
-        alpha = alpha2
-    return "undecided", None
+    start = z = left[0]
+    while True:
+        w = _residuate(right, z)
+        if w == z:
+            return z
+        z = _residuate(left, w)
+        if z == w:
+            return w
+        if all(a > b for a, b in zip(z, start)):
+            return None
 
 
 def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
@@ -457,13 +465,15 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
 
     weak: no generator lies in the hull of the others.
     gondran_minoux: no 2-partition of the generators has meeting hulls
-      (decided by alternating projections on integer-scaled data with an
-      iteration cap; may report 'undecided' when the cap is hit).
+      (decided exactly by alternating residuation on integer-scaled data;
+      a common point is checked for membership in both hulls).
     tropical: no coefficients make every ground element attain the
       combination envelope at least twice (decided exactly by choosing,
       for every ground element, which pair of generators ties at the
       minimum there, and testing each choice as a difference-constraint
-      system; families too large for that enumeration report 'undecided').
+      system, depth first with infeasible prefixes pruned). Families with
+      more than 2*10**6 patterns report 'undecided', the only case that
+      does.
 
     Returns a dict with keys status ('independent', 'dependent' or
     'undecided'), kind, and certificate.
@@ -482,61 +492,54 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
                                         "coefficients": cert["coefficients"]}}
         return {"kind": kind, "status": "independent", "certificate": None}
 
+    if kind not in ("gondran_minoux", "tropical"):
+        raise InputError(f"kind must be weak, gondran_minoux or tropical, got {kind!r}")
+    if n < 2:
+        return {"kind": kind, "status": "independent", "certificate": None}
+    scale = _integer_scale(pts)
+    sign = 1 if S.mode == "lower" else -1
+    # integer min-zero coordinates of the points, negated in upper mode
+    ivecs = [[sign * c.numerator * (scale // c.denominator) for c in p.coords] for p in pts]
+    ivecs = [[c - m for c in v] for v, m in zip(ivecs, map(min, ivecs))]
+
     if kind == "gondran_minoux":
-        if n < 2:
-            return {"kind": kind, "status": "independent", "certificate": None}
-        scale = _integer_scale(pts)
-        scaled = [_scale_point(p, scale) for p in pts]
-        if S.mode == "upper":
-            scaled = [p.negate() for p in scaled]
-        spread = max(tp_norm(p) for p in scaled)
-        cap = max(4, int(10 * spread * scaled[0].dim))
-        undecided = False
         for mask in range(2 ** (n - 1)):
             left_idx = [0] + [i for i in range(1, n) if mask & (1 << (i - 1))]
             right_idx = [i for i in range(1, n) if not mask & (1 << (i - 1))]
             if not right_idx:
                 continue
-            verdict, point = _gm_partition_meets([scaled[i] for i in left_idx],
-                                                 [scaled[i] for i in right_idx], cap)
-            if verdict == "meet":
-                witness = TropPoint.of(tuple(Fraction(c, scale) for c in point.coords))
-                if S.mode == "upper":
-                    witness = witness.negate()
-                return {"kind": kind, "status": "dependent",
-                        "certificate": {"partition": [left_idx, right_idx],
-                                        "common_point": [str(c) for c in witness.coords]}}
-            if verdict == "undecided":
-                undecided = True
-        if undecided:
-            return {"kind": kind, "status": "undecided", "certificate": None}
-        return {"kind": kind, "status": "independent", "certificate": None}
-
-    if kind == "tropical":
-        if n < 2:
-            return {"kind": kind, "status": "independent", "certificate": None}
-        vecs = [p.coords if S.mode == "lower" else p.negate().coords for p in pts]
-        dim = len(vecs[0])
-        scale = _integer_scale(pts)
-        ivecs = [[int(v * scale) for v in vec] for vec in vecs]
-        tie_pairs = list(itertools.combinations(range(n), 2))
-        if len(tie_pairs) ** dim > 2_000_000:
-            return {"kind": kind, "status": "undecided", "certificate": None}
-        for assignment in itertools.product(tie_pairs, repeat=dim):
-            solution = _tie_system_solution(ivecs, assignment)
-            if solution is None:
+            point = _gm_partition_meets([ivecs[i] for i in left_idx],
+                                        [ivecs[i] for i in right_idx])
+            if point is None:
                 continue
-            base = solution[0]
-            cs = [Fraction(c - base, scale) for c in solution]
-            if _ties_everywhere(vecs, cs):
-                return {"kind": kind, "status": "dependent",
-                        "certificate": {"coefficients": [str(c) for c in cs]}}
+            witness = TropPoint.of(tuple(Fraction(sign * c, scale) for c in point))
+            for side in (left_idx, right_idx):
+                if not tp_member(TropGeneratorSet.of([pts[i] for i in side], S.mode),
+                                 witness)[0]:
+                    raise CertificateError(
+                        "Gondran-Minoux common point is not in both hulls",
+                        {"partition": [left_idx, right_idx], "point": str(witness)})
+            return {"kind": kind, "status": "dependent",
+                    "certificate": {"partition": [left_idx, right_idx],
+                                    "common_point": [str(c) for c in witness.coords]}}
         return {"kind": kind, "status": "independent", "certificate": None}
 
-    raise InputError(f"kind must be weak, gondran_minoux or tropical, got {kind!r}")
+    tie_pairs = list(itertools.combinations(range(n), 2))
+    if len(tie_pairs) ** S.dim > 2_000_000:
+        return {"kind": kind, "status": "undecided", "certificate": None}
+    solution = _first_tie_solution(ivecs, tie_pairs)
+    if solution is None:
+        return {"kind": kind, "status": "independent", "certificate": None}
+    base = solution[0]
+    cs = [Fraction(c - base, scale) for c in solution]
+    if not _ties_everywhere(ivecs, solution):
+        raise CertificateError("tie-pattern coefficients do not tie twice everywhere",
+                               {"coefficients": [str(c) for c in cs]})
+    return {"kind": kind, "status": "dependent",
+            "certificate": {"coefficients": [str(c) for c in cs]}}
 
 
-def _ties_everywhere(vecs: Sequence[Sequence[Fraction]], cs: Sequence[Fraction]) -> bool:
+def _ties_everywhere(vecs: Sequence[list[int]], cs: Sequence[int]) -> bool:
     """Every ground element attains min_i (c_i + f_i) at least twice."""
     for x in range(len(vecs[0])):
         vals = [c + v[x] for c, v in zip(cs, vecs)]
@@ -546,30 +549,48 @@ def _ties_everywhere(vecs: Sequence[Sequence[Fraction]], cs: Sequence[Fraction])
     return True
 
 
-def _tie_system_solution(vals, assignment):
-    """Coefficients realizing a tie pattern, or None when impossible.
+def _first_tie_solution(vals: Sequence[list[int]], pairs: Sequence[tuple[int, int]]):
+    """Coefficients of the first feasible tie pattern in the order of
+    itertools.product(pairs, repeat=dim), or None.
 
-    assignment names, for each ground element x, one pair (i, j) required
-    to tie at the minimum of the combination there. That pins down the
-    system c_i - c_j = vals[j][x] - vals[i][x] together with
-    c_i - c_k <= vals[k][x] - vals[i][x] for every k, a set of difference
-    bounds. Bellman-Ford over the bound graph either returns feasible
-    potentials or runs into the negative cycle that proves infeasibility.
+    A pattern names, for each ground element x, a pair (i, j) that ties at
+    the minimum there: c_i - c_j = vals[j][x] - vals[i][x] and c_i - c_k <=
+    vals[k][x] - vals[i][x] for every k. The search runs depth first over
+    ground elements, each prefix adding its bounds to a copy of its
+    parent's, and prunes a prefix with no solution, since more bounds never
+    restore one. So the first full pattern reached is the first feasible
+    one in product order, solved from the same bounds in the same order as
+    when built in one pass.
     """
-    n = len(vals)
-    bounds: dict[tuple[int, int], int] = {}
+    n, dim = len(vals), len(vals[0])
+    levels = [({}, iter(pairs))]
+    while levels:
+        parent, untried = levels[-1]
+        pair = next(untried, None)
+        if pair is None:
+            levels.pop()
+            continue
+        x, (i, j) = len(levels) - 1, pair
+        bounds = dict(parent)
+        # bounds[b, a] is the least w found with c_a - c_b <= w
+        ties = [(i, j, vals[i][x] - vals[j][x])]
+        ties += [(k, i, vals[k][x] - vals[i][x]) for k in range(n) if k != i]
+        for b, a, w in ties:
+            if (b, a) not in bounds or w < bounds[b, a]:
+                bounds[b, a] = w
+        solution = _tie_system_solution(n, bounds)
+        if solution is None:
+            continue
+        if len(levels) == dim:
+            return solution
+        levels.append((bounds, iter(pairs)))
+    return None
 
-    def bound(a: int, b: int, w: int) -> None:
-        # records c_a - c_b <= w
-        key = (b, a)
-        if key not in bounds or w < bounds[key]:
-            bounds[key] = w
 
-    for x, (i, j) in enumerate(assignment):
-        bound(j, i, vals[i][x] - vals[j][x])
-        for k in range(n):
-            if k != i:
-                bound(i, k, vals[k][x] - vals[i][x])
+def _tie_system_solution(n: int, bounds: dict):
+    """Potentials within the difference bounds, or None: Bellman-Ford over
+    the bound graph either returns feasible potentials or runs into the
+    negative cycle that proves infeasibility."""
     edges = [(b, a, w) for (b, a), w in bounds.items()]
     dist = [0] * n
     for _ in range(n + 1):

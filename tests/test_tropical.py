@@ -26,6 +26,9 @@ from tropkit import (
     tp_pseudonorm,
     tp_retract,
 )
+from tropkit import tropical
+
+import independence_oracle
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 unit_fracs = st.fractions(min_value=0, max_value=1, max_denominator=8)
@@ -55,6 +58,16 @@ def hull_with_member(draw, max_gens: int = 4):
     gens, _ = draw(hull_instance(max_gens, extra_points=0))
     coeffs = [draw(fracs) for _ in gens]
     return gens, tp_combine(gens, coeffs, "lower")
+
+
+@st.composite
+def integer_family(draw, max_points: int = 4, max_dim: int = 4, top: int = 5,
+                   modes=("lower", "upper")):
+    """Two to max_points generators with entries 0..top, in a drawn mode."""
+    dim = draw(st.integers(2, max_dim))
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=dim, max_size=dim),
+                         min_size=2, max_size=max_points))
+    return TropGeneratorSet.of(rows, draw(st.sampled_from(modes)))
 
 
 def upper_rebuild(S: TropGeneratorSet, coeffs) -> TropPoint:
@@ -419,6 +432,73 @@ class TestIndependence:
         S = TropGeneratorSet.of([TropPoint.of((0, 2, 1))], "lower")
         for kind in ("weak", "gondran_minoux", "tropical"):
             assert tp_independence(S, kind)["status"] == "independent"
+
+    @given(integer_family())
+    @settings(max_examples=60)
+    def test_matches_the_reference_searches_wherever_they_decide(self, S):
+        """Same dict, certificate included, as capped alternating projections
+        and exhaustive tie-pattern enumeration; GM is always decided."""
+        for kind, reference in (("gondran_minoux", independence_oracle.gondran_minoux),
+                                ("tropical", independence_oracle.tropical)):
+            result = tp_independence(S, kind)
+            assert result["status"] in ("independent", "dependent")
+            expected = reference(S)
+            if expected["status"] != "undecided":
+                assert result == expected
+
+    @given(integer_family(max_dim=3, top=3))
+    def test_gm_matches_a_search_over_integer_points(self, S):
+        assert tp_independence(S, "gondran_minoux")["status"] == \
+            independence_oracle.gondran_minoux_by_box(S)
+
+    @given(integer_family(max_points=5))
+    def test_weak_then_gm_then_tropical_dependence(self, S):
+        status = {kind: tp_independence(S, kind)["status"]
+                  for kind in ("weak", "gondran_minoux", "tropical")}
+        if status["weak"] == "dependent":
+            assert status["gondran_minoux"] == "dependent"
+        if status["gondran_minoux"] == "dependent":
+            assert status["tropical"] == "dependent"
+
+    @given(integer_family(modes=("upper",)))
+    def test_upper_gm_is_lower_gm_of_the_negation(self, S):
+        upper = tp_independence(S, "gondran_minoux")
+        lower = tp_independence(S.negate(), "gondran_minoux")
+        assert upper["status"] == lower["status"]
+        if upper["status"] == "dependent":
+            assert upper["certificate"]["partition"] == lower["certificate"]["partition"]
+            point = TropPoint.of([Fraction(c) for c in upper["certificate"]["common_point"]])
+            assert point.negate() == TropPoint.of(
+                [Fraction(c) for c in lower["certificate"]["common_point"]])
+
+    def test_roadmap_instance_is_decided(self):
+        """Capped alternating projections left GM undecided on this family."""
+        S = TropGeneratorSet.of([[4, 8, 3, 3, 7], [8, 8, 7, 6, 2],
+                                 [3, 2, 8, 6, 0], [1, 2, 9, 0, 4]], "lower")
+        assert independence_oracle.gondran_minoux(S)["status"] == "undecided"
+        for kind in ("weak", "gondran_minoux", "tropical"):
+            assert tp_independence(S, kind) == \
+                {"kind": kind, "status": "independent", "certificate": None}
+
+    def test_only_the_tie_pattern_guard_is_undecided(self):
+        """Ten tie pairs in dimension 7 exceed 2*10**6 patterns."""
+        S = TropGeneratorSet.of([[(3 * i + 5 * x) % 7 for x in range(7)]
+                                 for i in range(5)], "lower")
+        assert len(S.points) == 5
+        assert tp_independence(S, "tropical")["status"] == "undecided"
+        assert tp_independence(S, "gondran_minoux")["status"] in ("independent", "dependent")
+
+    def test_a_gm_point_outside_a_hull_fails_its_check(self, tp3, monkeypatch):
+        monkeypatch.setattr(tropical, "_gm_partition_meets",
+                            lambda left, right: [0, 0, 1000])
+        with pytest.raises(CertificateError):
+            tp_independence(tp3.generator_set("rect"), "gondran_minoux")
+
+    def test_coefficients_without_ties_fail_their_check(self, tp3, monkeypatch):
+        monkeypatch.setattr(tropical, "_first_tie_solution",
+                            lambda vals, pairs: [1000 * i for i in range(len(vals))])
+        with pytest.raises(CertificateError):
+            tp_independence(tp3.generator_set("rect"), "tropical")
 
 
 class TestRetraction:
