@@ -18,7 +18,13 @@ Four layers, each usable on its own:
 Everything computes in ``fractions.Fraction``; no floats enter any
 decision.  The ``tropkit`` command line (``cli``) serves the same
 operations over JSON workspace files (``workspace``).
+
+Importing the package loads only ``tropical``; every other layer loads on
+first use of one of its names, so a tropical-only program never imports
+(or compiles) the graph layers.
 """
+
+import importlib
 
 from .errors import CertificateError, InputError
 from .tropical import (
@@ -40,67 +46,40 @@ from .tropical import (
     tp_pseudonorm,
     tp_retract,
 )
-from .graphs import (
-    ClosedSubset,
-    Divisor,
-    Edge,
-    GraphPoint,
-    MetricGraph,
-    PLFunction,
-    mg_distance,
-    mg_jfunction,
-    mg_potential,
-    mg_resistance,
-    mg_validate,
-    pl_div,
-    pl_eval,
-    pl_extremum_set,
-    pl_integral,
-)
-from .divisors import (
-    LinearSystem,
-    dv_b1,
-    dv_dhar,
-    dv_dhar_certificate,
-    dv_dhar_trace,
-    dv_lin_equiv,
-    dv_path,
-    dv_rho,
-    ls_bases,
-    ls_extremals,
-    ls_member,
-    ls_project,
-    ls_reduced,
-)
-from .trees import (
-    Attachment,
-    Modification,
-    PseudoHarmonicMap,
-    SkeletonArc,
-    SubArcMap,
-    TreeSkeleton,
-    tt_critical,
-    tt_harmonize,
-    tt_is_dominant,
-    tt_is_tree,
-    tt_morphism,
-    tt_preimage,
-    tt_reduced_map,
-    tt_skeleton,
-    tt_support,
-    tt_verify_witness,
-)
-from .workspace import (
-    Workspace,
-    divisor_from_json,
-    dumps_canonical,
-    load_workspace,
-    parse_workspace,
-    point_from_json,
-    rational_str,
-    serialize_workspace,
-    to_jsonable,
-)
+
+# layer -> the names it exports, resolved by __getattr__ on first use
+_LAZY = {
+    "graphs": ("ClosedSubset", "Divisor", "Edge", "GraphPoint", "MetricGraph",
+               "PLFunction", "mg_distance", "mg_jfunction", "mg_potential",
+               "mg_resistance", "mg_validate", "pl_div", "pl_eval", "pl_extremum_set",
+               "pl_integral"),
+    "divisors": ("LinearSystem", "dv_b1", "dv_dhar", "dv_dhar_certificate",
+                 "dv_dhar_trace", "dv_lin_equiv", "dv_path", "dv_rho", "ls_bases",
+                 "ls_extremals", "ls_member", "ls_project", "ls_reduced"),
+    "trees": ("Attachment", "Modification", "PseudoHarmonicMap", "SkeletonArc",
+              "SubArcMap", "TreeSkeleton", "tt_critical", "tt_harmonize",
+              "tt_is_dominant", "tt_is_tree", "tt_morphism", "tt_preimage",
+              "tt_reduced_map", "tt_skeleton", "tt_support", "tt_verify_witness"),
+    "workspace": ("Workspace", "divisor_from_json", "dumps_canonical", "load_workspace",
+                  "parse_workspace", "point_from_json", "rational_str",
+                  "serialize_workspace", "to_jsonable"),
+}
+_HOME = {name: layer for layer, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

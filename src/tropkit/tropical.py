@@ -8,10 +8,11 @@ of convexity appear throughout:
   lower: hulls of min-combinations  [min_i (c_i + f_i)]
   upper: hulls of max-combinations  [max_i (c_i + f_i)]
 
-Every upper-mode operation is realized by negating data, running the lower
-code path, and negating back, so there is a single implementation of each
-algorithm. Arithmetic is exact (fractions.Fraction); the only float in the
-module is the informational p=2 pseudonorm.
+Every upper-mode operation is realized by negating data and running the
+lower code path, so there is a single implementation of each algorithm.
+Arithmetic is exact: membership, projection and independence compute on
+integer vectors over a common denominator and return fractions.Fraction
+values; the only float in the module is the informational p=2 pseudonorm.
 """
 
 from __future__ import annotations
@@ -285,33 +286,38 @@ def tp_path(a: TropPoint, b: TropPoint, t, mode: str = "lower") -> TropPoint:
 # hulls: membership, projection, extremals
 # ---------------------------------------------------------------------------
 
-def _member_lower(points: Sequence[TropPoint], gamma: TropPoint):
-    """Covering test: gamma is in the lower hull iff the argmin sets of the
-    differences generator - gamma jointly cover the ground set."""
-    n = gamma.dim
-    cover = []
-    coeffs = []
-    union: set[int] = set()
-    for g in points:
-        d = g.diff(gamma)
-        amin = tp_argext(d, "min")
-        cover.append(sorted(amin))
-        union |= amin
-        # combination coefficient that brings this generator down to gamma
-        raw = [gc - hc for gc, hc in zip(g.coords, gamma.coords)]
-        coeffs.append(-min(raw))
-    ok = len(union) == n
-    cert = {
-        "cover": cover,
-        "coefficients": coeffs,
-        "missing": sorted(set(range(n)) - union),
-    }
-    if ok:
-        combo = tp_combine(list(points), coeffs, "lower")
-        if combo != gamma:
-            raise CertificateError("membership combination failed to reproduce the point",
-                                   {"combo": str(combo), "point": str(gamma)})
-    return ok, cert
+_SIGN = {"lower": 1, "upper": -1}
+
+
+def _integer_vectors(points: Sequence[TropPoint], sign: int):
+    """Min-zero int vectors sign * scale * p of the points, and the scale,
+    the least common denominator of their coordinates. With sign -1 (upper
+    mode) the upper hull of the points is the lower hull of the vectors."""
+    scale = math.lcm(*[c.denominator for p in points for c in p.coords])
+    vecs = []
+    for p in points:
+        v = [sign * c.numerator * (scale // c.denominator) for c in p.coords]
+        m = min(v)
+        vecs.append([c - m for c in v])
+    return vecs, scale
+
+
+def _point(v: list[int], sign: int, scale: int) -> TropPoint:
+    """The TropPoint of a min-zero integer vector."""
+    if sign < 0:
+        top = max(v)
+        v = [top - c for c in v]
+    return TropPoint(tuple(Fraction(c, scale) for c in v))
+
+
+def _lifts(H: Sequence[list[int]], z: list[int]) -> list[int]:
+    """c_i = max_k (z_k - h_ik): the least shift that puts row h_i at or above z."""
+    return [max(zk - hk for zk, hk in zip(z, h)) for h in H]
+
+
+def _combine(H: Sequence[list[int]], cs: Sequence[int]) -> list[int]:
+    """The lower combination min_i (h_i + c_i) of the rows of H."""
+    return [min(col) for col in zip(*[[hk + c for hk in h] for h, c in zip(H, cs)])]
 
 
 def tp_member(S: TropGeneratorSet, gamma: TropPoint):
@@ -323,55 +329,37 @@ def tp_member(S: TropGeneratorSet, gamma: TropPoint):
     On a positive answer the coefficients reproduce gamma exactly: through
     tp_combine for lower hulls; for upper hulls as the maximum of c_i plus
     the maximum-zero representative of g_i (not tp_combine on S.points).
+    The covering test and that check run on integer-scaled vectors.
     """
     if gamma.dim != S.dim:
         raise InputError("point dimension does not match generators")
-    if S.mode == "upper":
-        ok, cert = _member_lower([p.negate() for p in S.points], gamma.negate())
-        cert["coefficients"] = [-c for c in cert["coefficients"]]
-        return ok, cert
-    return _member_lower(list(S.points), gamma)
+    sign = _SIGN[S.mode]
+    (*H, y), scale = _integer_vectors(S.points + (gamma,), sign)
+    # each generator, lifted by its coefficient, touches y on its cover set
+    cs = _lifts(H, y)
+    cover = [[k for k, (yk, hk) in enumerate(zip(y, h)) if yk - hk == c]
+             for h, c in zip(H, cs)]
+    covered = set().union(*cover)
+    missing = [k for k in range(len(y)) if k not in covered]
+    if not missing:
+        combo = _combine(H, cs)
+        m = min(combo)
+        combo = [c - m for c in combo]
+        if combo != y:
+            raise CertificateError("membership combination failed to reproduce the point",
+                                   {"combo": str(_point(combo, 1, scale)),
+                                    "point": str(_point(y, 1, scale))})
+    return not missing, {"cover": cover,
+                         "coefficients": [Fraction(sign * c, scale) for c in cs],
+                         "missing": missing}
 
 
-def _project_lower(points: Sequence[TropPoint], gamma: TropPoint,
-                   space: GroundSpace | None):
-    """Residuated nearest point of the lower hull, with certificates."""
-    if space is None:
-        space = GroundSpace.of([f"x{i}" for i in range(gamma.dim)])
-    coeffs = []
-    shifted = []
-    for g in points:
-        raw = [gc - hc for gc, hc in zip(g.coords, gamma.coords)]
-        c = -min(raw)
-        coeffs.append(c)
-        shifted.append(tuple(gc + c for gc in g.coords))
-    f_star = TropPoint.of(tuple(min(col) for col in zip(*shifted)))
-    # optimality certificates, one per generator:
-    #   additivity of the weighted one-sided 1-pseudonorm through the projection
-    #   and a common index where generator-to-projection and
-    #   projection-to-point drops both bottom out
-    checks = []
-    for i, g in enumerate(points):
-        bg = tp_pseudonorm(g.diff(gamma), 1, "lower", space)
-        ba = tp_pseudonorm(g.diff(f_star), 1, "lower", space)
-        ag = tp_pseudonorm(f_star.diff(gamma), 1, "lower", space)
-        witness = tp_argext(g.diff(f_star), "min") & tp_argext(f_star.diff(gamma), "min")
-        checks.append({
-            "generator": i,
-            "b1_total": bg,
-            "b1_to_projection": ba,
-            "b1_from_projection": ag,
-            "witness": sorted(witness),
-        })
-        if bg != ba + ag:
-            raise CertificateError(
-                "projection failed the 1-pseudonorm additivity certificate",
-                {"generator": i, "total": str(bg), "split": str(ba + ag)})
-        if not witness:
-            raise CertificateError(
-                "projection failed the argmin intersection certificate",
-                {"generator": i})
-    return f_star, {"coefficients": coeffs, "checks": checks}
+def _b1(d: list[int], weights: Sequence[int]):
+    """The weighted 1-pseudonorm of the class of d, in the units of d and
+    the weights, and the argmin set of d."""
+    m = min(d)
+    return (sum(w * (v - m) for w, v in zip(weights, d)),
+            {k for k, v in enumerate(d) if v == m})
 
 
 def tp_project(S: TropGeneratorSet, gamma: TropPoint,
@@ -384,16 +372,51 @@ def tp_project(S: TropGeneratorSet, gamma: TropPoint,
     unique minimizer of every weighted one-sided p-pseudonorm distance to
     gamma for finite p, is the identity on hull members, and is verified
     here by per-generator additivity and argmin-intersection certificates.
+    The projection and its certificates are computed and checked on
+    integer-scaled vectors and weights.
     """
     if gamma.dim != S.dim:
         raise InputError("point dimension does not match generators")
-    if S.mode == "upper":
-        dual_space = space
-        proj, cert = _project_lower([p.negate() for p in S.points],
-                                    gamma.negate(), dual_space)
-        cert["coefficients"] = [-c for c in cert["coefficients"]]
-        return proj.negate(), cert
-    return _project_lower(list(S.points), gamma, space)
+    if space is None:
+        weights, wscale = [1] * S.dim, S.dim
+    elif space.size != S.dim:
+        raise InputError("space size does not match point dimension")
+    else:
+        wscale = math.lcm(*[w.denominator for w in space.weights])
+        weights = [w.numerator * (wscale // w.denominator) for w in space.weights]
+    sign = _SIGN[S.mode]
+    (*H, y), scale = _integer_vectors(S.points + (gamma,), sign)
+    cs = _lifts(H, y)
+    f = _combine(H, cs)
+    m = min(f)
+    f = [v - m for v in f]
+    unit = wscale * scale
+    ag, at_gamma = _b1([a - b for a, b in zip(f, y)], weights)
+    from_projection = Fraction(ag, unit)
+    checks = []
+    for i, h in enumerate(H):
+        bg, _ = _b1([a - b for a, b in zip(h, y)], weights)
+        ba, at_h = _b1([a - b for a, b in zip(h, f)], weights)
+        total, to_projection = Fraction(bg, unit), Fraction(ba, unit)
+        witness = sorted(at_h & at_gamma)
+        checks.append({
+            "generator": i,
+            "b1_total": total,
+            "b1_to_projection": to_projection,
+            "b1_from_projection": from_projection,
+            "witness": witness,
+        })
+        if bg != ba + ag:
+            raise CertificateError(
+                "projection failed the 1-pseudonorm additivity certificate",
+                {"generator": i, "total": str(total),
+                 "split": str(to_projection + from_projection)})
+        if not witness:
+            raise CertificateError(
+                "projection failed the argmin intersection certificate",
+                {"generator": i})
+    return _point(f, sign, scale), {"coefficients": [Fraction(sign * c, scale) for c in cs],
+                                    "checks": checks}
 
 
 def tp_extremals(S: TropGeneratorSet) -> TropGeneratorSet:
@@ -416,23 +439,11 @@ def tp_extremals(S: TropGeneratorSet) -> TropGeneratorSet:
 # independence
 # ---------------------------------------------------------------------------
 
-def _integer_scale(points: Sequence[TropPoint]) -> int:
-    denom = 1
-    for p in points:
-        for c in p.coords:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return denom
-
-
 def _residuate(H: Sequence[list[int]], z: list[int]) -> list[int]:
     """Least point of the lower cone spanned by the rows of H at or above z:
     min_i (h_i + c_i) with c_i = max_k (z_k - h_ik). It is tp_project's
     combination before normalization, so it commutes with adding constants."""
-    shifted = []
-    for h in H:
-        c = max(zk - hk for zk, hk in zip(z, h))
-        shifted.append([hk + c for hk in h])
-    return [min(col) for col in zip(*shifted)]
+    return _combine(H, _lifts(H, z))
 
 
 def _gm_partition_meets(left: list[list[int]], right: list[list[int]]):
@@ -496,11 +507,8 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
         raise InputError(f"kind must be weak, gondran_minoux or tropical, got {kind!r}")
     if n < 2:
         return {"kind": kind, "status": "independent", "certificate": None}
-    scale = _integer_scale(pts)
-    sign = 1 if S.mode == "lower" else -1
-    # integer min-zero coordinates of the points, negated in upper mode
-    ivecs = [[sign * c.numerator * (scale // c.denominator) for c in p.coords] for p in pts]
-    ivecs = [[c - m for c in v] for v, m in zip(ivecs, map(min, ivecs))]
+    sign = _SIGN[S.mode]
+    ivecs, scale = _integer_vectors(pts, sign)
 
     if kind == "gondran_minoux":
         for mask in range(2 ** (n - 1)):

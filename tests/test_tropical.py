@@ -28,6 +28,7 @@ from tropkit import (
 )
 from tropkit import tropical
 
+import hull_oracle
 import independence_oracle
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -80,6 +81,31 @@ def upper_rebuild(S: TropGeneratorSet, coeffs) -> TropPoint:
 def weighted_space(dim: int, seedlist) -> GroundSpace:
     weights = [Fraction(w) for w in seedlist[:dim]]
     return GroundSpace.of([f"x{i}" for i in range(dim)], weights)
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def oracle_case(draw):
+    """A hull in a drawn mode: one to five generators (repeats allowed) in
+    dimension 1 to 8 with denominators 1 to 5, a point that is a
+    combination of them half the time, and the default space or a weighted
+    one."""
+    dim = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(("lower", "upper")))
+    rows = st.lists(small_rationals, min_size=dim, max_size=dim)
+    gens = [TropPoint.of(draw(rows)) for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(small_rationals, min_size=len(gens), max_size=len(gens)))
+        gamma = tp_combine(gens, coeffs, mode)
+    else:
+        gamma = TropPoint.of(draw(rows))
+    space = None
+    if draw(st.booleans()):
+        weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 5))
+        space = weighted_space(dim, draw(st.lists(weights, min_size=dim, max_size=dim)))
+    return TropGeneratorSet(tuple(gens), mode), gamma, space
 
 
 class TestCanonicalForm:
@@ -350,6 +376,78 @@ class TestMembershipAndProjection:
         S = TropGeneratorSet.of([TropPoint.of((0, 1))], "lower")
         with pytest.raises(InputError):
             tp_project(S, TropPoint.of((0, 1, 2)))
+
+    @pytest.mark.parametrize("mode", ["lower", "upper"])
+    def test_space_of_another_size_is_rejected(self, mode):
+        S = TropGeneratorSet.of([(0, 1, 2), (2, 1, 0)], mode)
+        space = GroundSpace.of(["a", "b"])
+        with pytest.raises(InputError, match="space size"):
+            tp_project(S, TropPoint.of((0, 5, 1)), space)
+
+
+class TestAgainstTheReference:
+    """The integer kernel against the Fraction code it replaced
+    (tests/hull_oracle.py): identical results, certificates included."""
+
+    @given(oracle_case())
+    @settings(max_examples=100)
+    def test_projection_and_certificate(self, case):
+        S, gamma, space = case
+        assert tp_project(S, gamma, space) == hull_oracle.project(S, gamma, space)
+
+    @given(oracle_case())
+    @settings(max_examples=100)
+    def test_membership_and_certificate(self, case):
+        S, gamma, _ = case
+        assert tp_member(S, gamma) == hull_oracle.member(S, gamma)
+
+    @given(oracle_case())
+    def test_extremals_and_weak_independence(self, case):
+        S, _, _ = case
+        assert tp_extremals(S) == hull_oracle.extremals(S)
+        assert tp_independence(S, "weak") == hull_oracle.weak_independence(S)
+
+
+class TestKernelCertificates:
+    """Each certificate check fires when the kernel computes a wrong value.
+    The generators (0, 1, 2) and (2, 1, 0) each cover part of the ground
+    set of their combination with coefficients 0, in either mode."""
+
+    @staticmethod
+    def instance(mode):
+        S = TropGeneratorSet.of([(0, 1, 2), (2, 1, 0)], mode)
+        return S, tp_combine(S.points, [0, 0], mode)
+
+    @staticmethod
+    def raise_first_coefficient(monkeypatch):
+        combine = tropical._combine
+        monkeypatch.setattr(tropical, "_combine",
+                            lambda H, cs: combine(H, [cs[0] + 1] + list(cs[1:])))
+
+    @pytest.mark.parametrize("mode", ["lower", "upper"])
+    def test_a_wrong_coefficient_fails_the_membership_combination(self, mode, monkeypatch):
+        S, gamma = self.instance(mode)
+        assert tp_member(S, gamma)[0]
+        self.raise_first_coefficient(monkeypatch)
+        with pytest.raises(CertificateError, match="membership combination"):
+            tp_member(S, gamma)
+
+    @pytest.mark.parametrize("mode", ["lower", "upper"])
+    def test_a_wrong_projection_fails_additivity(self, mode, monkeypatch):
+        S, gamma = self.instance(mode)
+        self.raise_first_coefficient(monkeypatch)
+        with pytest.raises(CertificateError, match="additivity"):
+            tp_project(S, gamma)
+
+    @pytest.mark.parametrize("mode", ["lower", "upper"])
+    def test_a_missing_common_argmin_fails_the_witness(self, mode, monkeypatch):
+        """For exact data additivity holds iff the two argmin sets meet, so
+        only a wrong argmin set, patched in, reaches the witness check."""
+        S, gamma = self.instance(mode)
+        b1 = tropical._b1
+        monkeypatch.setattr(tropical, "_b1", lambda d, w: (b1(d, w)[0], set()))
+        with pytest.raises(CertificateError, match="argmin intersection"):
+            tp_project(S, gamma)
 
 
 class TestExtremals:
