@@ -6,6 +6,10 @@ that have a tabular or graph shape).  Exit codes: 0 for success or a true
 predicate, 1 for a false predicate, 2 for input errors, 3 for internal
 certificate failures.  Identical invocations produce byte-identical
 output: keys are sorted and all rationals use canonical strings.
+
+Every subcommand is one entry of ``_COMMANDS``: its help text, its flags
+(named from ``_FLAGS``) and its handler.  ``build_parser`` and ``main``
+both read that table.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .divisors import (
@@ -28,8 +33,8 @@ from .divisors import (
     ls_reduced,
 )
 from .errors import CertificateError, InputError
-from .graphs import MetricGraph
 from .trees import (
+    _sample_points,
     tt_harmonize,
     tt_is_dominant,
     tt_is_tree,
@@ -83,9 +88,10 @@ def _resolve_divisor(ws: Workspace, text: str, location: str):
     return ws.divisor(s)
 
 
-def _resolve_graph_point(ws: Workspace, text: str, location: str):
-    return point_from_json(ws.need_graph(), _loads_strict(text, location),
-                           location)
+def _point_at(ws: Workspace, args):
+    text = _required(args, "at")
+    return point_from_json(ws.need_graph(), _loads_strict(text, "--at"),
+                           "--at")
 
 
 def _resolve_trop_point(ws: Workspace, text: str, location: str) -> TropPoint:
@@ -100,110 +106,85 @@ def _resolve_trop_point(ws: Workspace, text: str, location: str) -> TropPoint:
     return ws.point(s)
 
 
-def _two_divisors(ws: Workspace, args):
+def _divisors(ws: Workspace, args, count: int) -> list:
     given = args.divisor or []
-    if len(given) != 2:
-        raise InputError("this operation needs exactly two --divisor "
-                         "arguments", "--divisor")
-    return (_resolve_divisor(ws, given[0], "--divisor"),
-            _resolve_divisor(ws, given[1], "--divisor"))
+    if len(given) != count:
+        noun = "one --divisor argument" if count == 1 \
+            else "two --divisor arguments"
+        raise InputError(f"this operation needs exactly {noun}", "--divisor")
+    return [_resolve_divisor(ws, text, "--divisor") for text in given]
 
 
-def _one_divisor(ws: Workspace, args):
-    given = args.divisor or []
-    if len(given) != 1:
-        raise InputError("this operation needs exactly one --divisor "
-                         "argument", "--divisor")
-    return _resolve_divisor(ws, given[0], "--divisor")
-
-
-def _sample_points(graph: MetricGraph, per_edge: int):
-    if per_edge < 0:
-        raise InputError("--samples must be nonnegative", "--samples")
-    points = [graph.vertex_point(v) for v in graph.vertices]
-    for e in graph.edges:
-        for k in range(1, per_edge + 1):
-            points.append(graph.point(
-                edge=e.id, offset=e.length * k / (per_edge + 1)))
-    return points
+def _required(args, flag: str):
+    value = getattr(args, flag)
+    if value is None:
+        raise InputError(f"{args.group} {args.action} needs --{flag}",
+                         f"--{flag}")
+    return value
 
 
 def _component_label(component: dict) -> str:
     """Short name for an uncovered component, from its edge ids."""
     ids = sorted({gap["edge"] for gap in component["gaps"]})
     if ids:
-        split = [eid.split("-") for eid in ids]
-        prefix = []
-        for tokens in zip(*split):
-            if any(t != tokens[0] for t in tokens):
-                break
-            prefix.append(tokens[0])
-        if prefix:
-            return "-".join(prefix)
-        return ids[0]
+        prefix = os.path.commonprefix([eid.split("-") for eid in ids])
+        return "-".join(prefix) if prefix else ids[0]
     if component["vertices"]:
         return component["vertices"][0]
     return "(empty)"
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, payload, kind)
-# where kind is "json" (payload is a jsonable object) or "raw" (text).
+# subcommand handlers: handler(workspace, args) -> (exit code, payload); a
+# str payload is printed as is (CSV, DOT), anything else as canonical JSON.
+# The order in which a handler resolves its inputs decides which error a bad
+# invocation reports.  Handlers call the library through module globals, so
+# a tracer that rebinds those names sees every call.
 
 
-def _cmd_graph_validate(args):
-    ws = load_workspace(args.file)
+def _graph_validate(ws: Workspace, args):
     ws.need_graph()
     payload = dict(ws.graph_report)
     payload["valid"] = True
     payload["divisors"] = sorted(ws.divisors)
     payload["systems"] = sorted(ws.systems)
-    return 0, payload, "json"
+    return 0, payload
 
 
-def _cmd_tp_project(args):
-    ws = load_workspace(args.space)
+def _tp_project(ws: Workspace, args):
     S = ws.generator_set(args.generators, args.mode)
     gamma = _resolve_trop_point(ws, args.point, "--point")
     projection, cert = tp_project(S, gamma, ws.need_space())
-    payload = {"mode": args.mode, "point": gamma,
+    return 0, {"mode": args.mode, "point": gamma,
                "projection": projection, "certificate": cert}
-    return 0, payload, "json"
 
 
-def _cmd_tp_member(args):
-    ws = load_workspace(args.space)
+def _tp_member(ws: Workspace, args):
     S = ws.generator_set(args.generators, args.mode)
     gamma = _resolve_trop_point(ws, args.point, "--point")
     ok, cert = tp_member(S, gamma)
-    payload = {"mode": args.mode, "point": gamma, "member": ok,
-               "certificate": cert}
-    return 0 if ok else 1, payload, "json"
+    return 0 if ok else 1, {"mode": args.mode, "point": gamma, "member": ok,
+                            "certificate": cert}
 
 
-def _cmd_tp_extremals(args):
-    ws = load_workspace(args.space)
-    S = ws.generator_set(args.generators, args.mode)
-    kept = tp_extremals(S)
-    by_coords = {}
-    for name in ws.sets[args.generators]:
-        by_coords.setdefault(ws.points[name].coords, name)
+def _tp_extremals(ws: Workspace, args):
+    kept = tp_extremals(ws.generator_set(args.generators, args.mode))
+    # the first name of a repeated point wins
+    by_coords = {ws.points[name].coords: name
+                 for name in reversed(ws.sets[args.generators])}
     names = [by_coords[p.coords] for p in kept.points]
-    payload = {"mode": args.mode, "extremals": names,
+    return 0, {"mode": args.mode, "extremals": names,
                "points": list(kept.points)}
-    return 0, payload, "json"
 
 
-def _cmd_tp_independence(args):
-    ws = load_workspace(args.space)
-    S = ws.generator_set(args.generators, args.mode)
-    result = tp_independence(S, args.kind)
+def _tp_independence(ws: Workspace, args):
+    result = tp_independence(ws.generator_set(args.generators, args.mode),
+                             args.kind)
     code = {"independent": 0, "dependent": 1, "undecided": 3}[result["status"]]
-    return code, result, "json"
+    return code, result
 
 
-def _cmd_tp_norm(args):
-    ws = load_workspace(args.space)
+def _tp_norm(ws: Workspace, args):
     ws.need_space()
     gamma = _resolve_trop_point(ws, args.point, "--point")
     payload = {"point": gamma, "norm": tp_norm(gamma)}
@@ -212,154 +193,116 @@ def _cmd_tp_norm(args):
         payload["pseudonorm"] = {
             "p": args.p, "mode": args.mode,
             "value": tp_pseudonorm(gamma, p, args.mode, ws.space)}
-    return 0, payload, "json"
+    return 0, payload
 
 
-def _cmd_div_equiv(args):
-    ws = load_workspace(args.graph)
-    d1, d2 = _two_divisors(ws, args)
+def _div_equiv(ws: Workspace, args):
+    d1, d2 = _divisors(ws, args, 2)
     ok = dv_lin_equiv(ws.need_graph(), d1, d2)
-    return 0 if ok else 1, {"equivalent": ok}, "json"
+    return 0 if ok else 1, {"equivalent": ok}
 
 
-def _cmd_div_rho(args):
-    ws = load_workspace(args.graph)
-    d1, d2 = _two_divisors(ws, args)
-    value = dv_rho(ws.need_graph(), d1, d2)
-    return 0, {"rho": value}, "json"
+def _div_rho(ws: Workspace, args):
+    d1, d2 = _divisors(ws, args, 2)
+    return 0, {"rho": dv_rho(ws.need_graph(), d1, d2)}
 
 
-def _cmd_div_path(args):
-    ws = load_workspace(args.graph)
-    d1, d2 = _two_divisors(ws, args)
-    if args.t is None:
-        raise InputError("div path needs --t", "--t")
-    t = as_fraction(args.t, "--t")
-    divisor = dv_path(ws.need_graph(), d1, d2, t)
-    return 0, {"t": t, "divisor": divisor}, "json"
+def _div_path(ws: Workspace, args):
+    d1, d2 = _divisors(ws, args, 2)
+    t = as_fraction(_required(args, "t"), "--t")
+    return 0, {"t": t, "divisor": dv_path(ws.need_graph(), d1, d2, t)}
 
 
-def _cmd_div_b1(args):
-    ws = load_workspace(args.graph)
-    d, e = _two_divisors(ws, args)
-    value = dv_b1(ws.need_graph(), d, e)
-    return 0, {"b1": value}, "json"
+def _div_b1(ws: Workspace, args):
+    d, e = _divisors(ws, args, 2)
+    return 0, {"b1": dv_b1(ws.need_graph(), d, e)}
 
 
-def _cmd_div_reduce(args):
-    ws = load_workspace(args.graph)
-    d = _one_divisor(ws, args)
-    if args.at is None:
-        raise InputError("div reduce needs --at", "--at")
-    q = _resolve_graph_point(ws, args.at, "--at")
+def _div_reduce(ws: Workspace, args):
+    d, = _divisors(ws, args, 1)
+    q = _point_at(ws, args)
     reduced, steps = dv_dhar_trace(ws.need_graph(), d, q)
-    payload = {"point": q, "reduced": reduced, "steps": steps,
+    return 0, {"point": q, "reduced": reduced, "steps": steps,
                "rounds": len(steps)}
-    return 0, payload, "json"
 
 
-def _cmd_sys_member(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    target = _one_divisor(ws, args)
-    ok, cert = ls_member(T, target)
-    return 0 if ok else 1, {"member": ok, "certificate": cert}, "json"
+def _sys_member(ws: Workspace, args):
+    ok, cert = ls_member(ws.system(args.system), *_divisors(ws, args, 1))
+    return 0 if ok else 1, {"member": ok, "certificate": cert}
 
 
-def _cmd_sys_project(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    target = _one_divisor(ws, args)
-    projection, cert = ls_project(T, target)
-    payload = {"projection": projection, "certificate": cert}
-    return 0, payload, "json"
+def _sys_project(ws: Workspace, args):
+    projection, cert = ls_project(ws.system(args.system),
+                                  *_divisors(ws, args, 1))
+    return 0, {"projection": projection, "certificate": cert}
 
 
-def _cmd_sys_reduced(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    if args.at is None:
-        raise InputError("sys reduced needs --at", "--at")
-    q = _resolve_graph_point(ws, args.at, "--at")
+def _sys_reduced(ws: Workspace, args):
+    T, q = ws.system(args.system), _point_at(ws, args)
     reduced, cert = ls_reduced(T, q)
-    payload = {"point": q, "reduced": reduced, "certificate": cert}
-    return 0, payload, "json"
+    return 0, {"point": q, "reduced": reduced, "certificate": cert}
 
 
-def _cmd_sys_extremals(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    kept = ls_extremals(T)
-    names = []
-    by_key = {}
-    for name in ws.systems[args.system]:
-        by_key.setdefault(ws.divisors[name].key(), name)
-    for d in kept:
-        names.append(by_key.get(d.key(), str(d)))
-    payload = {"extremals": names, "divisors": kept}
-    return 0, payload, "json"
+def _sys_extremals(ws: Workspace, args):
+    kept = ls_extremals(ws.system(args.system))
+    by_key = {ws.divisors[name].key(): name
+              for name in reversed(ws.systems[args.system])}
+    names = [by_key.get(d.key(), str(d)) for d in kept]
+    return 0, {"extremals": names, "divisors": kept}
 
 
-def _cmd_tree_check(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    ok, report = tt_is_tree(T)
-    return 0 if ok else 1, {"tree": ok, "report": report}, "json"
+def _tree_check(ws: Workspace, args):
+    ok, report = tt_is_tree(ws.system(args.system))
+    return 0 if ok else 1, {"tree": ok, "report": report}
 
 
-def _cmd_tree_support(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    support = tt_support(T)
+def _tree_support(ws: Workspace, args):
+    support = tt_support(ws.system(args.system))
     payload = {"covers_graph": support.covers_graph(), "support": support}
     if not support.covers_graph():
         payload["uncovered"] = support.complement_components()
-    return 0, payload, "json"
+    return 0, payload
 
 
-def _cmd_tree_dominant(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    ok, report = tt_is_dominant(T)
+def _tree_dominant(ws: Workspace, args):
+    ok, report = tt_is_dominant(ws.system(args.system))
     payload = dict(report)
     if not ok and "uncovered" in report:
         labels = [_component_label(c) for c in report["uncovered"]]
         noun = "component" if len(labels) == 1 else "components"
         payload["reason"] = f"support misses {noun} " + ", ".join(labels)
-    return 0 if ok else 1, payload, "json"
+    return 0 if ok else 1, payload
 
 
-def _cmd_tree_preimage(args):
-    ws = load_workspace(args.graph)
+def _tree_preimage(ws: Workspace, args):
     T = ws.system(args.system)
-    d = _one_divisor(ws, args)
+    d, = _divisors(ws, args, 1)
     region = tt_preimage(T, d)
-    payload = {"divisor": d, "preimage": region,
+    return 0, {"divisor": d, "preimage": region,
                "points": region.finite_points()}
-    return 0, payload, "json"
 
 
-def _cmd_tree_redmap(args):
-    ws = load_workspace(args.graph)
+def _tree_redmap(ws: Workspace, args):
     T = ws.system(args.system)
+    graph = ws.need_graph()
     per_edge = 3 if args.samples is None else args.samples
-    samples = _sample_points(ws.need_graph(), per_edge)
-    rows = tt_reduced_map(T, samples)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["point_id", "edge", "offset", "image_divisor"])
-        for point, reduced in rows:
-            writer.writerow([
-                str(point),
-                "" if point.is_vertex else point.edge,
-                "" if point.is_vertex else rational_str(point.offset),
-                json.dumps(to_jsonable(reduced), sort_keys=True,
-                           separators=(",", ":")),
-            ])
-        return 0, buf.getvalue(), "raw"
-    payload = {"samples": [{"point": p, "reduced": r} for p, r in rows]}
-    return 0, payload, "json"
+    if per_edge < 0:
+        raise InputError("--samples must be nonnegative", "--samples")
+    rows = tt_reduced_map(T, _sample_points(graph, per_edge))
+    if args.format != "csv":
+        return 0, {"samples": [{"point": p, "reduced": r} for p, r in rows]}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["point_id", "edge", "offset", "image_divisor"])
+    for point, reduced in rows:
+        writer.writerow([
+            str(point),
+            "" if point.is_vertex else point.edge,
+            "" if point.is_vertex else rational_str(point.offset),
+            json.dumps(to_jsonable(reduced), sort_keys=True,
+                       separators=(",", ":")),
+        ])
+    return 0, buf.getvalue()
 
 
 def _skeleton_dot(morphism) -> str:
@@ -377,96 +320,113 @@ def _skeleton_dot(morphism) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_tree_morphism(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    morphism = tt_morphism(T)
-    if args.format == "dot":
-        return 0, _skeleton_dot(morphism), "raw"
-    return 0, morphism, "json"
+def _tree_morphism(ws: Workspace, args):
+    morphism = tt_morphism(ws.system(args.system))
+    return 0, _skeleton_dot(morphism) if args.format == "dot" else morphism
 
 
-def _cmd_tree_harmonize(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    modification, morphism, degree = tt_harmonize(T)
-    payload = {
-        "degree": degree,
-        "trivial": modification.is_trivial,
-        "attachments": modification.attachments,
-        "skeleton": morphism.skeleton,
-    }
-    return 0, payload, "json"
+def _tree_harmonize(ws: Workspace, args):
+    modification, morphism, degree = tt_harmonize(ws.system(args.system))
+    return 0, {"degree": degree, "trivial": modification.is_trivial,
+               "attachments": modification.attachments,
+               "skeleton": morphism.skeleton}
 
 
-def _cmd_tree_witness(args):
-    ws = load_workspace(args.graph)
-    T = ws.system(args.system)
-    if args.degree is None:
-        raise InputError("tree witness needs --degree", "--degree")
-    ok, report = tt_verify_witness(T, args.degree)
-    return 0 if ok else 1, report, "json"
-
-
-_HANDLERS = {
-    ("graph", "validate"): _cmd_graph_validate,
-    ("tp", "project"): _cmd_tp_project,
-    ("tp", "member"): _cmd_tp_member,
-    ("tp", "extremals"): _cmd_tp_extremals,
-    ("tp", "independence"): _cmd_tp_independence,
-    ("tp", "norm"): _cmd_tp_norm,
-    ("div", "equiv"): _cmd_div_equiv,
-    ("div", "rho"): _cmd_div_rho,
-    ("div", "path"): _cmd_div_path,
-    ("div", "b1"): _cmd_div_b1,
-    ("div", "reduce"): _cmd_div_reduce,
-    ("sys", "member"): _cmd_sys_member,
-    ("sys", "project"): _cmd_sys_project,
-    ("sys", "reduced"): _cmd_sys_reduced,
-    ("sys", "extremals"): _cmd_sys_extremals,
-    ("tree", "check"): _cmd_tree_check,
-    ("tree", "support"): _cmd_tree_support,
-    ("tree", "dominant"): _cmd_tree_dominant,
-    ("tree", "preimage"): _cmd_tree_preimage,
-    ("tree", "redmap"): _cmd_tree_redmap,
-    ("tree", "morphism"): _cmd_tree_morphism,
-    ("tree", "harmonize"): _cmd_tree_harmonize,
-    ("tree", "witness"): _cmd_tree_witness,
-}
+def _tree_witness(ws: Workspace, args):
+    ok, report = tt_verify_witness(ws.system(args.system),
+                                   _required(args, "degree"))
+    return 0 if ok else 1, report
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 
+_FLAGS = {
+    "file": dict(metavar="FILE"),
+    "--space": dict(required=True, metavar="FILE",
+                    help="workspace file with the point block"),
+    "--graph": dict(required=True, metavar="FILE",
+                    help="workspace file with the graph block"),
+    "--generators": dict(required=True, metavar="NAME",
+                         help="point-set name from the workspace"),
+    "--system": dict(required=True, metavar="NAME",
+                     help="system name from the workspace"),
+    "--mode": dict(choices=["lower", "upper"], default="lower"),
+    "--point": dict(required=True, help="point name or inline JSON array"),
+    "--kind": dict(choices=["weak", "gondran_minoux", "tropical"],
+                   default="weak"),
+    "--p": dict(choices=["1", "2", "inf"], default=None),
+    "--divisor": dict(action="append", metavar="NAME|JSON",
+                      help="divisor name or inline JSON; repeat for two"),
+    "--t": dict(metavar="RATIONAL"),
+    "--at": dict(metavar="POINT",
+                 help="JSON point, e.g. '{\"vertex\":\"v1\"}'"),
+    "--samples": dict(type=int, default=None, metavar="N",
+                      help="interior sample points per edge (default 3)"),
+    "--degree": dict(type=int, default=None, metavar="N"),
+    "--out": dict(metavar="PATH",
+                  help="write the report to this file instead of stdout"),
+    "--format": dict(choices=["json", "csv", "dot"], default="json",
+                     help="output format (csv: tree redmap; dot: tree "
+                          "morphism)"),
+}
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the report to this file instead of "
-                             "stdout")
-    parser.add_argument("--format", choices=["json", "csv", "dot"],
-                        default="json",
-                        help="output format (csv: tree redmap; dot: tree "
-                             "morphism)")
-
-
-def _graph_flags(parser: argparse.ArgumentParser,
-                 system: bool = False) -> None:
-    parser.add_argument("--graph", required=True, metavar="FILE",
-                        help="workspace file with the graph block")
-    if system:
-        parser.add_argument("--system", required=True, metavar="NAME",
-                            help="system name from the workspace")
-
-
-def _space_flags(parser: argparse.ArgumentParser,
-                 generators: bool = True) -> None:
-    parser.add_argument("--space", required=True, metavar="FILE",
-                        help="workspace file with the point block")
-    if generators:
-        parser.add_argument("--generators", required=True, metavar="NAME",
-                            help="point-set name from the workspace")
-    parser.add_argument("--mode", choices=["lower", "upper"],
-                        default="lower")
+# group -> (help, flags of every action, {action: (help, flags, handler)}).
+# The first group flag names the workspace file that main loads.
+_COMMANDS = {
+    "graph": ("workspace file checks", ("file",), {
+        "validate": ("parse and validate a workspace", (), _graph_validate),
+    }),
+    "tp": ("tropical projective space operations", ("--space",), {
+        "project": ("nearest hull point with certificates",
+                    ("--generators", "--mode", "--point"), _tp_project),
+        "member": ("hull membership with a covering certificate",
+                   ("--generators", "--mode", "--point"), _tp_member),
+        "extremals": ("minimal generating subset",
+                      ("--generators", "--mode"), _tp_extremals),
+        "independence": ("independence of the generators",
+                         ("--generators", "--mode", "--kind"),
+                         _tp_independence),
+        "norm": ("tropical norm and pseudonorms of a point",
+                 ("--mode", "--point", "--p"), _tp_norm),
+    }),
+    "div": ("divisors on a metric graph", ("--graph", "--divisor"), {
+        "equiv": ("linear equivalence of two divisors", (), _div_equiv),
+        "rho": ("chip-firing distance between two divisors", (), _div_rho),
+        "path": ("divisor at parameter --t between two divisors",
+                 ("--t",), _div_path),
+        "b1": ("one-sided linear pseudonorm of first minus second", (),
+               _div_b1),
+        "reduce": ("reduced divisor at --at by metric burning", ("--at",),
+                   _div_reduce),
+    }),
+    "sys": ("linear systems from generators", ("--graph", "--system"), {
+        "member": ("membership of --divisor in the system", ("--divisor",),
+                   _sys_member),
+        "project": ("nearest member to --divisor", ("--divisor",),
+                    _sys_project),
+        "reduced": ("reduced divisor of the system at --at", ("--at",),
+                    _sys_reduced),
+        "extremals": ("minimal generating subset of the system", (),
+                      _sys_extremals),
+    }),
+    "tree": ("tropical trees and morphisms", ("--graph", "--system"), {
+        "check": ("whether the system is a tropical tree", (), _tree_check),
+        "support": ("union of member supports", (), _tree_support),
+        "dominant": ("whether the tree covers the whole graph", (),
+                     _tree_dominant),
+        "preimage": ("points reducing to --divisor", ("--divisor",),
+                     _tree_preimage),
+        "redmap": ("reduced divisors on a sample grid", ("--samples",),
+                   _tree_redmap),
+        "morphism": ("reduced-divisor map as a verified morphism", (),
+                     _tree_morphism),
+        "harmonize": ("branch attachments making the map harmonic", (),
+                      _tree_harmonize),
+        "witness": ("verify a stable gonality witness of --degree",
+                    ("--degree",), _tree_witness),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,95 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for tropical convexity and divisor "
                     "theory on metric graphs.")
     top = root.add_subparsers(dest="group", required=True)
-
-    graph = top.add_parser("graph", help="workspace file checks")
-    graph_sub = graph.add_subparsers(dest="action", required=True)
-    validate = graph_sub.add_parser("validate",
-                                    help="parse and validate a workspace")
-    validate.add_argument("file", metavar="FILE")
-    _common_flags(validate)
-
-    tp = top.add_parser("tp", help="tropical projective space operations")
-    tp_sub = tp.add_subparsers(dest="action", required=True)
-    for name, hint in [
-            ("project", "nearest hull point with certificates"),
-            ("member", "hull membership with a covering certificate"),
-            ("extremals", "minimal generating subset"),
-            ("independence", "independence of the generators"),
-            ("norm", "tropical norm and pseudonorms of a point")]:
-        p = tp_sub.add_parser(name, help=hint)
-        _space_flags(p, generators=(name != "norm"))
-        if name in ("project", "member", "norm"):
-            p.add_argument("--point", required=True,
-                           help="point name or inline JSON array")
-        if name == "independence":
-            p.add_argument("--kind",
-                           choices=["weak", "gondran_minoux", "tropical"],
-                           default="weak")
-        if name == "norm":
-            p.add_argument("--p", choices=["1", "2", "inf"], default=None)
-        _common_flags(p)
-
-    div = top.add_parser("div", help="divisors on a metric graph")
-    div_sub = div.add_subparsers(dest="action", required=True)
-    for name, hint in [
-            ("equiv", "linear equivalence of two divisors"),
-            ("rho", "chip-firing distance between two divisors"),
-            ("path", "divisor at parameter --t between two divisors"),
-            ("b1", "one-sided linear pseudonorm of first minus second"),
-            ("reduce", "reduced divisor at --at by metric burning")]:
-        p = div_sub.add_parser(name, help=hint)
-        _graph_flags(p)
-        p.add_argument("--divisor", action="append", metavar="NAME|JSON",
-                       help="divisor name or inline JSON (repeat for "
-                            "two-divisor operations)")
-        if name == "path":
-            p.add_argument("--t", metavar="RATIONAL")
-        if name == "reduce":
-            p.add_argument("--at", metavar="POINT",
-                           help="JSON point, e.g. '{\"vertex\":\"v1\"}'")
-        _common_flags(p)
-
-    sys_cmd = top.add_parser("sys", help="linear systems from generators")
-    sys_sub = sys_cmd.add_subparsers(dest="action", required=True)
-    for name, hint in [
-            ("member", "membership of --divisor in the system"),
-            ("project", "nearest member to --divisor"),
-            ("reduced", "reduced divisor of the system at --at"),
-            ("extremals", "minimal generating subset of the system")]:
-        p = sys_sub.add_parser(name, help=hint)
-        _graph_flags(p, system=True)
-        if name in ("member", "project"):
-            p.add_argument("--divisor", action="append",
-                           metavar="NAME|JSON")
-        if name == "reduced":
-            p.add_argument("--at", metavar="POINT")
-        _common_flags(p)
-
-    tree = top.add_parser("tree", help="tropical trees and morphisms")
-    tree_sub = tree.add_subparsers(dest="action", required=True)
-    for name, hint in [
-            ("check", "whether the system is a tropical tree"),
-            ("support", "union of member supports"),
-            ("dominant", "whether the tree covers the whole graph"),
-            ("preimage", "points reducing to --divisor"),
-            ("redmap", "reduced divisors on a sample grid"),
-            ("morphism", "reduced-divisor map as a verified morphism"),
-            ("harmonize", "branch attachments making the map harmonic"),
-            ("witness", "verify a stable gonality witness of --degree")]:
-        p = tree_sub.add_parser(name, help=hint)
-        _graph_flags(p, system=True)
-        if name == "preimage":
-            p.add_argument("--divisor", action="append",
-                           metavar="NAME|JSON")
-        if name == "redmap":
-            p.add_argument("--samples", type=int, default=None, metavar="N",
-                           help="interior sample points per edge "
-                                "(default 3)")
-        if name == "witness":
-            p.add_argument("--degree", type=int, default=None, metavar="N")
-        _common_flags(p)
-
+    for group, (group_help, group_flags, actions) in _COMMANDS.items():
+        sub = top.add_parser(group, help=group_help) \
+            .add_subparsers(dest="action", required=True)
+        for action, (action_help, flags, handler) in actions.items():
+            p = sub.add_parser(action, help=action_help)
+            for flag in group_flags + flags + ("--out", "--format"):
+                p.add_argument(flag, **_FLAGS[flag])
+            p.set_defaults(handler=handler,
+                           workspace=group_flags[0].lstrip("-"))
     return root
 
 
@@ -571,38 +451,27 @@ def build_parser() -> argparse.ArgumentParser:
 # entry point
 
 
-def _write_output(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _HANDLERS[(args.group, args.action)]
     try:
-        code, payload, kind = handler(args)
+        ws = load_workspace(getattr(args, args.workspace))
+        code, payload = args.handler(ws, args)
     except InputError as exc:
         sys.stdout.write(dumps_canonical({
-            "code": "input-error",
-            "message": str(exc),
-            "location": exc.location,
-        }))
+            "code": "input-error", "message": str(exc),
+            "location": exc.location}))
         return 2
     except CertificateError as exc:
         sys.stdout.write(dumps_canonical({
-            "code": "certificate-failure",
-            "message": str(exc),
-            "detail": exc.detail,
-        }))
+            "code": "certificate-failure", "message": str(exc),
+            "detail": exc.detail}))
         return 3
-    if kind == "raw":
-        _write_output(args, payload)
+    text = payload if isinstance(payload, str) else dumps_canonical(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        _write_output(args, dumps_canonical(payload))
+        sys.stdout.write(text)
     return code
 
 

@@ -331,10 +331,6 @@ class LinearSystem:
             self.register(point, clipped, a)
         return point
 
-    def is_generator(self, d: Divisor) -> bool:
-        key = d.key()
-        return any(g.key() == key for g in self.generators)
-
 
 def _check_target(T: LinearSystem, e: Divisor) -> None:
     if not isinstance(e, Divisor):

@@ -502,7 +502,7 @@ class Divisor:
     def __init__(self, graph: MetricGraph, entries: dict):
         self.graph = graph
         self.entries: dict[GraphPoint, Fraction] = {
-            p: as_fraction(c) for p, c in entries.items() if c != 0}
+            p: f for p, c in entries.items() if (f := as_fraction(c)) != 0}
         self._key = None  # key() fills it once: a divisor never changes
 
     @classmethod
@@ -513,10 +513,6 @@ class Divisor:
                 raise InputError("divisor entries must use graph points")
             acc[point] = acc.get(point, Fraction(0)) + as_fraction(coeff)
         return cls(graph, acc)
-
-    @classmethod
-    def zero(cls, graph: MetricGraph) -> "Divisor":
-        return cls(graph, {})
 
     def degree(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -547,10 +543,6 @@ class Divisor:
 
     def neg(self) -> "Divisor":
         return Divisor(self.graph, {p: -c for p, c in self.entries.items()})
-
-    def scale(self, k) -> "Divisor":
-        k = as_fraction(k)
-        return Divisor(self.graph, {p: k * c for p, c in self.entries.items()})
 
     def key(self) -> tuple:
         if self._key is None:
@@ -696,62 +688,6 @@ class ClosedSubset:
                 if 0 < a < e.length:
                     pts.append(GraphPoint(edge=eid, offset=a))
         return sorted(pts, key=GraphPoint.key)
-
-    def sample_point(self) -> GraphPoint:
-        if self.vertices:
-            return GraphPoint(vertex=min(self.vertices))
-        for eid in sorted(self.intervals):
-            segs = self.intervals[eid]
-            a, b = segs[0]
-            mid = (a + b) / 2
-            return self.graph.point(edge=eid, offset=mid)
-        raise InputError("empty set has no points")
-
-    def boundary_points(self) -> list[GraphPoint]:
-        """Points of the set with at least one escaping direction."""
-        out: set[GraphPoint] = set()
-        for v in self.vertices:
-            if self._uncovered_arms(v) > 0:
-                out.add(GraphPoint(vertex=v))
-        for eid, segs in self.intervals.items():
-            e = self.graph.edge_map[eid]
-            for a, b in segs:
-                if a > 0:
-                    out.add(GraphPoint(edge=eid, offset=a))
-                if b < e.length:
-                    out.add(GraphPoint(edge=eid, offset=b))
-        return sorted(out, key=GraphPoint.key)
-
-    def _uncovered_arms(self, v: str) -> int:
-        n = 0
-        for eid, end in self.graph.incidence[v]:
-            e = self.graph.edge_map[eid]
-            segs = self.intervals.get(eid, ())
-            covered = False
-            for a, b in segs:
-                if end == 0 and a == 0 and b > 0:
-                    covered = True
-                if end == 1 and b == e.length and a < e.length:
-                    covered = True
-            if not covered:
-                n += 1
-        return n
-
-    def out_degree(self, point: GraphPoint) -> int:
-        """Number of directions at the point leaving the set."""
-        if not self.contains(point):
-            raise InputError("point is not in the set")
-        if point.is_vertex:
-            return self._uncovered_arms(point.vertex)
-        n = 0
-        for a, b in self.intervals.get(point.edge, ()):
-            if a <= point.offset <= b:
-                if point.offset == a and a > 0:
-                    n += 1
-                if point.offset == b and b < self.graph.edge_map[point.edge].length:
-                    n += 1
-                break
-        return n
 
     def complement_gaps(self):
         """Open complement, as uncovered vertices and open intervals."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .divisors import LinearSystem, ls_bases, ls_reduced
 from .errors import CertificateError, InputError
@@ -193,10 +193,14 @@ def tt_support(system: LinearSystem) -> ClosedSubset:
     return _tree_support(system)
 
 
-def _default_samples(graph: MetricGraph) -> list[GraphPoint]:
+def _sample_points(graph: MetricGraph, per_edge: int = 1) -> list[GraphPoint]:
+    """The vertices, then ``per_edge`` evenly spaced interior points of
+    each edge, at ``length*k/(per_edge+1)``."""
     points = [graph.vertex_point(v) for v in graph.vertices]
     for e in graph.edges:
-        points.append(graph.point(edge=e.id, offset=e.length / 2))
+        for k in range(1, per_edge + 1):
+            points.append(graph.point(
+                edge=e.id, offset=e.length * k / (per_edge + 1)))
     return points
 
 
@@ -224,7 +228,7 @@ def tt_is_dominant(system: LinearSystem) -> tuple[bool, dict]:
                 "uncovered": support.complement_components(),
             })
         else:
-            samples = _default_samples(system.graph)
+            samples = _sample_points(system.graph)
             for q in samples:
                 red, _ = ls_reduced(system, q)
                 if red.coeff(q) <= 0:
@@ -271,7 +275,7 @@ def tt_reduced_map(
     """Reduced divisor at each sample point (default: vertices and edge
     midpoints)."""
     if samples is None:
-        samples = _default_samples(system.graph)
+        samples = _sample_points(system.graph)
     out = []
     for q in samples:
         red, _ = ls_reduced(system, q)
@@ -316,23 +320,9 @@ class TreeSkeleton:
                 out.append((i, arc.a))
         return out
 
-    def component_without(self, root: int, toward: int) -> frozenset[int]:
-        """Nodes of the component of the tree minus ``root`` that contains
-        ``toward``."""
-        seen = {root, toward}
-        stack = [toward]
-        while stack:
-            cur = stack.pop()
-            for _, far in self.neighbors(cur):
-                if far not in seen:
-                    seen.add(far)
-                    stack.append(far)
-        seen.discard(root)
-        return frozenset(seen)
-
     def component_through(self, cut_arc: int, endpoint: int) -> frozenset[int]:
         """Nodes of the component containing ``endpoint`` once ``cut_arc``
-        is removed."""
+        is removed (-1 removes none)."""
         seen = {endpoint}
         stack = [endpoint]
         while stack:
@@ -405,24 +395,13 @@ def _build_skeleton(system: LinearSystem) -> TreeSkeleton:
         raise CertificateError(
             "the critical divisors do not span a tree",
             {"nodes": len(crits), "arcs": len(arc_list)})
+    skeleton = TreeSkeleton(nodes=tuple(crits), arcs=arc_list)
     if crits:
-        seen = {0}
-        stack = [0]
-        adjacency: dict[int, list[int]] = {}
-        for arc in arc_list:
-            adjacency.setdefault(arc.a, []).append(arc.b)
-            adjacency.setdefault(arc.b, []).append(arc.a)
-        while stack:
-            cur = stack.pop()
-            for far in adjacency.get(cur, []):
-                if far not in seen:
-                    seen.add(far)
-                    stack.append(far)
-        if len(seen) != len(crits):
-            raise CertificateError(
-                "the skeleton is not connected",
-                {"reached": len(seen), "nodes": len(crits)})
-    return TreeSkeleton(nodes=tuple(crits), arcs=arc_list)
+        reached = len(skeleton.component_through(-1, 0))
+        if reached != len(crits):
+            raise CertificateError("the skeleton is not connected",
+                                   {"reached": reached, "nodes": len(crits)})
+    return skeleton
 
 
 def _locate(system: LinearSystem, skel: TreeSkeleton,
@@ -695,7 +674,7 @@ def tt_harmonize(
             for arc_i, far in skel.neighbors(node_idx):
                 tau = int(skel.nodes[far].coeff(p))
                 if tau > 0:
-                    comp = skel.component_without(node_idx, far)
+                    comp = skel.component_through(arc_i, far)
                     attachments.append(Attachment(
                         point=p, multiplicity=tau,
                         component_nodes=tuple(sorted(comp))))

@@ -4,7 +4,11 @@ The table was recorded from the library before the PL kernel and the
 linear-system caches were reworked, so it pins the default output of every
 subcommand on the bundled fixtures byte for byte.  Paths are relative to
 the repository root, as in ``perfbench/cli_expected.json``, whose 41
-invocations are all included here.
+invocations are all included here.  The rows after them pin the report
+of each input error the front end raises itself or passes on from the
+workspace: argument counts, missing and malformed flags, unknown names,
+a workspace without the block a command needs, and a system that is not
+the tree a command needs.
 """
 
 import contextlib
@@ -117,6 +121,47 @@ GOLDEN = [
      "9aa7cb042e8584df276248ee608acd9a85b1b66f6abd4f75a4b53e9fef231fd8"),
     (["tree", "witness", "--graph", "tests/fixtures/banana.json", "--system", "witness4", "--degree", "4"], 0,
      "48e3fa9c1591434c4983712fdf9559959df7a4d6654847356af4912579dbd0f0"),
+    # input errors: each prints one input-error report and exits 2
+    (["div", "equiv", "--graph", "tests/fixtures/c6.json", "--divisor", "D1"], 2,
+     "9a8d154c65a8bc27e2bf4b342113b71b51549d5876d136fee97a724e96a92d82"),
+    (["sys", "member", "--graph", "tests/fixtures/c6.json", "--system", "complete", "--divisor", "D0", "--divisor", "D1"], 2,
+     "a7eaadfb0777baef74b16bb90d86f699b772b8fcbb172f55ac23e84da6c5ec92"),
+    (["div", "path", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "D2"], 2,
+     "49a882b2bcdd292124ab40508fab9470bfb667f8708b502929ed990114f5949b"),
+    (["div", "reduce", "--graph", "tests/fixtures/c6.json", "--divisor", "D12"], 2,
+     "00b93125fa37ef7ee4fd5f86c28d2e607411c0dd7a1c8ba5e77bde72aa7efee3"),
+    (["sys", "reduced", "--graph", "tests/fixtures/c6.json", "--system", "complete"], 2,
+     "d2fcf3e2bb81abb186fb397e0a9fbcf693e7b8c64878b760fa50e12a80394e73"),
+    (["tree", "witness", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid"], 2,
+     "94222b20e93e4901c1a5eb11cb4b0994f4ff016888609744bdcd2bbafc7eaec6"),
+    (["div", "path", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "D2", "--t", "1.5x"], 2,
+     "01ad35f343978c9baf2915dbfe19bf8a69d727d91a33872085a6ad0a252117ea"),
+    (["tree", "redmap", "--graph", "tests/fixtures/c6.json", "--system", "triangle_mid", "--samples", "-1"], 2,
+     "b690e4011293c8825f49e8078d37b931c50306973bd14bd10a85c59b0224f14e"),
+    (["div", "reduce", "--graph", "tests/fixtures/c6.json", "--divisor", "D12", "--at", "{\"vertex\":\"v1\",\"edge\":\"e1\",\"offset\":\"1/2\"}"], 2,
+     "25c2e59fc6c9e29a11d136841e6ca333d6b9982f200b2bcbaa457d4be056ac35"),
+    (["div", "equiv", "--graph", "tests/fixtures/c6.json", "--divisor", "D1", "--divisor", "[[{\"vertex\":\"v1\"},1.5]]"], 2,
+     "8feaed323ab01deec85b91791de1e7d2c55edac9e39f63b6631f6d24dfb6efca"),
+    (["sys", "member", "--graph", "tests/fixtures/c6.json", "--system", "NOPE", "--divisor", "D0"], 2,
+     "fce1c5072003db9c067d393de598395cd6fb7680dddd08478a05e42eb6fba388"),
+    (["tp", "extremals", "--space", "tests/fixtures/tp3.json", "--generators", "NOPE"], 2,
+     "8ba84c6683b49990eacec9764145fc10eb529a3725e1bc6286e6dd1978974947"),
+    (["tp", "norm", "--space", "tests/fixtures/tp3.json", "--point", "NOPE"], 2,
+     "4a37d0ac3895f95e7cda2a5abef21ba755e06f8fdd6a4dc59a007f5647b121fe"),
+    (["tp", "norm", "--space", "tests/fixtures/c6.json", "--point", "A"], 2,
+     "12cd5063753bee8c0bd4ee083188bc339bb6df1158a194f7775a67966afe40fa"),
+    (["tp", "project", "--space", "tests/fixtures/c6.json", "--generators", "rect", "--point", "O"], 2,
+     "1d11028e676e179d5c3a7a8aac6cefe7794cc09dcecc2aa94e5373a8919aa83f"),
+    (["graph", "validate", "tests/fixtures/tp3.json"], 2,
+     "e6ba936659948e394497c1950fe1799c7751fcab23e380f096852caeb205dbf4"),
+    (["div", "rho", "--graph", "tests/fixtures/tp3.json", "--divisor", "D1", "--divisor", "D2"], 2,
+     "ca4d526dffe9476ab23d4c6e5afc16f5e04a9de94186add35903911b575b61ad"),
+    (["graph", "validate", "tests/fixtures/missing.json"], 2,
+     "897a37839a232ab6a90252892a115103f7b70304e365e2ff58b690b1a8ee3c9e"),
+    (["tree", "support", "--graph", "tests/fixtures/c6.json", "--system", "triangle_bad"], 2,
+     "9d0c9d113e9351756ee7a421173f7cb9a0dedcde2630762b8c1c592b61e1554d"),
+    (["tree", "morphism", "--graph", "tests/fixtures/banana.json", "--system", "seg_E1_E3"], 2,
+     "9472b90e88cd5a8c8b93a7adc8faffc470df57af48394ba1d9b89817a5cf849d"),
 ]
 
 

@@ -23,6 +23,7 @@ from tropkit import (
     ls_project,
     ls_reduced,
 )
+from tropkit.trees import _sample_points as sample_points
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +34,6 @@ def complete(c6):
 @pytest.fixture(scope="module")
 def triangle(c6):
     return c6.system("triangle_mid")
-
-
-def sample_points(graph, per_edge=1):
-    pts = [graph.vertex_point(v) for v in graph.vertices]
-    for e in graph.edges:
-        pts.append(graph.point(edge=e.id, offset=e.length / 2))
-    return pts
 
 
 class TestEquivalenceAndSegments:

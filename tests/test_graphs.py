@@ -109,6 +109,11 @@ class TestPotentials:
             f = mg_potential(g, d1, d2)
             assert pl_div(f) == d2.sub(d1)
             assert pl_div(f).degree() == 0
+        # a zero coefficient is dropped whatever form it is given in
+        p, q = g.vertex_point("v0"), g.vertex_point("v1")
+        d = Divisor(g, {p: "0", q: 1})
+        assert d == Divisor.of(g, [(q, 1)])
+        assert str(d) == "(v1)" and d.is_effective()
 
     def test_cocycle_is_constant(self, c6):
         g = c6.need_graph()
