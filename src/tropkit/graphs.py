@@ -17,6 +17,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -211,54 +212,65 @@ def mg_validate(vertices: Iterable[str], edges: Iterable):
 class PLFunction:
     """Continuous piecewise-linear function with rational breakpoints.
 
-    data maps every edge id to a tuple of (offset, value) breakpoints with
-    strictly increasing offsets running from 0 to the edge length; values
-    at shared vertices must agree across edges. slopes maps every edge id
-    to the slopes of its segments, each an int when integral and else a
-    Fraction; consecutive slopes differ, as no breakpoint is kept where the
-    slope does not change.
+    Kept in integer form: _pieces maps every edge id, in graph order, to
+    three tuples of ints, the breakpoint offsets over _do (increasing from
+    0 to the edge length), the values there over _dv and the slope of each
+    segment over _ds. _ds is the least common denominator of the slopes, so
+    they are integral iff it is 1, and _do * _ds divides _dv, so v + (o - o1) s
+    stays integral. Consecutive slopes differ: no breakpoint is kept where
+    the slope does not change.
 
-    Instances are immutable, so min_value, max_value, integral and
-    extremum_set("min") are computed on first use and kept. The cached
-    minimizer set is returned to every caller and shared with the
-    certificates that include it: do not mutate it.
+    The exact views are built on demand, not stored: data maps every edge
+    id to its (offset, value) breakpoints, slopes to the slopes of its
+    segments (each an int when integral), vertex_values every vertex to its
+    value, and every number a method returns is a Fraction. Instances are
+    immutable, so the extreme values, integral and extremum_set("min") are
+    kept after first use; the minimizer set is shared with the certificates
+    that include it: do not mutate it.
     """
 
-    __slots__ = ("graph", "data", "slopes", "vertex_values",
-                 "_min", "_max", "_integral", "_min_set")
+    __slots__ = ("graph", "_pieces", "_do", "_ds", "_dv", "_range", "_integral", "_min_set")
 
     def __init__(self, graph: MetricGraph, data: dict):
-        self._min = self._max = self._integral = self._min_set = None
+        self._range = self._integral = self._min_set = None
         self.graph = graph
         raw = {eid: tuple((as_fraction(o), as_fraction(v)) for o, v in bps)
                for eid, bps in data.items()}
         self._validate(raw)
-        self.data, self.slopes = {}, {}
-        for eid, bps in raw.items():
-            self.data[eid], self.slopes[eid] = _slope_form(bps)
-        self.vertex_values = {v: None for v in graph.vertices}
+        do = lcm(*(o.denominator for bps in raw.values() for o, _ in bps))
+        dv = lcm(*(v.denominator for bps in raw.values() for _, v in bps))
+        kept = {}
         for e in graph.edges:
-            bps = self.data[e.id]
-            for vname, val in ((e.tail, bps[0][1]), (e.head, bps[-1][1])):
-                known = self.vertex_values[vname]
-                if known is None:
-                    self.vertex_values[vname] = val
-                elif known != val:
+            pts = [(o.numerator * (do // o.denominator), v.numerator * (dv // v.denominator))
+                   for o, v in raw[e.id]]
+            bps, steps = [], []  # a breakpoint where the slope changes, and the step after it
+            for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
+                if not steps or (v2 - v1) * steps[-1][0] != steps[-1][1] * (o2 - o1):
+                    bps.append((o1, v1))
+                    steps.append((o2 - o1, v2 - v1))
+            kept[e.id] = (*bps, pts[-1]), steps
+        # a step (p, q) has slope q do/(p dv)
+        ds = lcm(*(p * dv // gcd(q * do, p * dv) for _, steps in kept.values() for p, q in steps))
+        self._do, self._ds, self._dv = do, ds, lcm(do * ds, dv)
+        k = self._dv // dv
+        self._pieces = {eid: (tuple(o for o, _ in bps), tuple(v * k for _, v in bps),
+                              tuple(q * do * ds // (p * dv) for p, q in steps))
+                        for eid, (bps, steps) in kept.items()}
+        seen: dict[str, int] = {}
+        for e in graph.edges:
+            vals = self._pieces[e.id][1]
+            for vname, val in ((e.tail, vals[0]), (e.head, vals[-1])):
+                if seen.setdefault(vname, val) != val:
                     raise InputError(f"discontinuity at vertex {vname!r}")
 
     @classmethod
-    def _of_valid(cls, graph: MetricGraph, data: dict, slopes: dict) -> "PLFunction":
-        """Wrap exact data and slopes that hold every invariant __init__ sets,
-        as operations on valid functions leave them: no coercion, no checks."""
+    def _of_valid(cls, graph: MetricGraph, pieces: dict, do: int, ds: int,
+                  dv: int) -> "PLFunction":
+        """Wrap an integer form that holds every invariant __init__ sets, as
+        operations on valid functions leave it: no checks."""
         f = object.__new__(cls)
-        f._min = f._max = f._integral = f._min_set = None
-        f.graph = graph
-        f.data, f.slopes = data, slopes
-        f.vertex_values = dict.fromkeys(graph.vertices)
-        for e in graph.edges:
-            bps = data[e.id]
-            f.vertex_values[e.tail] = bps[0][1]
-            f.vertex_values[e.head] = bps[-1][1]
+        f._range = f._integral = f._min_set = None
+        f.graph, f._pieces, f._do, f._ds, f._dv = graph, pieces, do, ds, dv
         return f
 
     def _validate(self, data: dict) -> None:
@@ -274,13 +286,37 @@ class PLFunction:
         if set(data) != set(self.graph.edge_map):
             raise InputError("function must cover exactly the graph's edges")
 
+    @property
+    def data(self) -> dict:
+        do, dv = self._do, self._dv
+        return {eid: tuple((Fraction(o, do), Fraction(v, dv)) for o, v in zip(offs, vals))
+                for eid, (offs, vals, _) in self._pieces.items()}
+
+    @property
+    def slopes(self) -> dict:
+        ds = self._ds
+        return {eid: ss if ds == 1 else
+                tuple(s // ds if s % ds == 0 else Fraction(s, ds) for s in ss)
+                for eid, (_, _, ss) in self._pieces.items()}
+
+    @property
+    def vertex_values(self) -> dict:
+        out = dict.fromkeys(self.graph.vertices)
+        for e in self.graph.edges:
+            vals = self._pieces[e.id][1]
+            out[e.tail], out[e.head] = Fraction(vals[0], self._dv), Fraction(vals[-1], self._dv)
+        return out
+
     # -- evaluation --------------------------------------------------------
 
     @classmethod
     def constant(cls, graph: MetricGraph, value) -> "PLFunction":
         value = as_fraction(value)
-        return cls._of_valid(graph, {e.id: ((_ZERO, value), (e.length, value))
-                                     for e in graph.edges}, dict.fromkeys(graph.edge_map, (0,)))
+        do = lcm(*(e.length.denominator for e in graph.edges))
+        dv = lcm(do, value.denominator)
+        c = _over(value, dv)
+        return cls._of_valid(graph, {e.id: ((0, _over(e.length, do)), (c, c), (0,))
+                                     for e in graph.edges}, do, 1, dv)
 
     @classmethod
     def from_node_values(cls, graph: MetricGraph, vertex_vals: dict,
@@ -300,62 +336,78 @@ class PLFunction:
     def eval(self, point: GraphPoint) -> Fraction:
         if point.is_vertex:
             return self.vertex_values[point.vertex]
-        bps = self.data[point.edge]
-        i = min(bisect_right([o for o, _ in bps], point.offset), len(bps) - 1) - 1
-        o1, v1 = bps[i]
-        return v1 + (point.offset - o1) * self.slopes[point.edge][i]
+        offs, vals, ss = self._pieces[point.edge]
+        x = point.offset * self._do
+        i = min(bisect_right(offs, x), len(offs) - 1) - 1
+        return Fraction(vals[i], self._dv) + (x - offs[i]) * Fraction(ss[i], self._do * self._ds)
 
     # -- pointwise arithmetic ----------------------------------------------
 
-    def _zip(self, other: "PLFunction", fn) -> "PLFunction":
-        """Pointwise fn, linear (add or sub), so it maps slopes as values."""
-        data, slopes = {}, {}
-        for e in self.graph.edges:
-            a, b = self.data[e.id], other.data[e.id]
-            bps, ss = [], []
-            for o, va, sa, vb, sb in _merge(a, self.slopes[e.id], b, other.slopes[e.id]):
-                _push(bps, ss, o, fn(va, vb), fn(sa, sb))
-            bps.append((e.length, fn(a[-1][1], b[-1][1])))
-            data[e.id], slopes[e.id] = tuple(bps), tuple(ss)
-        return PLFunction._of_valid(self.graph, data, slopes)
+    def _zip(self, other: "PLFunction", sign: int) -> "PLFunction":
+        """Pointwise self + sign * other, linear, so it maps slopes as values."""
+        pa, pb, do, ds, dv = _common(self, other)
+        kv = dv // (do * ds)
+        pieces = {}
+        for eid, a in pa.items():
+            b = pb[eid]
+            offs, vals, ss = [], [], []
+            for o, va, sa, vb, sb in _merge(a, b, kv):
+                _push(offs, vals, ss, o, va + sign * vb, sa + sign * sb)
+            pieces[eid] = (*offs, a[0][-1]), (*vals, a[1][-1] + sign * b[1][-1]), tuple(ss)
+        return _lowest(self.graph, pieces, do, ds, dv)
 
     def add(self, other: "PLFunction") -> "PLFunction":
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, 1)
 
     def sub(self, other: "PLFunction") -> "PLFunction":
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, -1)
 
     def neg(self) -> "PLFunction":
         return PLFunction._of_valid(
-            self.graph, {eid: tuple((o, -v) for o, v in bps) for eid, bps in self.data.items()},
-            {eid: tuple(-s for s in ss) for eid, ss in self.slopes.items()})
+            self.graph, {eid: (offs, tuple(-v for v in vals), tuple(-s for s in ss))
+                         for eid, (offs, vals, ss) in self._pieces.items()},
+            self._do, self._ds, self._dv)
 
     def add_const(self, c) -> "PLFunction":
         c = as_fraction(c)
         if c == 0:
             return self
-        return PLFunction._of_valid(self.graph, {eid: tuple((o, v + c) for o, v in bps)
-                                                 for eid, bps in self.data.items()},
-                                    self.slopes)
+        dv = lcm(self._dv, c.denominator)
+        k, c = dv // self._dv, _over(c, dv)
+        return PLFunction._of_valid(
+            self.graph, {eid: (offs, tuple(v * k + c for v in vals), ss)
+                         for eid, (offs, vals, ss) in self._pieces.items()},
+            self._do, self._ds, dv)
 
     def min_with(self, other: "PLFunction") -> "PLFunction":
-        """Pointwise minimum, inserting crossing breakpoints exactly."""
-        data, slopes = {}, {}
-        for e in self.graph.edges:
-            a, b = self.data[e.id], other.data[e.id]
-            pts = [*_merge(a, self.slopes[e.id], b, other.slopes[e.id]),
-                   (e.length, a[-1][1], None, b[-1][1], None)]
-            ds = [va - vb for _, va, _, vb, _ in pts]
-            bps, ss = [], []
-            for (o0, a0, sa, b0, sb), d0, d1 in zip(pts, ds, ds[1:]):
+        """Pointwise minimum, inserting crossing breakpoints exactly. A
+        crossing o0 + d/(sb - sa) may need a finer offset denominator: a
+        first pass finds it, and the second builds the result over it."""
+        pa, pb, do, ds, dv = _common(self, other)
+        kv = dv // (do * ds)
+        merged, ro = {}, do  # ro, rv: the offset and value denominators of the result
+        for eid, a in pa.items():
+            b = pb[eid]
+            pts = merged[eid] = [*_merge(a, b, kv), (a[0][-1], a[1][-1], 0, b[1][-1], 0)]
+            for (_, a0, sa, b0, sb), (_, a1, _, b1, _) in zip(pts, pts[1:]):
+                if (a0 - b0) * (a1 - b1) < 0:
+                    q = kv * do * (sb - sa)  # the crossing is at o0/do + (a0 - b0)/q
+                    ro = lcm(ro, abs(q) // gcd(a0 - b0, q))
+        fo, rv = ro // do, lcm(dv, ro * ds)
+        fv, rkv = rv // dv, rv // (ro * ds)
+        pieces = {}
+        for eid, pts in merged.items():
+            offs, vals, ss = [], [], []
+            for (o0, a0, sa, b0, sb), (_, a1, _, b1, _) in zip(pts, pts[1:]):
+                d0 = a0 - b0
                 v, s = (a0, sa) if d0 < 0 else (b0, sb) if d0 > 0 else (a0, min(sa, sb))
-                _push(bps, ss, o0, v, s)
-                if (d0 > 0 > d1) or (d0 < 0 < d1):
-                    step = d0 / (sb - sa)
-                    _push(bps, ss, o0 + step, a0 + step * sa, min(sa, sb))
-            bps.append((e.length, min(a[-1][1], b[-1][1])))
-            data[e.id], slopes[e.id] = tuple(bps), tuple(ss)
-        return PLFunction._of_valid(self.graph, data, slopes)
+                _push(offs, vals, ss, o0 * fo, v * fv, s)
+                if d0 * (a1 - b1) < 0:
+                    step = d0 * ro // (kv * do * (sb - sa))
+                    _push(offs, vals, ss, o0 * fo + step, a0 * fv + step * sa * rkv, min(sa, sb))
+            o, a0, _, b0, _ = pts[-1]
+            pieces[eid] = (*offs, o * fo), (*vals, min(a0, b0) * fv), tuple(ss)
+        return _lowest(self.graph, pieces, ro, ds, rv)
 
     def clip_max(self, c) -> "PLFunction":
         """Pointwise min(f, c) for a constant c."""
@@ -363,113 +415,155 @@ class PLFunction:
 
     # -- global quantities ---------------------------------------------------
 
+    def _extremes(self) -> tuple[int, int]:
+        """The least and greatest value numerators."""
+        if self._range is None:
+            vals = [v for _, vs, _ in self._pieces.values() for v in vs]
+            self._range = min(vals), max(vals)
+        return self._range
+
     def min_value(self) -> Fraction:
-        if self._min is None:
-            self._min = min(v for bps in self.data.values() for _, v in bps)
-        return self._min
+        return Fraction(self._extremes()[0], self._dv)
 
     def max_value(self) -> Fraction:
-        if self._max is None:
-            self._max = max(v for bps in self.data.values() for _, v in bps)
-        return self._max
+        return Fraction(self._extremes()[1], self._dv)
 
     def minus_min(self) -> "PLFunction":
         return self.add_const(-self.min_value())
 
     def spread(self) -> Fraction:
-        return self.max_value() - self.min_value()
+        low, high = self._extremes()
+        return Fraction(high - low, self._dv)
 
     def integral(self) -> Fraction:
         """Integral against the length measure (trapezoid rule is exact)."""
         if self._integral is None:
-            total = Fraction(0)
-            for bps in self.data.values():
-                for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-                    total += (v1 + v2) * (o2 - o1)
-            self._integral = total / 2
+            total = sum((v1 + v2) * (o2 - o1) for offs, vals, _ in self._pieces.values()
+                        for o1, o2, v1, v2 in zip(offs, offs[1:], vals, vals[1:]))
+            self._integral = Fraction(total, 2 * self._do * self._dv)
         return self._integral
 
     def slopes_integer(self) -> bool:
-        return all(type(s) is int for ss in self.slopes.values() for s in ss)
+        return self._ds == 1
 
     def breakpoint_values(self) -> list[Fraction]:
-        return sorted({v for bps in self.data.values() for _, v in bps})
+        return [Fraction(v, self._dv) for v in
+                sorted({v for _, vals, _ in self._pieces.values() for v in vals})]
+
+    def nonconstant_intervals(self) -> dict[str, list[tuple[Fraction, Fraction]]]:
+        """Per edge, the closed offset intervals of the segments on which the
+        function is not constant; edges without one are left out."""
+        do, out = self._do, {}
+        for eid, (offs, _, ss) in self._pieces.items():
+            segs = [(Fraction(o1, do), Fraction(o2, do))
+                    for o1, o2, s in zip(offs, offs[1:], ss) if s]
+            if segs:
+                out[eid] = segs
+        return out
 
     def divisor(self) -> "Divisor":
         """Sum of incoming slopes at every point (supported on breakpoints)."""
+        do, ds = self._do, self._ds
         at_vertex = dict.fromkeys(self.graph.vertices, 0)
         entries = {}
         for e in self.graph.edges:
-            bps, ss = self.data[e.id], self.slopes[e.id]
+            offs, _, ss = self._pieces[e.id]
             at_vertex[e.tail] -= ss[0]
             at_vertex[e.head] += ss[-1]
-            for k in range(1, len(ss)):
-                entries[GraphPoint(edge=e.id, offset=bps[k][0])] = ss[k - 1] - ss[k]
-        entries.update((GraphPoint(vertex=v), c) for v, c in at_vertex.items())
+            entries.update((GraphPoint(edge=e.id, offset=Fraction(o, do)), Fraction(s0 - s1, ds))
+                           for o, s0, s1 in zip(offs[1:], ss, ss[1:]))
+        entries.update((GraphPoint(vertex=v), Fraction(c, ds)) for v, c in at_vertex.items() if c)
         return Divisor(self.graph, entries)
 
     def extremum_set(self, which: str = "min") -> "ClosedSubset":
         """Closed locus where the global minimum (or maximum) is attained."""
         if which == "min" and self._min_set is not None:
             return self._min_set
-        target = self.min_value() if which == "min" else self.max_value()
-        vertices = {v for v, val in self.vertex_values.items() if val == target}
+        target, do = self._extremes()[which == "max"], self._do
+        vertices: set[str] = set()
         intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
         for e in self.graph.edges:
-            bps = self.data[e.id]
-            segs: list[tuple[Fraction, Fraction]] = []
-            for (o1, v1), (o2, _), s in zip(bps, bps[1:], self.slopes[e.id]):
-                if v1 == target:
-                    segs.append((o1, o1 if s else o2))
-            if bps[-1][1] == target:
-                segs.append((bps[-1][0], bps[-1][0]))
+            offs, vals, ss = self._pieces[e.id]
+            if vals[0] == target:
+                vertices.add(e.tail)
+            if vals[-1] == target:
+                vertices.add(e.head)
+            segs = [(o1, o1 if s else o2)
+                    for o1, o2, v1, s in zip(offs, offs[1:], vals, ss) if v1 == target]
+            if vals[-1] == target:
+                segs.append((offs[-1], offs[-1]))
             if segs:
-                intervals[e.id] = segs
+                intervals[e.id] = [(Fraction(a, do), Fraction(b, do)) for a, b in segs]
         found = ClosedSubset._of_valid(self.graph, vertices, intervals)
         if which == "min":
             self._min_set = found
         return found
 
 
-def _merge(a: tuple, sa: tuple, b: tuple, sb: tuple):
+def _over(x: Fraction, d: int) -> int:
+    """The numerator of x over d, a multiple of its denominator."""
+    return x.numerator * (d // x.denominator)
+
+
+def _times(t: tuple, k: int) -> tuple:
+    return t if k == 1 else tuple(x * k for x in t)
+
+
+def _common(f: PLFunction, g: PLFunction):
+    """The pieces of f and g over shared denominators, and those do, ds, dv."""
+    do, ds = lcm(f._do, g._do), lcm(f._ds, g._ds)
+    dv = lcm(f._dv, g._dv, do * ds)
+    return _rescaled(f, do, ds, dv), _rescaled(g, do, ds, dv), do, ds, dv
+
+
+def _rescaled(f: PLFunction, do: int, ds: int, dv: int) -> dict:
+    """The pieces of f over multiples do, ds, dv of its denominators."""
+    if (f._do, f._ds, f._dv) == (do, ds, dv):
+        return f._pieces
+    return {eid: (_times(offs, do // f._do), _times(vals, dv // f._dv), _times(ss, ds // f._ds))
+            for eid, (offs, vals, ss) in f._pieces.items()}
+
+
+def _lowest(graph: MetricGraph, pieces: dict, do: int, ds: int, dv: int) -> PLFunction:
+    """The function of an integer form, over the least slope denominator."""
+    gs = gcd(ds, *(s for _, _, ss in pieces.values() for s in ss))
+    if gs > 1:
+        pieces = {eid: (offs, vals, tuple(s // gs for s in ss))
+                  for eid, (offs, vals, ss) in pieces.items()}
+    return PLFunction._of_valid(graph, pieces, do, ds // gs, dv)
+
+
+def _merge(a: tuple, b: tuple, kv: int):
     """Yield (offset, a value, a slope, b value, b slope) at every breakpoint
-    of either of two functions on one edge but the last, each slope that of
-    the segment starting there; the other function is interpolated along its
-    slope, so no division is made. One pass."""
+    of two pieces of one edge over shared denominators but the last, each
+    slope that of the segment starting there; the other piece is
+    interpolated along its slope, scaled to values by kv = dv/(do ds), so
+    no division is made. One pass."""
+    oa, va, sa = a
+    ob, vb, sb = b
     i = j = 0
-    n, m = len(a) - 1, len(b) - 1
+    n, m = len(oa) - 1, len(ob) - 1
     while i < n or j < m:
-        (oa, va), (ob, vb) = a[i], b[j]
-        if oa == ob:
-            yield oa, va, sa[i], vb, sb[j]
+        x, y = oa[i], ob[j]
+        if x == y:
+            yield x, va[i], sa[i], vb[j], sb[j]
             i += 1
             j += 1
-        elif oa < ob:
-            o1, v1 = b[j - 1]
-            yield oa, va, sa[i], v1 + (oa - o1) * sb[j - 1], sb[j - 1]
+        elif x < y:
+            yield x, va[i], sa[i], vb[j - 1] + (x - ob[j - 1]) * sb[j - 1] * kv, sb[j - 1]
             i += 1
         else:
-            o1, v1 = a[i - 1]
-            yield ob, v1 + (ob - o1) * sa[i - 1], sa[i - 1], vb, sb[j]
+            yield y, va[i - 1] + (y - oa[i - 1]) * sa[i - 1] * kv, sa[i - 1], vb[j], sb[j]
             j += 1
 
 
-def _push(bps: list, ss: list, o: Fraction, v: Fraction, s) -> None:
-    """Append breakpoint (o, v) and the slope s of the segment after it, as
-    an int if integral, unless s continues the last segment."""
+def _push(offs: list, vals: list, ss: list, o: int, v: int, s: int) -> None:
+    """Append breakpoint (o, v) and the slope s of the segment after it,
+    unless s continues the last segment."""
     if not ss or s != ss[-1]:
-        bps.append((o, v))
-        ss.append(s.numerator if s.denominator == 1 else s)
-
-
-def _slope_form(bps: tuple) -> tuple[tuple, tuple]:
-    """Breakpoints (increasing offsets) without those where the slope does
-    not change, and the slope of each remaining segment."""
-    out, ss = [], []
-    for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-        _push(out, ss, o1, v1, (v2 - v1) / (o2 - o1))
-    out.append(bps[-1])
-    return tuple(out), tuple(ss)
+        offs.append(o)
+        vals.append(v)
+        ss.append(s)
 
 
 def pl_eval(f: PLFunction, point: GraphPoint) -> Fraction:
@@ -848,18 +942,41 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
     offset o on an edge (t, h, l) onto the ends: c(l - o)/l to t and c o/l
     to h. The grounded vertex Laplacian (conductances 1/l, the first vertex
     at 0) is then solved by sparse exact elimination (`_ldl_solve`) in a
-    minimum-degree order, which keeps the fill small on grids. The
-    value at a cut point o is the linear interpolation of the edge's end
-    values plus sum_i c_i min(o, o_i)(l - max(o, o_i))/l over that edge's
-    cut points: the Green's function of the interval with both ends held.
+    minimum-degree order, which keeps the fill small on grids. On the edge
+    the potential is the linear interpolation of the end values plus
+    sum_i c_i min(o, o_i)(l - max(o, o_i))/l over its cut points (the
+    Green's function of the interval with both ends held), so its slope is
+    (h - t)/l + sum_i c_i (l - o_i)/l up to the first cut and drops by c_i
+    at each cut o_i. Every slope is an int over dx dc l, with dx and dc the
+    denominators of the vertex values and of the coefficients, and the
+    values follow from the tail's in ints.
     """
     vals, cuts = _solve(graph, d_from, d_to)
-    data, slopes = {}, {}
+    do = lcm(*(e.length.denominator for e in graph.edges),
+             *(o.denominator for pts in cuts.values() for o, _ in pts))
+    dx = lcm(*(x.denominator for x in vals.values()))
+    dc = lcm(*(c.denominator for pts in cuts.values() for _, c in pts))
+    x = {v: _over(val, dx) for v, val in vals.items()}
+    forms, ds = {}, 1
     for e in graph.edges:
-        pts = cuts.get(e.id, ())
-        data[e.id], slopes[e.id] = _slope_form(((_ZERO, vals[e.tail]), *(
-            (o, _cut_value(e, vals, pts, o)) for o, _ in pts), (e.length, vals[e.head])))
-    return PLFunction._of_valid(graph, data, slopes).minus_min()
+        ell = _over(e.length, do)
+        pts = [(_over(o, do), _over(c, dc)) for o, c in cuts.get(e.id, ())]
+        den = dx * dc * ell  # each slope is a numerator over den
+        ns = [(x[e.head] - x[e.tail]) * dc * do + dx * sum(c * (ell - o) for o, c in pts)]
+        for _, c in pts:
+            ns.append(ns[-1] - c * dx * ell)
+        ds = lcm(ds, *(den // gcd(n, den) for n in ns))
+        forms[e.id] = x[e.tail], (0, *(o for o, _ in pts), ell), ns, den
+    dv = lcm(do * ds, dx)
+    kv = dv // (do * ds)
+    pieces = {}
+    for eid, (tail, offs, ns, den) in forms.items():
+        ss = tuple(n * ds // den for n in ns)
+        values = [tail * (dv // dx)]
+        for o1, o2, s in zip(offs, offs[1:], ss):
+            values.append(values[-1] + (o2 - o1) * s * kv)
+        pieces[eid] = offs, tuple(values), ss
+    return PLFunction._of_valid(graph, pieces, do, ds, dv).minus_min()
 
 
 def _solve(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> tuple[dict, dict]:

@@ -176,10 +176,8 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             f = system.pair_function(gens[i], gens[j])
-            for eid, bps in f.data.items():
-                for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-                    if v1 != v2:
-                        intervals.setdefault(eid, []).append((o1, o2))
+            for eid, segs in f.nonconstant_intervals().items():
+                intervals.setdefault(eid, []).extend(segs)
     system.memo.support = ClosedSubset(graph, vertices, intervals)
     return system.memo.support
 

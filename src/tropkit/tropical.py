@@ -446,6 +446,13 @@ def _residuate(H: Sequence[list[int]], z: list[int]) -> list[int]:
     return _combine(H, _lifts(H, z))
 
 
+GM_ROUND_LIMIT = 10 ** 7
+"""Most rounds a Gondran-Minoux check may need, 2^(n-1) partitions times
+_gm_partition_meets' bound 2*D*dim + 1; past it a family is rejected. The
+benchmark's families need at most 816, 16 points in dimension 16 with
+spread 10 need 10,518,528."""
+
+
 def _gm_partition_meets(left: list[list[int]], right: list[list[int]]):
     """A common point of the lower cones of two integer families, or None.
 
@@ -477,7 +484,8 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     weak: no generator lies in the hull of the others.
     gondran_minoux: no 2-partition of the generators has meeting hulls
       (decided exactly by alternating residuation on integer-scaled data;
-      a common point is checked for membership in both hulls).
+      a common point is checked for membership in both hulls; a family
+      whose round bound exceeds GM_ROUND_LIMIT raises InputError).
     tropical: no coefficients make every ground element attain the
       combination envelope at least twice (decided exactly by choosing,
       for every ground element, which pair of generators ties at the
@@ -511,6 +519,10 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     ivecs, scale = _integer_vectors(pts, sign)
 
     if kind == "gondran_minoux":
+        rounds = 2 ** (n - 1) * (2 * max(map(max, ivecs)) * S.dim + 1)
+        if rounds > GM_ROUND_LIMIT:
+            raise InputError(f"Gondran-Minoux check of {n} generators may take {rounds} "
+                             f"rounds, more than the limit {GM_ROUND_LIMIT}", "generators")
         for mask in range(2 ** (n - 1)):
             left_idx = [0] + [i for i in range(1, n) if mask & (1 << (i - 1))]
             right_idx = [i for i in range(1, n) if not mask & (1 << (i - 1))]

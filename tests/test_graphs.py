@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tropkit import (
     ClosedSubset,
@@ -21,6 +24,7 @@ from tropkit import (
     pl_extremum_set,
 )
 
+import pl_oracle
 from conftest import equal_degree_pair, random_graph, random_point
 from potential_oracle import oracle_potential
 
@@ -331,6 +335,77 @@ class TestPLFunctionChecks:
         f = PLFunction.from_node_values(g, {"a": 0, "b": 0},
                                         {"e": [("1/3", 2), ("1/2", 1)]})
         assert f.data["e"] == ((0, 0), (Fraction(1, 3), 2), (Fraction(1, 2), 1), (1, 0))
+
+
+def _boundary(f):
+    """Everything a PL function shows outside the kernel, with the type of
+    every breakpoint coordinate and slope."""
+    return (f.data, {eid: tuple((type(o), type(v)) for o, v in bps) for eid, bps in f.data.items()},
+            {eid: tuple((s, type(s)) for s in ss) for eid, ss in f.slopes.items()},
+            f.vertex_values, f.min_value(), f.max_value(), f.integral(), f.slopes_integer(),
+            f.breakpoint_values(), f.extremum_set("min").key(), f.extremum_set("max").key(),
+            f.divisor().key())
+
+
+_CHAIN = ("add", "sub", "neg", "add_const", "minus_min", "clip_max", "min_with")
+
+
+class TestIntegerKernel:
+    """The integer kernel against the Fraction kernel it replaced
+    (tests/pl_oracle.py): the same breakpoints, slopes, values, integrals,
+    extremum sets and divisors after every step."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), chain=st.lists(st.sampled_from(_CHAIN), max_size=6),
+           k=st.integers(3, 5))
+    def test_matches_the_fraction_oracle(self, seed, chain, k):
+        """Potentials on random graphs (lengths such as 4/3 and 3/2, loops
+        split in half), a chain of pointwise operations, then a min_with
+        fold over the result and k potentials, whose crossings refine the
+        offset denominator."""
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        pairs = [equal_degree_pair(rng, g) for _ in range(k)]
+        pots = [mg_potential(g, *pair) for pair in pairs]
+        refs = [pl_oracle.potential(g, *pair) for pair in pairs]
+        for f, ref in zip(pots, refs):
+            assert _boundary(f) == _boundary(ref)
+        f, ref = pots[0], refs[0]
+        for name in chain:
+            i = rng.randrange(k)
+            if name in ("add", "sub", "min_with"):
+                f, ref = getattr(f, name)(pots[i]), getattr(ref, name)(refs[i])
+            elif name == "add_const":
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                f, ref = f.add_const(c), ref.add_const(c)
+            elif name == "clip_max":
+                t = f.min_value() + (f.max_value() - f.min_value()) * Fraction(rng.randint(0, 4), 4)
+                f, ref = f.clip_max(t), ref.clip_max(t)
+            else:
+                f, ref = getattr(f, name)(), getattr(ref, name)()
+            assert _boundary(f) == _boundary(ref)
+        shifts = [Fraction(rng.randint(0, 6), rng.randint(1, 5)) for _ in pots]
+        low = reduce(PLFunction.min_with, [f] + [p.add_const(c) for p, c in zip(pots, shifts)])
+        low_ref = reduce(pl_oracle.PLFunction.min_with,
+                         [ref] + [p.add_const(c) for p, c in zip(refs, shifts)])
+        assert _boundary(low) == _boundary(low_ref)
+        # the checked constructor drops the collinear midpoints again
+        dense = {eid: (*(p for (o1, v1), (o2, v2) in zip(bps, bps[1:])
+                         for p in ((o1, v1), ((o1 + o2) / 2, (v1 + v2) / 2))), bps[-1])
+                 for eid, bps in low_ref.data.items()}
+        assert _boundary(PLFunction(g, dense)) == _boundary(pl_oracle.PLFunction(g, dense)) \
+            == _boundary(low)
+
+    def test_a_crossing_refines_the_offset_denominator(self):
+        """x and (1 - x)/2 on a unit edge cross at 1/3, so the minimum has
+        a breakpoint off every denominator of its inputs."""
+        g = MetricGraph.of(["a", "b"], [("e", "a", "b", 1)])
+        f = PLFunction.from_node_values(g, {"a": 0, "b": 1})
+        h = PLFunction.from_node_values(g, {"a": Fraction(1, 2), "b": 0})
+        low = f.min_with(h)
+        assert low.data["e"] == ((0, 0), (Fraction(1, 3), Fraction(1, 3)), (1, 0))
+        assert low.slopes["e"] == (1, Fraction(-1, 2))
+        ref = pl_oracle.PLFunction(g, f.data).min_with(pl_oracle.PLFunction(g, h.data))
+        assert _boundary(low) == _boundary(ref)
 
 
 class TestJFunctions:

@@ -1,6 +1,7 @@
 """Projective classes, pseudonorms, segments, hulls and projections."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -584,6 +585,22 @@ class TestIndependence:
                                  for i in range(5)], "lower")
         assert len(S.points) == 5
         assert tp_independence(S, "tropical")["status"] == "undecided"
+        assert tp_independence(S, "gondran_minoux")["status"] in ("independent", "dependent")
+
+    def test_gm_rejects_families_past_its_round_limit_at_once(self):
+        """30 points in dimension 30 with spread 10 would need 2**29 * 601
+        rounds by the bound; 4 points over 10007 need 449,096 and are
+        still decided."""
+        S = TropGeneratorSet.of([[0 if i == x else 10 for x in range(30)]
+                                 for i in range(30)], "lower")
+        start = time.perf_counter()
+        with pytest.raises(InputError) as exc:
+            tp_independence(S, "gondran_minoux")
+        assert time.perf_counter() - start < 1
+        assert exc.value.location == "generators"
+        assert str(2 ** 29 * 601) in str(exc.value)
+        rows = [[0, 354, 7747], [0, 609, 492], [7223, 2805, 0], [0, 353, 9356]]
+        S = TropGeneratorSet.of([[Fraction(x, 10007) for x in r] for r in rows], "lower")
         assert tp_independence(S, "gondran_minoux")["status"] in ("independent", "dependent")
 
     def test_a_gm_point_outside_a_hull_fails_its_check(self, tp3, monkeypatch):
