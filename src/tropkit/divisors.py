@@ -177,6 +177,14 @@ def _fire_step(graph: MetricGraph, d: Divisor, state) -> tuple[Divisor, Fraction
     return fired, l_star
 
 
+def _check_burning_input(graph: MetricGraph, d: Divisor, q: GraphPoint) -> None:
+    graph.check_point(q, "q")
+    if not d.is_effective() or not d.is_integral():
+        raise InputError("the divisor must be effective with integer coefficients")
+    for p in d.entries:
+        graph.check_point(p, "divisor")
+
+
 def _dhar_round_cap(graph: MetricGraph, d: Divisor, q: GraphPoint) -> int:
     denom = 1
     for e in graph.edges:
@@ -190,10 +198,7 @@ def _dhar_round_cap(graph: MetricGraph, d: Divisor, q: GraphPoint) -> int:
 
 def dv_dhar_trace(graph: MetricGraph, d: Divisor, q: GraphPoint):
     """Reduced form of d at q by repeated burning, with the firing trace."""
-    if not isinstance(q, GraphPoint):
-        raise InputError("q must be a graph point")
-    if not d.is_effective() or not d.is_integral():
-        raise InputError("the divisor must be effective with integer coefficients")
+    _check_burning_input(graph, d, q)
     cap = _dhar_round_cap(graph, d, q)
     current = d
     steps = []
@@ -224,8 +229,7 @@ def dv_dhar_certificate(graph: MetricGraph, d: Divisor, q: GraphPoint):
     Returns (consumed, unburnt ClosedSubset or None); consumed means d is
     already q-reduced.
     """
-    if not d.is_effective() or not d.is_integral():
-        raise InputError("the divisor must be effective with integer coefficients")
+    _check_burning_input(graph, d, q)
     consumed, state = _burn_once(graph, d, q)
     return consumed, None if consumed else state["set"]
 
@@ -430,8 +434,7 @@ def ls_project(T: LinearSystem, e: Divisor):
 
 def ls_reduced(T: LinearSystem, q: GraphPoint):
     """The q-reduced divisor of the system: the projection of deg·(q)."""
-    if not isinstance(q, GraphPoint):
-        raise InputError("q must be a graph point")
+    T.graph.check_point(q, "q")
     target = Divisor.of(T.graph, [(q, T.degree)])
     return ls_project(T, target)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import CertificateError, InputError
 from .tropical import as_fraction
 
 _ZERO = Fraction(0)
@@ -189,6 +189,22 @@ class MetricGraph:
 
     def vertex_point(self, name: str) -> GraphPoint:
         return self.point(vertex=name)
+
+    def check_point(self, point, location: str) -> None:
+        """Raise InputError at location unless point is a vertex of the
+        graph or a rational offset strictly inside one of its edges."""
+        if not isinstance(point, GraphPoint):
+            raise InputError("expected a graph point", location)
+        if point.is_vertex:
+            if point.vertex not in self.incidence:
+                raise InputError(f"unknown vertex {point.vertex!r}", location)
+            return
+        e = self.edge_map.get(point.edge)
+        if e is None:
+            raise InputError(f"unknown edge {point.edge!r}", location)
+        if not (isinstance(point.offset, (int, Fraction)) and 0 < point.offset < e.length):
+            raise InputError(f"offset {point.offset} is not inside (0, {e.length}) "
+                             f"on edge {e.id!r}", location)
 
 
 def mg_validate(vertices: Iterable[str], edges: Iterable):
@@ -602,9 +618,8 @@ class Divisor:
     @classmethod
     def of(cls, graph: MetricGraph, pairs: Iterable) -> "Divisor":
         acc: dict[GraphPoint, Fraction] = {}
-        for point, coeff in pairs:
-            if not isinstance(point, GraphPoint):
-                raise InputError("divisor entries must use graph points")
+        for i, (point, coeff) in enumerate(pairs):
+            graph.check_point(point, f"divisor entry {i}")
             acc[point] = acc.get(point, Fraction(0)) + as_fraction(coeff)
         return cls(graph, acc)
 
@@ -885,30 +900,54 @@ class Subdivision:
         return GraphPoint(edge=node[1], offset=node[2])
 
 
-def _ldl_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve A x = rhs for symmetric positive definite A, given as the upper
-    triangle row by row ({column: entry}, column >= row, diagonal present).
+def _bareiss(rows: list[dict[int, int]]) -> tuple[list[int], int]:
+    """Solve A X = D b in ints, D = det A, for a symmetric positive definite
+    int matrix A of order n given as its upper triangle row by row
+    ({column: entry}, the diagonal present), b_i held in column n of row i.
+    Returns X and D; rows are overwritten.
 
-    Sparse exact LDL^T elimination in row order: positive definiteness
-    makes every pivot nonzero, so no pivot search is needed. rows and rhs
-    are overwritten.
+    Sparse fraction-free (Bareiss) elimination in row order. After step k
+    every entry of a row is a minor of [A | b] (Sylvester's identity), so
+    dividing by the previous pivot det[k] is exact, and the pivot of step k
+    is the leading minor det[k + 1]. A row the pivot row does not reach
+    only scales by det[k + 1] / det[k], so each row keeps the step it was
+    last brought to and is lifted there by one exact division when a pivot
+    row reaches it. Back substitution over the pivot rows stays exact as
+    X = D A^-1 b is an int vector (Cramer's rule).
     """
+    n = len(rows)
+    det = [1] * (n + 1)  # det[k]: the leading k x k minor
+    level = [0] * n
     for k, row in enumerate(rows):
-        pivot = row[k]
+        if level[k] != k:
+            f, g = det[k], det[level[k]]
+            for j in row:
+                row[j] = row[j] * f // g
+        piv = det[k + 1] = row[k]
+        prev = det[k]
         for i, a_ki in row.items():
-            if i == k:
+            if i == k or i == n:
                 continue
-            f = a_ki / pivot
             target = rows[i]
+            if level[i] == k:
+                for j in target:
+                    target[j] *= piv
+            else:  # lift to step k, then scale by the pivot
+                f, g = piv * det[k], det[level[i]]
+                for j in target:
+                    target[j] = target[j] * f // g
             for j, a_kj in row.items():
                 if j >= i:
-                    target[j] = target.get(j, 0) - f * a_kj
-            rhs[i] -= f * rhs[k]
-    x = [Fraction(0)] * len(rows)
-    for k in reversed(range(len(rows))):
+                    target[j] = target.get(j, 0) - a_ki * a_kj
+            for j in target:
+                target[j] //= prev
+            level[i] = k + 1
+    d = det[n]
+    x = [0] * n
+    for k in reversed(range(n)):
         row = rows[k]
-        x[k] = (rhs[k] - sum(a * x[j] for j, a in row.items() if j != k)) / row[k]
-    return x
+        x[k] = (d * row[n] - sum(a * x[j] for j, a in row.items() if k < j < n)) // row[k]
+    return x, d
 
 
 def _elimination_order(graph: MetricGraph) -> dict[str, int]:
@@ -941,8 +980,9 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
     is a degree-2 node, and its Schur complement folds a coefficient c at
     offset o on an edge (t, h, l) onto the ends: c(l - o)/l to t and c o/l
     to h. The grounded vertex Laplacian (conductances 1/l, the first vertex
-    at 0) is then solved by sparse exact elimination (`_ldl_solve`) in a
-    minimum-degree order, which keeps the fill small on grids. On the edge
+    at 0) is then solved in ints by sparse fraction-free elimination
+    (`_bareiss`) in a minimum-degree order, which keeps the fill small on
+    grids, and the solve is checked by its residual. On the edge
     the potential is the linear interpolation of the end values plus
     sum_i c_i min(o, o_i)(l - max(o, o_i))/l over its cut points (the
     Green's function of the interval with both ends held), so its slope is
@@ -951,12 +991,12 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
     denominators of the vertex values and of the coefficients, and the
     values follow from the tail's in ints.
     """
-    vals, cuts = _solve(graph, d_from, d_to)
+    if d_from.degree() != d_to.degree():
+        raise InputError("divisors must have equal degree")
+    x, dx, cuts = _solve(graph, d_to.sub(d_from).entries)
     do = lcm(*(e.length.denominator for e in graph.edges),
              *(o.denominator for pts in cuts.values() for o, _ in pts))
-    dx = lcm(*(x.denominator for x in vals.values()))
     dc = lcm(*(c.denominator for pts in cuts.values() for _, c in pts))
-    x = {v: _over(val, dx) for v, val in vals.items()}
     forms, ds = {}, 1
     for e in graph.edges:
         ell = _over(e.length, do)
@@ -979,60 +1019,97 @@ def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFuncti
     return PLFunction._of_valid(graph, pieces, do, ds, dv).minus_min()
 
 
-def _solve(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> tuple[dict, dict]:
-    """Vertex values of a potential with divisor d_to - d_from, and each
-    edge's sorted interior cuts (offset, coefficient): see mg_potential."""
-    if d_from.degree() != d_to.degree():
-        raise InputError("divisors must have equal degree")
+def _solve(graph: MetricGraph, delta: dict) -> tuple[dict, int, dict]:
+    """Vertex values of a potential whose divisor is delta (point ->
+    coefficient, of degree zero), as int numerators over their least common
+    denominator, that denominator, and each edge's sorted interior cuts
+    (offset, coefficient): see mg_potential.
+
+    The grounded Laplacian scaled by m, the lcm of the edge-length
+    numerators, has int conductances m/l; the right-hand side scaled by its
+    LCD r is int too. `_bareiss` solves that int system L X = D b for X
+    over D = det L, so the values are m X / (r D); the residual of X in
+    L X = D b is checked in O(|E|) int operations before they are returned.
+    """
     pos = _elimination_order(graph)
-    rows: list[dict[int, Fraction]] = [{i: Fraction(0)} for i in range(len(pos) - 1)]
-    for e in graph.edges:
-        c = 1 / e.length
-        a, b = sorted((pos[e.tail], pos[e.head]))
-        rows[b][b] += c
-        if a >= 0:
-            rows[a][a] += c
-            rows[a][b] = rows[a].get(b, 0) - c
-    rhs = [Fraction(0)] * len(pos)  # the grounded vertex (-1) fills the spare last slot
+    n = len(pos) - 1
+    m = lcm(*(e.length.numerator for e in graph.edges))
+    conductances = [(pos[e.tail], pos[e.head], m // e.length.numerator * e.length.denominator)
+                    for e in graph.edges]
+    # c o/l = c.num o.num l.den / (c.den o.den l.num): r is a multiple of the LCD
+    r = lcm(*(c.denominator if p.is_vertex else c.denominator * p.offset.denominator
+              * graph.edge_map[p.edge].length.numerator for p, c in delta.items()))
+    b = [0] * (n + 1)  # the grounded vertex (-1) fills the spare last slot
     cuts: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for p, c in d_to.sub(d_from).entries.items():
+    for p, c in delta.items():
+        k = c.numerator * (r // c.denominator)
         if p.is_vertex:
-            rhs[pos[p.vertex]] += c
+            b[pos[p.vertex]] += k
             continue
         e = graph.edge_map[p.edge]
-        rhs[pos[e.tail]] += c * (e.length - p.offset) / e.length
-        rhs[pos[e.head]] += c * p.offset / e.length
-        cuts.setdefault(e.id, []).append((p.offset, c))
-    x = _ldl_solve(rows, rhs[:-1]) + [Fraction(0)]
-    return {v: x[i] for v, i in pos.items()}, {eid: sorted(cs) for eid, cs in cuts.items()}
+        o, ell = p.offset, e.length
+        at_head = k // (o.denominator * ell.numerator) * o.numerator * ell.denominator
+        b[pos[e.tail]] += k - at_head
+        b[pos[e.head]] += at_head
+        cuts.setdefault(e.id, []).append((o, c))
+    g = gcd(r, *b)
+    r //= g
+    b = [v // g for v in b]
+    rows = [{i: 0, n: b[i]} for i in range(n)]
+    for i, j, c in conductances:
+        i, j = sorted((i, j))
+        rows[j][j] += c
+        if i >= 0:
+            rows[i][i] += c
+            rows[i][j] = rows[i].get(j, 0) - c
+    x, d = _bareiss(rows)
+    x.append(0)
+    residual = [-d * v for v in b]
+    for i, j, c in conductances:
+        flow = c * (x[i] - x[j])
+        residual[i] += flow
+        residual[j] -= flow
+    if any(residual[:-1]):
+        raise CertificateError("the potential solve failed its residual check",
+                               {"determinant": d})
+    den = r * d
+    g = gcd(den, m * gcd(*x))
+    return ({v: m * x[i] // g for v, i in pos.items()}, den // g,
+            {eid: sorted(cs) for eid, cs in cuts.items()})
 
 
-def _cut_value(e: Edge, vals: dict, pts: list, o: Fraction) -> Fraction:
-    """Value at offset o on e of the potential _solve gives as vals and, on e, pts."""
-    t, h, ell = vals[e.tail], vals[e.head], e.length
-    return t + (h - t) * o / ell + sum(
-        c * min(o, oi) * (ell - max(o, oi)) for oi, c in pts) / ell
+def _cut_value(e: Edge, x: dict, dx: int, pts: list, o: Fraction) -> Fraction:
+    """Value at offset o on e of the potential _solve gives as x over dx and, on e, pts."""
+    ell = e.length
+    return ((x[e.tail] * (ell - o) + x[e.head] * o) / dx + sum(
+        c * min(o, oi) * (ell - max(o, oi)) for oi, c in pts)) / ell
 
 
 def mg_jfunction(graph: MetricGraph, q: GraphPoint, p: GraphPoint) -> PLFunction:
     """Influence function: potential at x when unit current enters at p and
     exits at q, grounded so the value at q is zero (hence nonnegative)."""
-    return mg_potential(graph, Divisor.of(graph, [(q, 1)]), Divisor.of(graph, [(p, 1)]))
+    graph.check_point(q, "q")
+    graph.check_point(p, "p")
+    return mg_potential(graph, Divisor(graph, {q: 1}), Divisor(graph, {p: 1}))
 
 
 def mg_resistance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Effective resistance between two points: the j-function's value at p,
     read from the solve at p and q without building the function."""
+    graph.check_point(p, "p")
+    graph.check_point(q, "q")
     if p.key() == q.key():
         return Fraction(0)
-    vals, cuts = _solve(graph, Divisor.of(graph, [(q, 1)]), Divisor.of(graph, [(p, 1)]))
-    at_p, at_q = (vals[x.vertex] if x.is_vertex else _cut_value(
-        graph.edge_map[x.edge], vals, cuts[x.edge], x.offset) for x in (p, q))
+    x, dx, cuts = _solve(graph, {p: 1, q: -1})
+    at_p, at_q = (Fraction(x[pt.vertex], dx) if pt.is_vertex else _cut_value(
+        graph.edge_map[pt.edge], x, dx, cuts[pt.edge], pt.offset) for pt in (p, q))
     return at_p - at_q
 
 
 def mg_distance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Geodesic distance between two points."""
+    graph.check_point(p, "p")
+    graph.check_point(q, "q")
     if p.key() == q.key():
         return Fraction(0)
 

@@ -69,6 +69,20 @@ def random_graph(rng: random.Random, max_vertices: int = 8,
     return MetricGraph.of(names, edges)
 
 
+def random_grid(rng: random.Random, k: int) -> MetricGraph:
+    """The k x k grid graph with edge lengths p/q, p in 1..4, q in 1..3."""
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                edges.append((f"h{i}.{j}", f"r{i}c{j}", f"r{i}c{j + 1}"))
+            if i + 1 < k:
+                edges.append((f"v{i}.{j}", f"r{i}c{j}", f"r{i + 1}c{j}"))
+    return MetricGraph.of([f"r{i}c{j}" for i in range(k) for j in range(k)],
+                          [(eid, a, b, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+                           for eid, a, b in edges])
+
+
 def random_point(rng: random.Random, graph: MetricGraph) -> GraphPoint:
     if rng.random() < 0.5:
         return graph.vertex_point(rng.choice(graph.vertices))

@@ -4,16 +4,18 @@ This is the straightforward version that `PLFunction`'s integer kernel
 replaced: every breakpoint offset, value and slope is a `Fraction` (a slope
 an `int` when integral), binary operations merge breakpoints with
 `Fraction` interpolation, and a crossing of `min_with` is found by one
-`Fraction` division. `potential` assembles a solve the way `mg_potential`
-did, dividing once per segment for its slopes. The library must return
-exactly what these return; the tests use them only as an oracle.
+`Fraction` division. `potential` assembles the reference solve of
+`potential_oracle` the way `mg_potential` did, dividing once per segment
+for its slopes. The library must return exactly what these return; the
+tests use them only as an oracle.
 """
 
 from fractions import Fraction
 
 from tropkit import ClosedSubset, Divisor, GraphPoint, InputError, MetricGraph
-from tropkit.graphs import _cut_value, _solve
 from tropkit.tropical import as_fraction
+
+from potential_oracle import cut_value, solve
 
 _ZERO = Fraction(0)
 
@@ -197,10 +199,10 @@ def _slope_form(bps: tuple) -> tuple[tuple, tuple]:
 
 def potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFunction:
     """mg_potential's function, with one slope division per segment."""
-    vals, cuts = _solve(graph, d_from, d_to)
+    vals, cuts = solve(graph, d_from, d_to)
     data, slopes = {}, {}
     for e in graph.edges:
         pts = cuts.get(e.id, ())
         data[e.id], slopes[e.id] = _slope_form(((_ZERO, vals[e.tail]), *(
-            (o, _cut_value(e, vals, pts, o)) for o, _ in pts), (e.length, vals[e.head])))
+            (o, cut_value(e, vals, pts, o)) for o, _ in pts), (e.length, vals[e.head])))
     return PLFunction._of_valid(graph, data, slopes).minus_min()

@@ -3,18 +3,25 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tropkit import (
+    CertificateError,
     ClosedSubset,
     Divisor,
     GraphPoint,
     InputError,
+    LinearSystem,
     MetricGraph,
     PLFunction,
+    dv_dhar,
+    dv_dhar_certificate,
+    dv_dhar_trace,
+    ls_reduced,
     mg_distance,
     mg_jfunction,
     mg_potential,
@@ -23,9 +30,11 @@ from tropkit import (
     pl_div,
     pl_extremum_set,
 )
+from tropkit import graphs
 
 import pl_oracle
-from conftest import equal_degree_pair, random_graph, random_point
+import potential_oracle
+from conftest import equal_degree_pair, random_graph, random_grid, random_point
 from potential_oracle import oracle_potential
 
 
@@ -298,6 +307,76 @@ class TestPotentials:
             p, q = g.point(edge="e", offset=o1), g.point(edge="e", offset=o2)
             a = abs(Fraction(o2) - Fraction(o1))
             assert mg_resistance(g, p, q) == mg_resistance(g, q, p) == a * (total - a) / total
+
+
+class TestIntegerSolve:
+    """The fraction-free solve against the Fraction LDL^T solve it replaced
+    and the dense subdivided Gauss oracle (tests/potential_oracle.py)."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6))
+    def test_matches_both_oracles(self, seed, k):
+        """Random multigraphs (k = 1) and k x k grids, lengths p/q: the
+        vertex values over their least common denominator, the potential
+        and a resistance."""
+        rng = random.Random(seed)
+        g = random_graph(rng) if k == 1 else random_grid(rng, k)
+        d_from, d_to = equal_degree_pair(rng, g)
+        x, dx, cuts = graphs._solve(g, d_to.sub(d_from).entries)
+        vals, ref_cuts = potential_oracle.solve(g, d_from, d_to)
+        assert ({v: Fraction(x[v], dx) for v in g.vertices}, cuts) == (vals, ref_cuts)
+        assert dx == lcm(*(v.denominator for v in vals.values()))
+        assert mg_potential(g, d_from, d_to).data == oracle_potential(g, d_from, d_to).data
+        p, q = random_point(rng, g), random_point(rng, g)
+        jp, jq = (Divisor.of(g, [(pt, 1)]) for pt in (p, q))
+        vals, cuts = potential_oracle.solve(g, jq, jp)
+        at_p, at_q = (vals[pt.vertex] if pt.is_vertex else potential_oracle.cut_value(
+            g.edge_map[pt.edge], vals, cuts.get(pt.edge, []), pt.offset) for pt in (p, q))
+        assert mg_resistance(g, p, q) == at_p - at_q == oracle_potential(g, jq, jp).eval(p)
+
+    @pytest.mark.parametrize("corrupt", [lambda x, d: ([x[0] + 1, *x[1:]], d),
+                                         lambda x, d: (x, d + 1)], ids=["X", "D"])
+    def test_a_wrong_solve_fails_its_residual_check(self, monkeypatch, corrupt):
+        g = MetricGraph.of(["a", "b", "c"], [("e", "a", "b", 2), ("f", "b", "c", Fraction(1, 3)),
+                                             ("h", "c", "a", 1)])
+        a, b = g.vertex_point("a"), g.point(edge="f", offset=Fraction(1, 4))
+        solve = graphs._bareiss
+        monkeypatch.setattr(graphs, "_bareiss", lambda rows: corrupt(*solve(rows)))
+        for call in (mg_resistance, mg_jfunction):
+            with pytest.raises(CertificateError, match="failed its residual check"):
+                call(g, a, b)
+
+
+class TestPointsOffTheGraph:
+    """Every public call that takes a bare point, and Divisor.of, rejects
+    one that is not a vertex or strictly inside an edge, and names the
+    argument as the error's location."""
+
+    G = MetricGraph.of(["a", "b"], [("e", "a", "b", 1)])
+    A = GraphPoint(vertex="a")
+
+    @pytest.mark.parametrize("point, message", [
+        (GraphPoint(edge="e", offset=Fraction(-1, 2)), "offset -1/2 is not inside (0, 1) on edge 'e'"),
+        (GraphPoint(edge="e", offset=Fraction(1)), "offset 1 is not inside (0, 1) on edge 'e'"),
+        (GraphPoint(edge="x", offset=Fraction(1, 2)), "unknown edge 'x'"),
+        (GraphPoint(vertex="z"), "unknown vertex 'z'"),
+        ("a", "expected a graph point"),
+    ], ids=["before", "at the end", "unknown edge", "unknown vertex", "not a point"])
+    @pytest.mark.parametrize("call, location", [
+        (lambda g, p, a: mg_resistance(g, p, a), "p"),
+        (lambda g, p, a: mg_resistance(g, a, p), "q"),
+        (lambda g, p, a: mg_jfunction(g, p, a), "q"),
+        (lambda g, p, a: mg_distance(g, a, p), "q"),
+        (lambda g, p, a: dv_dhar_trace(g, Divisor.of(g, [(a, 1)]), p), "q"),
+        (lambda g, p, a: dv_dhar_certificate(g, Divisor.of(g, [(a, 1)]), p), "q"),
+        (lambda g, p, a: dv_dhar(g, Divisor(g, {p: 1}), a), "divisor"),
+        (lambda g, p, a: ls_reduced(LinearSystem(g, [Divisor.of(g, [(a, 1)])]), p), "q"),
+        (lambda g, p, a: Divisor.of(g, [(a, 1), (p, 1)]), "divisor entry 1"),
+    ], ids=["resistance p", "resistance q", "jfunction q", "distance q", "dhar trace q",
+            "dhar certificate q", "dhar divisor", "reduced q", "Divisor.of"])
+    def test_rejected_at_its_location(self, call, location, point, message):
+        with pytest.raises(InputError) as exc:
+            call(self.G, point, self.A)
+        assert (str(exc.value), exc.value.location) == (message, location)
 
 
 class TestPLFunctionChecks:
