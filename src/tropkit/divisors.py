@@ -25,7 +25,8 @@ from .graphs import (
     MetricGraph,
     PLFunction,
     Subdivision,
-    mg_potential,
+    _over,
+    _potential,
 )
 from .tropical import as_fraction
 
@@ -48,19 +49,23 @@ __all__ = [
 
 def dv_lin_equiv(graph: MetricGraph, d1: Divisor, d2: Divisor) -> bool:
     """Whether the two divisors differ by an integer-slope function."""
+    graph.check_divisor(d1, "d1")
+    graph.check_divisor(d2, "d2")
     if d1.degree() != d2.degree():
         raise InputError("divisors must have equal degree")
-    return mg_potential(graph, d1, d2).slopes_integer()
+    return _potential(graph, d1, d2).slopes_integer()
 
 
 def _segment_function(graph: MetricGraph, d1: Divisor, d2: Divisor) -> PLFunction:
     """Min-normalized potential from d1 to d2, for equivalent effective pairs."""
+    graph.check_divisor(d1, "d1")
+    graph.check_divisor(d2, "d2")
     for d, which in ((d1, "first"), (d2, "second")):
         if not d.is_effective():
             raise InputError(f"the {which} divisor must be effective")
     if d1.degree() != d2.degree():
         raise InputError("divisors must have equal degree")
-    f = mg_potential(graph, d1, d2)
+    f = _potential(graph, d1, d2)
     if not f.slopes_integer():
         raise InputError("divisors are not linearly equivalent")
     return f
@@ -88,9 +93,11 @@ def dv_path(graph: MetricGraph, d1: Divisor, d2: Divisor, t) -> Divisor:
 def dv_b1(graph: MetricGraph, d: Divisor, e: Divisor) -> Fraction:
     """One-sided linear pseudonorm of d - e: the integral of the
     min-normalized potential from e to d over the whole graph."""
+    graph.check_divisor(d, "d")
+    graph.check_divisor(e, "e")
     if d.degree() != e.degree():
         raise InputError("divisors must have equal degree")
-    return mg_potential(graph, e, d).integral()
+    return _potential(graph, e, d).integral()
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +136,24 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
     if all(burnt):
         return True, None
     vertices = set()
-    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
+    den = lcm(*(e.length.denominator for e in graph.edges),
+              *(o.denominator for offs in sub.cuts.values() for o in offs))
+    intervals: dict[str, list[tuple[int, int]]] = {}  # over den
     for idx, node in enumerate(sub.nodes):
         if burnt[idx]:
             continue
         if node[0] == "v":
             vertices.add(node[1])
         else:
-            intervals.setdefault(node[1], []).append((node[2], node[2]))
+            intervals.setdefault(node[1], []).append((_over(node[2], den),) * 2)
     arms = []  # (unburnt node, burnt node, length, edge id, start offset)
     for a, b, length, eid, off in sub.segments:
         if not burnt[a] and not burnt[b]:
-            intervals.setdefault(eid, []).append((off, off + length))
+            intervals.setdefault(eid, []).append((_over(off, den), _over(off + length, den)))
         elif burnt[a] != burnt[b]:
             arms.append((b if burnt[a] else a, a if burnt[a] else b, length, eid, off))
-    unburnt_set = ClosedSubset(graph, vertices, intervals)
+    unburnt_set = ClosedSubset._of_valid(
+        graph, vertices, {eid: sorted(segs) for eid, segs in intervals.items()}, den)
     return False, {"sub": sub, "burnt": burnt, "set": unburnt_set, "arms": arms}
 
 
@@ -181,8 +191,7 @@ def _check_burning_input(graph: MetricGraph, d: Divisor, q: GraphPoint) -> None:
     graph.check_point(q, "q")
     if not d.is_effective() or not d.is_integral():
         raise InputError("the divisor must be effective with integer coefficients")
-    for p in d.entries:
-        graph.check_point(p, "divisor")
+    graph.check_divisor(d, "divisor")
 
 
 def _dhar_round_cap(graph: MetricGraph, d: Divisor, q: GraphPoint) -> int:
@@ -255,10 +264,10 @@ class LinearSystem:
     one degree and pairwise linearly equivalent. Every divisor the system
     touches gets one exact potential solve against generator 0, cached, so
     segment sweeps and tree machinery are pure piecewise-linear arithmetic
-    afterwards. Caches, keyed by Divisor.key() values: _pots (d -> potential
-    relative to generator 0), _pairs ((a, b) -> pair_function), _projections
-    (target -> f* and projection; ls_project checks its certificates on
-    every call), _path_points ((a, b, t) -> path_point) and memo (SystemMemo).
+    afterwards. Caches, keyed by divisors, which hash their key() once: _pots
+    (d -> potential relative to generator 0), _pairs ((a, b) -> pair_function),
+    _projections (e -> f* and projection; ls_project checks its certificates
+    on every call), _path_points ((a, b, t) -> path_point) and memo (SystemMemo).
     """
 
     def __init__(self, graph: MetricGraph, generators: Sequence[Divisor]):
@@ -268,6 +277,7 @@ class LinearSystem:
         for i, g in enumerate(gens):
             if not isinstance(g, Divisor):
                 raise InputError(f"generator {i} is not a divisor")
+            graph.check_divisor(g, f"generator {i}")
             if not g.is_effective():
                 raise InputError(f"generator {i} must be effective")
             if not g.is_integral():
@@ -278,10 +288,9 @@ class LinearSystem:
         self.graph = graph
         self.generators = tuple(gens)
         self.degree: Fraction = deg
-        self._pots: dict[tuple, PLFunction] = {
-            gens[0].key(): PLFunction.constant(graph, 0)}
+        self._pots: dict[Divisor, PLFunction] = {gens[0]: PLFunction.constant(graph, 0)}
         self._pairs: dict[tuple, PLFunction] = {}
-        self._projections: dict[tuple, tuple[PLFunction, Divisor]] = {}
+        self._projections: dict[Divisor, tuple[PLFunction, Divisor]] = {}
         self._path_points: dict[tuple, Divisor] = {}
         self.memo = SystemMemo()
         for i, g in enumerate(gens):
@@ -291,27 +300,24 @@ class LinearSystem:
 
     def potential(self, d: Divisor) -> PLFunction:
         """Potential of d relative to generator 0 (cached, one solve)."""
-        key = d.key()
-        pot = self._pots.get(key)
+        pot = self._pots.get(d)
         if pot is None:
             if d.degree() != self.degree:
                 raise InputError("divisor degree does not match the system")
-            pot = mg_potential(self.graph, self.generators[0], d)
-            self._pots[key] = pot
+            pot = self._pots[d] = _potential(self.graph, self.generators[0], d)
         return pot
 
     def register(self, d: Divisor, f: PLFunction, base: Divisor) -> None:
         """Record f + potential(base), when f's divisor is d - base, as the
         potential of d (relative to generator 0), unless d already has one."""
-        if d.key() not in self._pots:
-            self._pots[d.key()] = f.add(self.potential(base))
+        if d not in self._pots:
+            self._pots[d] = f.add(self.potential(base))
 
     def pair_function(self, a: Divisor, b: Divisor) -> PLFunction:
         """Min-normalized potential from a to b (cached per ordered pair)."""
-        key = (a.key(), b.key())
-        f = self._pairs.get(key)
+        f = self._pairs.get((a, b))
         if f is None:
-            f = self._pairs[key] = self.potential(b).sub(self.potential(a)).minus_min()
+            f = self._pairs[a, b] = self.potential(b).sub(self.potential(a)).minus_min()
         return f
 
     def rho(self, a: Divisor, b: Divisor) -> Fraction:
@@ -327,11 +333,10 @@ class LinearSystem:
         f = self.pair_function(a, b)
         if not (0 <= t <= f.max_value()):
             raise InputError(f"t must lie in [0, {f.max_value()}]")
-        key = (a.key(), b.key(), t)
-        point = self._path_points.get(key)
+        point = self._path_points.get((a, b, t))
         if point is None:
             clipped = f.clip_max(t)
-            point = self._path_points[key] = clipped.divisor().add(a)
+            point = self._path_points[a, b, t] = clipped.divisor().add(a)
             self.register(point, clipped, a)
         return point
 
@@ -339,6 +344,7 @@ class LinearSystem:
 def _check_target(T: LinearSystem, e: Divisor) -> None:
     if not isinstance(e, Divisor):
         raise InputError("the target must be a divisor")
+    T.graph.check_divisor(e, "e")
     if e.degree() != T.degree:
         raise InputError("divisor degree does not match the system")
     if not e.is_effective():
@@ -391,10 +397,10 @@ def ls_project(T: LinearSystem, e: Divisor):
     """
     _check_target(T, e)
     g_bars = [T.pair_function(e, g) for g in T.generators]
-    memo = T._projections.get(e.key())
+    memo = T._projections.get(e)
     if memo is None:
         f_star = reduce(PLFunction.min_with, g_bars)
-        memo = T._projections[e.key()] = f_star, f_star.divisor().add(e)
+        memo = T._projections[e] = f_star, f_star.divisor().add(e)
         T.register(memo[1], f_star, e)
     f_star, projection = memo
     if not projection.is_integral() or not projection.is_effective():
@@ -435,18 +441,13 @@ def ls_project(T: LinearSystem, e: Divisor):
 def ls_reduced(T: LinearSystem, q: GraphPoint):
     """The q-reduced divisor of the system: the projection of deg·(q)."""
     T.graph.check_point(q, "q")
-    target = Divisor.of(T.graph, [(q, T.degree)])
+    target = Divisor(T.graph, {q: T.degree})
     return ls_project(T, target)
 
 
 def ls_extremals(T: LinearSystem) -> list[Divisor]:
     """Unique minimal generating subset, by greedy redundancy removal."""
-    gens: list[Divisor] = []
-    seen = set()
-    for g in T.generators:
-        if g.key() not in seen:
-            seen.add(g.key())
-            gens.append(g)
+    gens = list(dict.fromkeys(T.generators))
     changed = True
     while changed and len(gens) > 1:
         changed = False

@@ -17,6 +17,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -158,6 +159,26 @@ class MetricGraph:
     def genus(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
 
+    @cached_property
+    def _elimination_order(self) -> dict[str, int]:
+        """Position of every vertex in a minimum-degree elimination order of the
+        vertex Laplacian, the grounded first vertex at -1; one per graph."""
+        ground = self.vertices[0]
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices[1:]}
+        for e in self.edges:
+            if ground not in (e.tail, e.head):
+                adj[e.tail].add(e.head)
+                adj[e.head].add(e.tail)
+        pos = {ground: -1}
+        while adj:
+            v = min(adj, key=lambda u: len(adj[u]))
+            nbrs = adj.pop(v)
+            for u in nbrs:
+                adj[u] |= nbrs
+                adj[u] -= {u, v}
+            pos[v] = len(pos) - 1
+        return pos
+
     # -- points ------------------------------------------------------------
 
     def point(self, vertex: str | None = None, edge: str | None = None,
@@ -205,6 +226,11 @@ class MetricGraph:
         if not (isinstance(point.offset, (int, Fraction)) and 0 < point.offset < e.length):
             raise InputError(f"offset {point.offset} is not inside (0, {e.length}) "
                              f"on edge {e.id!r}", location)
+
+    def check_divisor(self, d: "Divisor", location: str) -> None:
+        """check_point, at location, on every support point of d."""
+        for p in d.entries:
+            self.check_point(p, location)
 
 
 def mg_validate(vertices: Iterable[str], edges: Iterable):
@@ -497,7 +523,7 @@ class PLFunction:
             return self._min_set
         target, do = self._extremes()[which == "max"], self._do
         vertices: set[str] = set()
-        intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
+        intervals: dict[str, list[tuple[int, int]]] = {}  # over do
         for e in self.graph.edges:
             offs, vals, ss = self._pieces[e.id]
             if vals[0] == target:
@@ -509,8 +535,8 @@ class PLFunction:
             if vals[-1] == target:
                 segs.append((offs[-1], offs[-1]))
             if segs:
-                intervals[e.id] = [(Fraction(a, do), Fraction(b, do)) for a, b in segs]
-        found = ClosedSubset._of_valid(self.graph, vertices, intervals)
+                intervals[e.id] = segs
+        found = ClosedSubset._of_valid(self.graph, vertices, intervals, do)
         if which == "min":
             self._min_set = found
         return found
@@ -607,13 +633,13 @@ def pl_integral(f: PLFunction) -> Fraction:
 class Divisor:
     """Finite formal sum of points with rational coefficients."""
 
-    __slots__ = ("graph", "entries", "_key")
+    __slots__ = ("graph", "entries", "_key", "_hash")
 
     def __init__(self, graph: MetricGraph, entries: dict):
         self.graph = graph
         self.entries: dict[GraphPoint, Fraction] = {
             p: f for p, c in entries.items() if (f := as_fraction(c)) != 0}
-        self._key = None  # key() fills it once: a divisor never changes
+        self._key = self._hash = None  # filled once by key() and hash(): divisors never change
 
     @classmethod
     def of(cls, graph: MetricGraph, pairs: Iterable) -> "Divisor":
@@ -659,10 +685,12 @@ class Divisor:
         return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Divisor) and self.key() == other.key()
+        return self is other or isinstance(other, Divisor) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __str__(self) -> str:
         if not self.entries:
@@ -679,13 +707,15 @@ class Divisor:
 # ---------------------------------------------------------------------------
 
 class ClosedSubset:
-    """Closed subset: a vertex set plus closed intervals on each edge. The
-    constructor checks and coerces outside input; extremum_set, union and
-    intersect build their results through the unchecked _of_valid.
-    Instances are immutable and may be shared: the minimizer set a function
-    caches is the one its certificates report, so never mutate one."""
+    """Closed subset: a vertex set plus closed intervals on each edge, kept
+    as sorted, disjoint int pairs over one denominator _den per set (_ivs)
+    and shown as Fractions by intervals. The constructor checks and coerces
+    outside input; extremum_set, union, intersect and Dhar burning build
+    their results through the unchecked _of_valid. Instances are immutable
+    and may be shared: the minimizer set a function caches is the one its
+    certificates report, so never mutate one."""
 
-    __slots__ = ("graph", "vertices", "intervals")
+    __slots__ = ("graph", "vertices", "_ivs", "_den")
 
     def __init__(self, graph: MetricGraph, vertices: Iterable[str] = (),
                  intervals: dict | None = None):
@@ -703,19 +733,22 @@ class ClosedSubset:
         for v in verts:
             if v not in graph.incidence:
                 raise InputError(f"unknown vertex {v!r}")
-        self._close(graph, verts, ivs)
+        den = lcm(*(x.denominator for segs in ivs.values() for seg in segs for x in seg))
+        self._close(graph, verts, {eid: [(_over(a, den), _over(b, den)) for a, b in segs]
+                                   for eid, segs in ivs.items()}, den)
 
     @classmethod
-    def _of_valid(cls, graph: MetricGraph, vertices: set, intervals: dict) -> "ClosedSubset":
-        """Build from known vertices and sorted Fraction intervals in their edges."""
+    def _of_valid(cls, graph: MetricGraph, vertices: set, intervals: dict,
+                  den: int) -> "ClosedSubset":
+        """Build from known vertices and sorted int intervals over den in their edges."""
         s = object.__new__(cls)
-        s._close(graph, vertices, intervals)
+        s._close(graph, vertices, intervals, den)
         return s
 
-    def _close(self, graph: MetricGraph, verts: set, intervals: dict) -> None:
-        ivs: dict[str, tuple[tuple[Fraction, Fraction], ...]] = {}
+    def _close(self, graph: MetricGraph, verts: set, intervals: dict, den: int) -> None:
+        ivs: dict[str, tuple[tuple[int, int], ...]] = {}
         for eid, segs in intervals.items():
-            merged: list[tuple[Fraction, Fraction]] = []
+            merged: list[tuple[int, int]] = []
             for a, b in segs:
                 if merged and a <= merged[-1][1]:
                     merged[-1] = (merged[-1][0], max(merged[-1][1], b))
@@ -726,38 +759,47 @@ class ClosedSubset:
                 e = graph.edge_map[eid]
                 if merged[0][0] == 0:
                     verts.add(e.tail)
-                if merged[-1][1] == e.length:
+                if merged[-1][1] * e.length.denominator == e.length.numerator * den:
                     verts.add(e.head)
                 ivs[eid] = tuple(merged)
-        self.graph = graph
-        self.vertices = frozenset(verts)
-        self.intervals = ivs
+        self.graph, self.vertices, self._ivs, self._den = graph, frozenset(verts), ivs, den
+
+    @property
+    def intervals(self) -> dict[str, tuple[tuple[Fraction, Fraction], ...]]:
+        den = self._den
+        return {eid: tuple((Fraction(a, den), Fraction(b, den)) for a, b in segs)
+                for eid, segs in self._ivs.items()}
+
+    def _scaled(self, den: int) -> dict:
+        """The int intervals over den, a multiple of _den."""
+        k = den // self._den
+        return self._ivs if k == 1 else {
+            eid: tuple((a * k, b * k) for a, b in segs) for eid, segs in self._ivs.items()}
 
     # -- queries -------------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.vertices and not self.intervals
+        return not self.vertices and not self._ivs
 
     def contains(self, point: GraphPoint) -> bool:
         if point.is_vertex:
             return point.vertex in self.vertices
-        for a, b in self.intervals.get(point.edge, ()):
-            if a <= point.offset <= b:
-                return True
-        return False
+        x, d = point.offset.numerator * self._den, point.offset.denominator
+        return any(a * d <= x <= b * d for a, b in self._ivs.get(point.edge, ()))
 
     def covers_graph(self) -> bool:
-        if set(self.vertices) != set(self.graph.vertices):
+        """Whether each edge is the one interval [0, length]; _close then put
+        every vertex, an end of some edge, in the set."""
+        if len(self._ivs) != len(self.graph.edges):
             return False
         for e in self.graph.edges:
-            segs = self.intervals.get(e.id, ())
-            if len(segs) != 1 or segs[0] != (Fraction(0), e.length):
+            (a, b), *rest = self._ivs[e.id]
+            if rest or a or b * e.length.denominator != e.length.numerator * self._den:
                 return False
         return True
 
     def key(self) -> tuple:
-        return (tuple(sorted(self.vertices)),
-                tuple(sorted((eid, segs) for eid, segs in self.intervals.items())))
+        return (tuple(sorted(self.vertices)), tuple(sorted(self.intervals.items())))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ClosedSubset) and self.key() == other.key()
@@ -768,21 +810,18 @@ class ClosedSubset:
     # -- set algebra -----------------------------------------------------------
 
     def union(self, other: "ClosedSubset") -> "ClosedSubset":
-        ivs = {eid: sorted(self.intervals.get(eid, ()) + other.intervals.get(eid, ()))
-               for eid in self.intervals.keys() | other.intervals.keys()}
-        return ClosedSubset._of_valid(self.graph, set(self.vertices) | other.vertices, ivs)
+        den = lcm(self._den, other._den)
+        a, b = self._scaled(den), other._scaled(den)
+        ivs = {eid: sorted(a.get(eid, ()) + b.get(eid, ())) for eid in a.keys() | b.keys()}
+        return ClosedSubset._of_valid(self.graph, set(self.vertices) | other.vertices, ivs, den)
 
     def intersect(self, other: "ClosedSubset") -> "ClosedSubset":
-        ivs: dict[str, list] = {}
-        for eid in set(self.intervals) & set(other.intervals):
-            out = []
-            for a1, b1 in self.intervals[eid]:
-                for a2, b2 in other.intervals[eid]:
-                    lo, hi = max(a1, a2), min(b1, b2)
-                    if lo <= hi:
-                        out.append((lo, hi))
-            ivs[eid] = out
-        return ClosedSubset._of_valid(self.graph, set(self.vertices) & other.vertices, ivs)
+        den = lcm(self._den, other._den)
+        a, b = self._scaled(den), other._scaled(den)
+        ivs = {eid: [(max(a1, a2), min(b1, b2)) for a1, b1 in a[eid] for a2, b2 in b[eid]
+                     if a1 <= b2 and a2 <= b1]
+               for eid in a.keys() & b.keys()}
+        return ClosedSubset._of_valid(self.graph, set(self.vertices) & other.vertices, ivs, den)
 
     # -- structure ---------------------------------------------------------------
 
@@ -950,31 +989,19 @@ def _bareiss(rows: list[dict[int, int]]) -> tuple[list[int], int]:
     return x, d
 
 
-def _elimination_order(graph: MetricGraph) -> dict[str, int]:
-    """Position of every vertex in a minimum-degree elimination order of the
-    vertex Laplacian; the first vertex is grounded and gets position -1."""
-    ground = graph.vertices[0]
-    adj: dict[str, set[str]] = {v: set() for v in graph.vertices[1:]}
-    for e in graph.edges:
-        if ground not in (e.tail, e.head):
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-    pos = {ground: -1}
-    while adj:
-        v = min(adj, key=lambda u: len(adj[u]))
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            adj[u] |= nbrs
-            adj[u] -= {u, v}
-        pos[v] = len(pos) - 1
-    return pos
-
-
 def mg_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFunction:
     """The piecewise-linear function whose divisor is d_to - d_from.
 
     Unique up to a constant; returned with minimum value zero. Requires the
-    two divisors to have equal degree.
+    two divisors to have equal degree and their points to lie on the graph.
+    """
+    graph.check_divisor(d_from, "d_from")
+    graph.check_divisor(d_to, "d_to")
+    return _potential(graph, d_from, d_to)
+
+
+def _potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFunction:
+    """mg_potential on divisors whose points are already checked.
 
     The matrix order is |V| - 1 for any divisor. Each interior support point
     is a degree-2 node, and its Schur complement folds a coefficient c at
@@ -1031,7 +1058,7 @@ def _solve(graph: MetricGraph, delta: dict) -> tuple[dict, int, dict]:
     over D = det L, so the values are m X / (r D); the residual of X in
     L X = D b is checked in O(|E|) int operations before they are returned.
     """
-    pos = _elimination_order(graph)
+    pos = graph._elimination_order
     n = len(pos) - 1
     m = lcm(*(e.length.numerator for e in graph.edges))
     conductances = [(pos[e.tail], pos[e.head], m // e.length.numerator * e.length.denominator)
@@ -1090,7 +1117,7 @@ def mg_jfunction(graph: MetricGraph, q: GraphPoint, p: GraphPoint) -> PLFunction
     exits at q, grounded so the value at q is zero (hence nonnegative)."""
     graph.check_point(q, "q")
     graph.check_point(p, "p")
-    return mg_potential(graph, Divisor(graph, {q: 1}), Divisor(graph, {p: 1}))
+    return _potential(graph, Divisor(graph, {q: 1}), Divisor(graph, {p: 1}))
 
 
 def mg_resistance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:

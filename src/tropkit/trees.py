@@ -62,17 +62,14 @@ def tt_critical(system: LinearSystem) -> list[Divisor]:
     """
     if system.memo.criticals is not None:
         return list(system.memo.criticals)
-    crits: dict[tuple, Divisor] = {}
-    for g in system.generators:
-        crits.setdefault(g.key(), g)
     gens = system.generators
+    crits = dict.fromkeys(gens)  # an ordered set: equal divisors keep the first found
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             f = system.pair_function(gens[i], gens[j])
             for level in f.breakpoint_values():
-                d = system.path_point(gens[i], gens[j], level)
-                crits.setdefault(d.key(), d)
-    out = [crits[k] for k in sorted(crits)]
+                crits.setdefault(system.path_point(gens[i], gens[j], level))
+    out = sorted(crits, key=Divisor.key)
     system.memo.criticals = tuple(out)
     return out
 
@@ -128,14 +125,13 @@ def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
                         "divisor": d,
                         "bases": (bases[x], bases[y]),
                     }
-    confirmed: set[tuple] = {g.key() for g in system.generators}
+    confirmed: set[Divisor] = set(system.generators)
     for ia in range(len(crits)):
         for ib in range(ia + 1, len(crits)):
             f = system.pair_function(crits[ia], crits[ib])
             for level in f.breakpoint_values():
                 x = system.path_point(crits[ia], crits[ib], level)
-                key = x.key()
-                if key in confirmed:
+                if x in confirmed:
                     continue
                 if not _on_generator_segment(system, x):
                     return False, {
@@ -145,7 +141,7 @@ def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
                         "divisor": x,
                         "between":(crits[ia], crits[ib]),
                     }
-                confirmed.add(key)
+                confirmed.add(x)
     return True, {"method": "critical-set verified", "criticals": len(crits)}
 
 
@@ -346,7 +342,7 @@ def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
 
 def _build_skeleton(system: LinearSystem) -> TreeSkeleton:
     crits = tt_critical(system)
-    index = {d.key(): i for i, d in enumerate(crits)}
+    index = {d: i for i, d in enumerate(crits)}
     gens = system.generators
     arcs: dict[tuple[int, int], SkeletonArc] = {}
     for i in range(len(gens)):
@@ -367,8 +363,8 @@ def _build_skeleton(system: LinearSystem) -> TreeSkeleton:
             ordered = sorted(levels)
             points = [system.path_point(gens[i], gens[j], t) for t in ordered]
             for k in range(len(points) - 1):
-                na = index[points[k].key()]
-                nb = index[points[k + 1].key()]
+                na = index[points[k]]
+                nb = index[points[k + 1]]
                 if na == nb:
                     raise CertificateError(
                         "two distinct levels yield the same divisor on a "
@@ -409,9 +405,8 @@ def _locate(system: LinearSystem, skel: TreeSkeleton,
     Returns (arc index, node index, offset from the arc's first node);
     exactly one of the two indices is set.
     """
-    key = x.key()
     for idx, node in enumerate(skel.nodes):
-        if node.key() == key:
+        if node == x:
             return None, idx, Fraction(0)
     for ai, arc in enumerate(skel.arcs):
         na, nb = skel.nodes[arc.a], skel.nodes[arc.b]

@@ -161,7 +161,7 @@ class PLFunction:
                 segs.append((bps[-1][0], bps[-1][0]))
             if segs:
                 intervals[e.id] = segs
-        return ClosedSubset._of_valid(self.graph, vertices, intervals)
+        return ClosedSubset(self.graph, vertices, intervals)
 
 
 def _merge(a: tuple, sa: tuple, b: tuple, sb: tuple):

@@ -267,11 +267,11 @@ class TestLinearSystems:
         def summary(projection, cert):
             checks = [(c["generator"], c["b1_total"], c["b1_to_projection"],
                        c["b1_from_projection"], c["witness"].key()) for c in cert["checks"]]
-            return (projection.key(), checks,
+            return (projection, checks,
                     [s.key() for s in cert["membership"]["min_sets"]])
 
         first = [summary(*ls_reduced(T, q)) for q in points]
-        assert all((s[0], g.key()) in T._pairs for s in first for g in T.generators)
+        assert all((s[0], g) in T._pairs for s in first for g in T.generators)
         cached = len(T._pairs), len(T._projections)
         second = [summary(*ls_reduced(T, q)) for q in points]
         assert (len(T._pairs), len(T._projections)) == cached
@@ -294,9 +294,9 @@ class TestLinearSystems:
         T = LinearSystem(c6.need_graph(), c6.system("seg_D1_D3").generators)
         target = Divisor.of(T.graph, [(T.graph.vertex_point("v2"), T.degree)])
         ls_project(T, target)
-        f_star, _ = T._projections[target.key()]
+        f_star, _ = T._projections[target]
         assert not ls_member(LinearSystem(T.graph, T.generators), target)[0]
-        T._projections[target.key()] = (f_star, target)
+        T._projections[target] = (f_star, target)
         with pytest.raises(CertificateError):
             ls_project(T, target)
 

@@ -18,9 +18,15 @@ from tropkit import (
     LinearSystem,
     MetricGraph,
     PLFunction,
+    dv_b1,
     dv_dhar,
     dv_dhar_certificate,
     dv_dhar_trace,
+    dv_lin_equiv,
+    dv_path,
+    dv_rho,
+    ls_member,
+    ls_project,
     ls_reduced,
     mg_distance,
     mg_jfunction,
@@ -31,7 +37,9 @@ from tropkit import (
     pl_extremum_set,
 )
 from tropkit import graphs
+from tropkit.workspace import rational_str, to_jsonable
 
+import closed_oracle
 import pl_oracle
 import potential_oracle
 from conftest import equal_degree_pair, random_graph, random_grid, random_point
@@ -347,9 +355,10 @@ class TestIntegerSolve:
 
 
 class TestPointsOffTheGraph:
-    """Every public call that takes a bare point, and Divisor.of, rejects
-    one that is not a vertex or strictly inside an edge, and names the
-    argument as the error's location."""
+    """Every public call that takes a bare point, Divisor.of, and every
+    public call that takes a directly built divisor reject a point that is
+    not a vertex or strictly inside an edge, and name the argument as the
+    error's location."""
 
     G = MetricGraph.of(["a", "b"], [("e", "a", "b", 1)])
     A = GraphPoint(vertex="a")
@@ -371,8 +380,23 @@ class TestPointsOffTheGraph:
         (lambda g, p, a: dv_dhar(g, Divisor(g, {p: 1}), a), "divisor"),
         (lambda g, p, a: ls_reduced(LinearSystem(g, [Divisor.of(g, [(a, 1)])]), p), "q"),
         (lambda g, p, a: Divisor.of(g, [(a, 1), (p, 1)]), "divisor entry 1"),
+        (lambda g, p, a: mg_potential(g, Divisor(g, {p: 1}), Divisor(g, {a: 1})), "d_from"),
+        (lambda g, p, a: mg_potential(g, Divisor(g, {a: 1}), Divisor(g, {p: 1})), "d_to"),
+        (lambda g, p, a: dv_lin_equiv(g, Divisor(g, {a: 1}), Divisor(g, {p: 1})), "d2"),
+        (lambda g, p, a: dv_rho(g, Divisor(g, {p: 1}), Divisor(g, {a: 1})), "d1"),
+        (lambda g, p, a: dv_path(g, Divisor(g, {a: 1}), Divisor(g, {p: 1}), 0), "d2"),
+        (lambda g, p, a: dv_b1(g, Divisor(g, {p: 1}), Divisor(g, {a: 1})), "d"),
+        (lambda g, p, a: dv_b1(g, Divisor(g, {a: 1}), Divisor(g, {p: 1})), "e"),
+        (lambda g, p, a: LinearSystem(g, [Divisor(g, {a: 1}), Divisor(g, {p: 1})]),
+         "generator 1"),
+        (lambda g, p, a: ls_member(LinearSystem(g, [Divisor(g, {a: 1})]), Divisor(g, {p: 1})),
+         "e"),
+        (lambda g, p, a: ls_project(LinearSystem(g, [Divisor(g, {a: 1})]), Divisor(g, {p: 1})),
+         "e"),
     ], ids=["resistance p", "resistance q", "jfunction q", "distance q", "dhar trace q",
-            "dhar certificate q", "dhar divisor", "reduced q", "Divisor.of"])
+            "dhar certificate q", "dhar divisor", "reduced q", "Divisor.of", "potential from",
+            "potential to", "equivalence", "rho", "path", "b1 d", "b1 e", "system generator",
+            "member target", "project target"])
     def test_rejected_at_its_location(self, call, location, point, message):
         with pytest.raises(InputError) as exc:
             call(self.G, point, self.A)
@@ -629,6 +653,79 @@ class TestClosedSubsets:
                 rebuilt = ClosedSubset(g, s.vertices - ends, s.intervals)
                 assert rebuilt.key() == s.key()
         assert seen == {"touching", "isolated point", "edge end"}
+
+
+def _random_closed_sets(rng, g, count):
+    """(vertices, intervals) inputs for the checked constructor. Interval
+    ends are multiples of length/k, k drawn per set, so sets carry
+    different denominators and their intervals touch, nest and reach edge
+    ends; one set in four covers every edge in two touching halves."""
+    out = []
+    for _ in range(count):
+        k = rng.choice([1, 2, 3, 4, 6])
+        if rng.random() < 0.25:
+            halves = {}
+            for e in g.edges:
+                cut = e.length * Fraction(rng.randint(0, k), k)
+                halves[e.id] = [(0, cut), (cut, e.length)]
+            out.append((set(), halves))
+            continue
+        ivs = {}
+        for e in g.edges:
+            ends = [sorted(rng.randint(0, k) for _ in range(2)) for _ in range(rng.randint(0, 3))]
+            if ends:
+                ivs[e.id] = [(e.length * Fraction(a, k), e.length * Fraction(b, k)) for a, b in ends]
+        out.append(({v for v in g.vertices if rng.random() < 0.3}, ivs))
+    return out
+
+
+def _assert_same_closed_set(g, s, o):
+    """The integer closed set s shows exactly what the Fraction oracle o
+    shows: vertices, intervals with their types, key, cover, emptiness,
+    complement, finite points, JSON form, and membership at every vertex,
+    interval end and midpoint between them."""
+    typed = lambda ivs: {eid: (type(segs), [(a, type(a), b, type(b)) for a, b in segs])
+                         for eid, segs in ivs.items()}
+    assert s.vertices == o.vertices and type(s.vertices) is type(o.vertices)
+    assert typed(s.intervals) == typed(o.intervals)
+    assert s.key() == o.key()
+    assert (s.covers_graph(), s.is_empty()) == (o.covers_graph(), o.is_empty())
+    assert s.complement_components() == o.complement_components()
+    assert s.finite_points() == o.finite_points()
+    assert to_jsonable(s) == {
+        "vertices": sorted(o.vertices),
+        "intervals": {eid: [[rational_str(a), rational_str(b)] for a, b in segs]
+                      for eid, segs in sorted(o.intervals.items())}}
+    offs = {e.id: {x for seg in o.intervals.get(e.id, ()) for x in seg} for e in g.edges}
+    for p in _probe_points(g, offs):
+        assert s.contains(p) == o.contains(p)
+
+
+class TestIntegerClosedSets:
+    """Closed subsets on int intervals over one denominator per set against
+    the Fraction closed sets they replaced (tests/closed_oracle.py)."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_fraction_oracle(self, seed):
+        """Random interval sets through the checked constructor and the
+        minimizer and maximizer sets of random potentials (and of their
+        clipped versions, which have plateaus), then unions and
+        intersections of random pairs of them."""
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        pairs = [(ClosedSubset(g, verts, ivs), closed_oracle.ClosedSubset(g, verts, ivs))
+                 for verts, ivs in _random_closed_sets(rng, g, 5)]
+        for _ in range(2):
+            f = mg_potential(g, *equal_degree_pair(rng, g))
+            for h in (f, f.clip_max((f.min_value() + f.max_value()) / 2)):
+                pairs += [(h.extremum_set(which), closed_oracle.extremum_set(h, which))
+                          for which in ("min", "max")]
+        for s, o in pairs:
+            _assert_same_closed_set(g, s, o)
+        for _ in range(12):
+            (s, o), (t, u) = rng.sample(pairs, 2)
+            _assert_same_closed_set(g, s.union(t), o.union(u))
+            _assert_same_closed_set(g, s.intersect(t), o.intersect(u))
 
 
 def _probe_points(g, offsets):

@@ -1,11 +1,12 @@
 """Projective classes, pseudonorms, segments, hulls and projections."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropkit import (
@@ -558,6 +559,25 @@ class TestIndependence:
             assert status["gondran_minoux"] == "dependent"
         if status["gondran_minoux"] == "dependent":
             assert status["tropical"] == "dependent"
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.sampled_from(("lower", "upper")))
+    def test_square_gm_follows_the_permutation_parity(self, rows, mode):
+        """Gondran and Minoux (1984): n projectively distinct points in
+        dimension n are independent iff the optimal weight sum_i a_i,s(i)
+        over even permutations s differs from the one over odd ones (min
+        in lower mode, max in upper mode)."""
+        S = TropGeneratorSet.of(rows, mode)
+        n = len(rows)
+        assume(len(S.points) == n)
+        weights: dict[int, list[int]] = {0: [], 1: []}
+        for perm in itertools.permutations(range(n)):
+            parity = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2)) % 2
+            weights[parity].append(sum(row[k] for row, k in zip(rows, perm)))
+        best = min if mode == "lower" else max
+        expected = "independent" if best(weights[0]) != best(weights[1]) else "dependent"
+        assert tp_independence(S, "gondran_minoux")["status"] == expected
 
     @given(integer_family(modes=("upper",)))
     def test_upper_gm_is_lower_gm_of_the_negation(self, S):
