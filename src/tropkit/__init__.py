@@ -27,25 +27,8 @@ first use of one of its names, so a tropical-only program never imports
 import importlib
 
 from .errors import CertificateError, InputError
-from .tropical import (
-    GroundSpace,
-    TropGeneratorSet,
-    TropPoint,
-    as_fraction,
-    tp_argext,
-    tp_canonical,
-    tp_combine,
-    tp_dist,
-    tp_extremals,
-    tp_fixed_point,
-    tp_independence,
-    tp_member,
-    tp_norm,
-    tp_path,
-    tp_project,
-    tp_pseudonorm,
-    tp_retract,
-)
+from .tropical import *  # noqa: F403 -- the names in tropical.__all__
+from .tropical import __all__ as _TROPICAL, as_fraction
 
 # layer -> the names it exports, resolved by __getattr__ on first use
 _LAZY = {
@@ -83,78 +66,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CertificateError",
-    "InputError",
-    "GroundSpace",
-    "TropGeneratorSet",
-    "TropPoint",
-    "as_fraction",
-    "tp_argext",
-    "tp_canonical",
-    "tp_combine",
-    "tp_dist",
-    "tp_extremals",
-    "tp_fixed_point",
-    "tp_independence",
-    "tp_member",
-    "tp_norm",
-    "tp_path",
-    "tp_project",
-    "tp_pseudonorm",
-    "tp_retract",
-    "ClosedSubset",
-    "Divisor",
-    "Edge",
-    "GraphPoint",
-    "MetricGraph",
-    "PLFunction",
-    "mg_distance",
-    "mg_jfunction",
-    "mg_potential",
-    "mg_resistance",
-    "mg_validate",
-    "pl_div",
-    "pl_eval",
-    "pl_extremum_set",
-    "pl_integral",
-    "LinearSystem",
-    "dv_b1",
-    "dv_dhar",
-    "dv_dhar_certificate",
-    "dv_dhar_trace",
-    "dv_lin_equiv",
-    "dv_path",
-    "dv_rho",
-    "ls_bases",
-    "ls_extremals",
-    "ls_member",
-    "ls_project",
-    "ls_reduced",
-    "Attachment",
-    "Modification",
-    "PseudoHarmonicMap",
-    "SkeletonArc",
-    "SubArcMap",
-    "TreeSkeleton",
-    "tt_critical",
-    "tt_harmonize",
-    "tt_is_dominant",
-    "tt_is_tree",
-    "tt_morphism",
-    "tt_preimage",
-    "tt_reduced_map",
-    "tt_skeleton",
-    "tt_support",
-    "tt_verify_witness",
-    "Workspace",
-    "divisor_from_json",
-    "dumps_canonical",
-    "load_workspace",
-    "parse_workspace",
-    "point_from_json",
-    "rational_str",
-    "serialize_workspace",
-    "to_jsonable",
-    "__version__",
-]
+__all__ = ["CertificateError", "InputError", "as_fraction", *_TROPICAL, *_HOME, "__version__"]

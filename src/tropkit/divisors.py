@@ -108,21 +108,22 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
     """One burning pass from q.
 
     Fire starts at q and crosses a point only when the arriving directions
-    outnumber its chips. Returns (consumed, state) where state carries the
-    maximal unburnt closed set and the burnt arms hanging off it.
+    outnumber its chips. Returns (sub, burnt, unburnt): the subdivision at
+    d's support and q, whether each of its nodes burnt, and the maximal
+    closed set the fire cannot enter, or None when the fire consumes the
+    whole graph.
     """
-    support = d.support()
-    sub = Subdivision(graph, support + [q])
+    sub = Subdivision(graph, d.support() + [q])
     n = len(sub.nodes)
-    chips = [Fraction(0)] * n
-    for p, c in d.items():
-        chips[sub.node_of(p)] = c
+    chips = [0] * n
+    for p, c in d.entries.items():
+        chips[sub.index[p]] = c
     inc: list[list[int]] = [[] for _ in range(n)]
     for a, b, _, _, _ in sub.segments:
         inc[a].append(b)
         inc[b].append(a)
     burnt = [False] * n
-    burnt[sub.node_of(q)] = True
+    burnt[sub.index[q]] = True
     changed = True
     while changed:
         changed = False
@@ -134,53 +135,47 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
                 burnt[node] = True
                 changed = True
     if all(burnt):
-        return True, None
+        return sub, burnt, None
     vertices = set()
     den = lcm(*(e.length.denominator for e in graph.edges),
               *(o.denominator for offs in sub.cuts.values() for o in offs))
     intervals: dict[str, list[tuple[int, int]]] = {}  # over den
-    for idx, node in enumerate(sub.nodes):
-        if burnt[idx]:
+    for p, is_burnt in zip(sub.nodes, burnt):
+        if is_burnt:
             continue
-        if node[0] == "v":
-            vertices.add(node[1])
+        if p.is_vertex:
+            vertices.add(p.vertex)
         else:
-            intervals.setdefault(node[1], []).append((_over(node[2], den),) * 2)
-    arms = []  # (unburnt node, burnt node, length, edge id, start offset)
+            intervals.setdefault(p.edge, []).append((_over(p.offset, den),) * 2)
     for a, b, length, eid, off in sub.segments:
         if not burnt[a] and not burnt[b]:
             intervals.setdefault(eid, []).append((_over(off, den), _over(off + length, den)))
-        elif burnt[a] != burnt[b]:
-            arms.append((b if burnt[a] else a, a if burnt[a] else b, length, eid, off))
-    unburnt_set = ClosedSubset._of_valid(
+    unburnt = ClosedSubset._of_valid(
         graph, vertices, {eid: sorted(segs) for eid, segs in intervals.items()}, den)
-    return False, {"sub": sub, "burnt": burnt, "set": unburnt_set, "arms": arms}
+    return sub, burnt, unburnt
 
 
-def _fire_step(graph: MetricGraph, d: Divisor, state) -> tuple[Divisor, Fraction]:
+def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,
+               burnt: list[bool]) -> tuple[Divisor, Fraction]:
     """Fire the unburnt set by the largest event-free distance.
 
-    The firing function is 0 on the unburnt set, rises with slope 1 along
-    each burnt arm, and plateaus at the length of the shortest arm; chips
-    leave the boundary and land on the advancing front.
+    An arm is a segment with exactly one burnt end, and l* is the length of
+    the shortest arm. One chip leaves each arm's unburnt end and lands l*
+    along the arm: on its burnt end when the arm is l* long, else at the
+    interior point l* from the unburnt end. This is d plus the divisor of
+    the firing function, 0 on the unburnt set, rising with slope 1 along
+    each arm and flat at l* beyond.
     """
-    sub = state["sub"]
-    burnt = state["burnt"]
-    l_star = min(length for _, _, length, _, _ in state["arms"])
-    vertex_vals = {}
-    cuts: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for idx, node in enumerate(sub.nodes):
-        val = l_star if burnt[idx] else Fraction(0)
-        if node[0] == "v":
-            vertex_vals[node[1]] = val
-        else:
-            cuts.setdefault(node[1], []).append((node[2], val))
-    for a, b, length, eid, off in sub.segments:
-        if burnt[a] != burnt[b] and length > l_star:
-            plateau = off + l_star if burnt[b] else off + length - l_star
-            cuts.setdefault(eid, []).append((plateau, l_star))
-    f = PLFunction.from_node_values(graph, vertex_vals, cuts)
-    fired = d.add(f.divisor())
+    arms = [seg for seg in sub.segments if burnt[seg[0]] != burnt[seg[1]]]
+    l_star = min(length for _, _, length, _, _ in arms)
+    chips = dict(d.entries)
+    for a, b, length, eid, off in arms:
+        u, w = (sub.nodes[b], sub.nodes[a]) if burnt[a] else (sub.nodes[a], sub.nodes[b])
+        chips[u] = chips.get(u, 0) - 1
+        land = w if length == l_star else GraphPoint(
+            edge=eid, offset=off + length - l_star if burnt[a] else off + l_star)
+        chips[land] = chips.get(land, 0) + 1
+    fired = Divisor(graph, chips)
     if not (fired.is_effective() and fired.is_integral()):
         raise CertificateError("chip-firing produced an invalid divisor",
                                {"divisor": str(fired)})
@@ -206,20 +201,25 @@ def _dhar_round_cap(graph: MetricGraph, d: Divisor, q: GraphPoint) -> int:
 
 
 def dv_dhar_trace(graph: MetricGraph, d: Divisor, q: GraphPoint):
-    """Reduced form of d at q by repeated burning, with the firing trace."""
+    """Reduced form of d at q by repeated burning, with the firing trace.
+
+    Each round burns from q and fires the unburnt set by moving chips: each
+    segment with one burnt end moves one chip from its unburnt end l* along
+    it, l* the length of the shortest such segment (see _fire_step).
+    """
     _check_burning_input(graph, d, q)
     cap = _dhar_round_cap(graph, d, q)
     current = d
     steps = []
     while True:
-        consumed, state = _burn_once(graph, current, q)
-        if consumed:
+        sub, burnt, unburnt = _burn_once(graph, current, q)
+        if unburnt is None:
             return current, steps
         if len(steps) >= cap:
             raise CertificateError("chip-firing did not stabilize within the safety cap",
                                    {"rounds": len(steps)})
-        current, l_star = _fire_step(graph, current, state)
-        steps.append({"fired_set": state["set"], "distance": l_star})
+        current, l_star = _fire_step(graph, current, sub, burnt)
+        steps.append({"fired_set": unburnt, "distance": l_star})
 
 
 def dv_dhar(graph: MetricGraph, d: Divisor, q: GraphPoint) -> Divisor:
@@ -239,8 +239,8 @@ def dv_dhar_certificate(graph: MetricGraph, d: Divisor, q: GraphPoint):
     already q-reduced.
     """
     _check_burning_input(graph, d, q)
-    consumed, state = _burn_once(graph, d, q)
-    return consumed, None if consumed else state["set"]
+    _, _, unburnt = _burn_once(graph, d, q)
+    return unburnt is None, unburnt
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class MetricGraph:
         # original loop edge id -> (first half id, second half id, half length)
         self.loop_aliases: dict[str, tuple[str, str, Fraction]] = loop_aliases or {}
         self.edge_map: dict[str, Edge] = {e.id: e for e in self.edges}
+        self.vertex_set: frozenset[str] = frozenset(self.vertices)
         self._validate()
-        self.incidence: dict[str, tuple[tuple[str, int], ...]] = self._build_incidence()
         self.total_length: Fraction = sum((e.length for e in self.edges), Fraction(0))
 
     # -- construction ------------------------------------------------------
@@ -119,15 +119,14 @@ class MetricGraph:
     def _validate(self) -> None:
         if not self.vertices:
             raise InputError("graph needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(self.vertex_set) != len(self.vertices):
             raise InputError("vertex names must be distinct")
         if len(self.edge_map) != len(self.edges):
             raise InputError("edge ids must be distinct")
         if not self.edges:
             raise InputError("graph needs at least one edge")
-        vs = set(self.vertices)
         for e in self.edges:
-            if e.tail not in vs or e.head not in vs:
+            if e.tail not in self.vertex_set or e.head not in self.vertex_set:
                 raise InputError(f"edge {e.id!r} references an unknown vertex")
             if e.tail == e.head:
                 raise InputError(f"edge {e.id!r} is a loop after normalization")
@@ -145,15 +144,8 @@ class MetricGraph:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if seen != vs:
+        if seen != self.vertex_set:
             raise InputError("graph must be connected")
-
-    def _build_incidence(self) -> dict[str, tuple[tuple[str, int], ...]]:
-        inc: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.tail].append((e.id, 0))
-            inc[e.head].append((e.id, 1))
-        return {v: tuple(arms) for v, arms in inc.items()}
 
     @property
     def genus(self) -> int:
@@ -185,7 +177,7 @@ class MetricGraph:
               offset=None) -> GraphPoint:
         """Build a normalized point (endpoint offsets collapse to vertices)."""
         if vertex is not None:
-            if vertex not in self.incidence:
+            if vertex not in self.vertex_set:
                 raise InputError(f"unknown vertex {vertex!r}")
             return GraphPoint(vertex=vertex)
         if edge is None or offset is None:
@@ -217,7 +209,7 @@ class MetricGraph:
         if not isinstance(point, GraphPoint):
             raise InputError("expected a graph point", location)
         if point.is_vertex:
-            if point.vertex not in self.incidence:
+            if point.vertex not in self.vertex_set:
                 raise InputError(f"unknown vertex {point.vertex!r}", location)
             return
         e = self.edge_map.get(point.edge)
@@ -359,21 +351,6 @@ class PLFunction:
         c = _over(value, dv)
         return cls._of_valid(graph, {e.id: ((0, _over(e.length, do)), (c, c), (0,))
                                      for e in graph.edges}, do, 1, dv)
-
-    @classmethod
-    def from_node_values(cls, graph: MetricGraph, vertex_vals: dict,
-                         cuts: dict | None = None) -> "PLFunction":
-        """Linear on each edge segment between vertices and given cut points.
-
-        cuts maps edge id to a list of (interior offset, value) pairs.
-        """
-        cuts = cuts or {}
-        data = {}
-        for e in graph.edges:
-            mids = sorted(cuts.get(e.id, ()), key=lambda cut: as_fraction(cut[0]))
-            data[e.id] = ((Fraction(0), vertex_vals[e.tail]), *mids,
-                          (e.length, vertex_vals[e.head]))
-        return cls(graph, data)
 
     def eval(self, point: GraphPoint) -> Fraction:
         if point.is_vertex:
@@ -731,7 +708,7 @@ class ClosedSubset:
                     raise InputError(f"interval [{a},{b}] outside edge {eid!r}")
             ivs[eid] = segs
         for v in verts:
-            if v not in graph.incidence:
+            if v not in graph.vertex_set:
                 raise InputError(f"unknown vertex {v!r}")
         den = lcm(*(x.denominator for segs in ivs.values() for seg in segs for x in seg))
         self._close(graph, verts, {eid: [(_over(a, den), _over(b, den)) for a, b in segs]
@@ -899,44 +876,32 @@ class ClosedSubset:
 class Subdivision:
     """Graph refined at a finite set of interior points.
 
-    Nodes are the original vertices plus the interior points; segments are
-    the resulting simple pieces, each remembering its parent edge and the
-    offset where it starts.
+    nodes lists the vertices, as points, then the interior points by edge id
+    and offset; index maps each node to its position. cuts maps each cut
+    edge to its sorted offsets, and segments lists the resulting simple
+    pieces as (tail node, head node, length, edge id, start offset).
     """
 
     def __init__(self, graph: MetricGraph, points: Iterable[GraphPoint]):
-        self.graph = graph
         cuts: dict[str, set[Fraction]] = {}
         for p in points:
             if not p.is_vertex:
                 cuts.setdefault(p.edge, set()).add(p.offset)
-        self.cuts = {eid: sorted(offs) for eid, offs in cuts.items()}
-        self.nodes: list[tuple] = [("v", v) for v in graph.vertices]
-        for eid in sorted(self.cuts):
-            for o in self.cuts[eid]:
-                self.nodes.append(("p", eid, o))
-        self.index = {node: i for i, node in enumerate(self.nodes)}
+        self.cuts = {eid: sorted(offs) for eid, offs in sorted(cuts.items())}
+        self.nodes = [GraphPoint(vertex=v) for v in graph.vertices]
+        first = {}  # cut edge id -> position of its first cut node
+        for eid, offs in self.cuts.items():
+            first[eid] = len(self.nodes)
+            self.nodes += [GraphPoint(edge=eid, offset=o) for o in offs]
+        self.index = {p: i for i, p in enumerate(self.nodes)}
+        at = {v: i for i, v in enumerate(graph.vertices)}
         self.segments: list[tuple[int, int, Fraction, str, Fraction]] = []
         for e in graph.edges:
-            stops = [(Fraction(0), ("v", e.tail))]
-            stops += [(o, ("p", e.id, o)) for o in self.cuts.get(e.id, ())]
-            stops += [(e.length, ("v", e.head))]
-            for (o1, n1), (o2, n2) in zip(stops, stops[1:]):
-                self.segments.append((self.index[n1], self.index[n2], o2 - o1, e.id, o1))
-
-    def node_of(self, point: GraphPoint) -> int:
-        if point.is_vertex:
-            return self.index[("v", point.vertex)]
-        node = ("p", point.edge, point.offset)
-        if node not in self.index:
-            raise InputError(f"point {point} is not a subdivision node")
-        return self.index[node]
-
-    def point_of(self, idx: int) -> GraphPoint:
-        node = self.nodes[idx]
-        if node[0] == "v":
-            return GraphPoint(vertex=node[1])
-        return GraphPoint(edge=node[1], offset=node[2])
+            offs = [_ZERO, *self.cuts.get(e.id, ()), e.length]
+            k = first.get(e.id, 0)
+            ids = [at[e.tail], *range(k, k + len(offs) - 2), at[e.head]]
+            self.segments += [(a, b, o2 - o1, e.id, o1)
+                              for a, b, o1, o2 in zip(ids, ids[1:], offs, offs[1:])]
 
 
 def _bareiss(rows: list[dict[int, int]]) -> tuple[list[int], int]:

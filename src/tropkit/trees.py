@@ -498,14 +498,11 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
                               key=lambda p: p.key()))
     sub = Subdivision(graph, all_fiber_points)
 
-    node_red: list[Divisor] = []
-    for idx in range(len(sub.nodes)):
-        red, _ = ls_reduced(system, sub.point_of(idx))
-        node_red.append(red)
+    node_red: list[Divisor] = [ls_reduced(system, p)[0] for p in sub.nodes]
 
     for ni, fiber in enumerate(fibers):
         for p in fiber:
-            if node_red[sub.node_of(p)] != skel.nodes[ni]:
+            if node_red[sub.index[p]] != skel.nodes[ni]:
                 raise CertificateError(
                     "a fiber point does not reduce to its node",
                     {"point": str(p), "node": str(skel.nodes[ni])})
@@ -549,9 +546,7 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
                 {"arc": ai, "covered": str(reach),
                  "length": str(arc.length)})
 
-    local_degrees = tuple(
-        (sub.point_of(i), int(node_red[i].coeff(sub.point_of(i))))
-        for i in range(len(sub.nodes)))
+    local_degrees = tuple((p, int(red.coeff(p))) for p, red in zip(sub.nodes, node_red))
     morphism = PseudoHarmonicMap(
         skeleton=skel, cut_points=cut_points, sub_arcs=tuple(sub_arcs),
         fibers=tuple(fibers), local_degrees=local_degrees)

@@ -419,19 +419,22 @@ def tp_project(S: TropGeneratorSet, gamma: TropPoint,
                                     "checks": checks}
 
 
+def _first_redundant(pts: list[TropPoint], mode: str):
+    """(i, tp_member's certificate) for the first point, in order, that
+    lies in the hull of the others, or None."""
+    if len(pts) > 1:
+        for i, p in enumerate(pts):
+            ok, cert = tp_member(TropGeneratorSet.of(pts[:i] + pts[i + 1:], mode), p)
+            if ok:
+                return i, cert
+    return None
+
+
 def tp_extremals(S: TropGeneratorSet) -> TropGeneratorSet:
     """Unique minimal generating subset, by greedy redundancy removal."""
     pts = list(dict.fromkeys(S.points))  # dedupe, keep order
-    changed = True
-    while changed and len(pts) > 1:
-        changed = False
-        for i, p in enumerate(pts):
-            rest = pts[:i] + pts[i + 1:]
-            ok, _ = tp_member(TropGeneratorSet.of(rest, S.mode), p)
-            if ok:
-                pts.pop(i)
-                changed = True
-                break
+    while (found := _first_redundant(pts, S.mode)) is not None:
+        pts.pop(found[0])
     return TropGeneratorSet.of(pts, S.mode)
 
 
@@ -500,16 +503,13 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     pts = list(dict.fromkeys(S.points))
     n = len(pts)
     if kind == "weak":
-        for i, p in enumerate(pts):
-            if len(pts) == 1:
-                break
-            rest = pts[:i] + pts[i + 1:]
-            ok, cert = tp_member(TropGeneratorSet.of(rest, S.mode), p)
-            if ok:
-                return {"kind": kind, "status": "dependent",
-                        "certificate": {"redundant_index": i, "cover": cert["cover"],
-                                        "coefficients": cert["coefficients"]}}
-        return {"kind": kind, "status": "independent", "certificate": None}
+        found = _first_redundant(pts, S.mode)
+        if found is None:
+            return {"kind": kind, "status": "independent", "certificate": None}
+        i, cert = found
+        return {"kind": kind, "status": "dependent",
+                "certificate": {"redundant_index": i, "cover": cert["cover"],
+                                "coefficients": cert["coefficients"]}}
 
     if kind not in ("gondran_minoux", "tropical"):
         raise InputError(f"kind must be weak, gondran_minoux or tropical, got {kind!r}")

@@ -60,6 +60,20 @@ def _expect(data, types, what: str, location: str):
     return data
 
 
+def _name_lists(block, known: dict, what: str, kind: str, member: str,
+                location: str) -> dict:
+    """A systems or sets block: each entry, what, is a list of names in known."""
+    out = {}
+    for name in sorted(_expect(block, dict, f"{kind}s", location)):
+        here = f"{location}.{name}"
+        members = _expect(block[name], list, what, here)
+        for m in members:
+            if _expect(m, str, f"a {member} name", here) not in known:
+                raise InputError(f"{kind} {name!r} references unknown {member} {m!r}", here)
+        out[str(name)] = tuple(members)
+    return out
+
+
 def point_from_json(graph: MetricGraph, data, location: str) -> GraphPoint:
     """Graph point from {"vertex": name} or {"edge": id, "offset": r}."""
     _expect(data, dict, "a point", location)
@@ -214,16 +228,8 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
         for name in sorted(divisors):
             ws.divisors[str(name)] = divisor_from_json(
                 graph, divisors[name], f"{location}.divisors.{name}")
-        systems = _expect(data.get("systems", {}), dict, "systems",
-                          f"{location}.systems")
-        for name in sorted(systems):
-            here = f"{location}.systems.{name}"
-            members = _expect(systems[name], list, "a system", here)
-            for d in members:
-                if d not in ws.divisors:
-                    raise InputError(f"system {name!r} references unknown "
-                                     f"divisor {d!r}", here)
-            ws.systems[str(name)] = tuple(str(d) for d in members)
+        ws.systems = _name_lists(data.get("systems", {}), ws.divisors, "a system",
+                                 "system", "divisor", f"{location}.systems")
     elif "divisors" in data or "systems" in data:
         raise InputError("divisors and systems need a graph block",
                          location)
@@ -258,16 +264,8 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
             ws.points[str(name)] = TropPoint.of(
                 [as_fraction(c, f"{here}[{i}]")
                  for i, c in enumerate(coords)])
-        sets = _expect(data.get("sets", {}), dict, "sets",
-                       f"{location}.sets")
-        for name in sorted(sets):
-            here = f"{location}.sets.{name}"
-            members = _expect(sets[name], list, "a point set", here)
-            for p in members:
-                if p not in ws.points:
-                    raise InputError(f"set {name!r} references unknown "
-                                     f"point {p!r}", here)
-            ws.sets[str(name)] = tuple(str(p) for p in members)
+        ws.sets = _name_lists(data.get("sets", {}), ws.points, "a point set", "set",
+                              "point", f"{location}.sets")
     elif "weights" in data or "sets" in data:
         raise InputError("weights and sets need a ground block", location)
 

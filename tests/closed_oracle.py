@@ -38,7 +38,7 @@ class ClosedSubset:
                     raise InputError(f"interval [{a},{b}] outside edge {eid!r}")
             ivs[eid] = segs
         for v in verts:
-            if v not in graph.incidence:
+            if v not in graph.vertex_set:
                 raise InputError(f"unknown vertex {v!r}")
         self._close(graph, verts, ivs)
 

@@ -61,12 +61,12 @@ def oracle_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFu
     """The potential with divisor d_to - d_from, minimum zero, by the dense solve."""
     delta = d_to.sub(d_from)
     sub = Subdivision(graph, delta.support())
-    injections = {sub.node_of(p): c for p, c in delta.items()}
+    injections = {sub.index[p]: c for p, c in delta.items()}
     vals = solve_node_potentials(sub, injections)
-    vertex_vals = {v: vals[sub.index[("v", v)]] for v in graph.vertices}
-    cuts = {eid: [(o, vals[sub.index[("p", eid, o)]]) for o in offs]
-            for eid, offs in sub.cuts.items()}
-    return PLFunction.from_node_values(graph, vertex_vals, cuts).minus_min()
+    data: dict[str, list] = {}
+    for a, b, length, eid, off in sub.segments:  # in order along each edge
+        data.setdefault(eid, [(off, vals[a])]).append((off + length, vals[b]))
+    return PLFunction(graph, data).minus_min()
 
 
 def _ldl_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:

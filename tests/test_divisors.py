@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dhar_oracle
+from conftest import random_graph
 from tropkit import (
     CertificateError,
     Divisor,
@@ -23,6 +27,7 @@ from tropkit import (
     ls_project,
     ls_reduced,
 )
+from tropkit.divisors import _burn_once, _fire_step
 from tropkit.trees import _sample_points as sample_points
 
 
@@ -156,6 +161,60 @@ class TestDharReduction:
             assert dv_lin_equiv(g, red, d)
             consumed, _ = dv_dhar_certificate(g, red, q)
             assert consumed
+
+    def test_firing_by_moving_chips_matches_the_oracle(self):
+        """Burning on random graphs against tests/dhar_oracle.py, which fires
+        through the divisor of a checked PL function: the same reduced
+        divisor, fired sets, distances and rounds, and the same certificate.
+        Chips sit at vertices and at interior offsets of denominator 1-5,
+        and q is a vertex or an interior point."""
+        seen = set()
+
+        def interior(rng, g):
+            e = rng.choice(g.edges)
+            den = rng.randint(1, 5)
+            top = -(-e.length.numerator * den // e.length.denominator)  # ceil(length * den)
+            if top <= 1:
+                return g.vertex_point(rng.choice([e.tail, e.head]))
+            return g.point(edge=e.id, offset=Fraction(rng.randrange(1, top), den))
+
+        def point(rng, g):
+            return g.vertex_point(rng.choice(g.vertices)) if rng.random() < 0.4 \
+                else interior(rng, g)
+
+        @given(seed=st.integers(0, 2 ** 32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=9)
+            d = Divisor.of(g, [(point(rng, g), rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 4))])
+            q = point(rng, g)
+            current = d  # round by round first, so a wrong move fails before a runaway trace
+            while (state := dhar_oracle.burn_once(g, current, q)) is not None:
+                nodes, segments, burnt, ref_set = state
+                sub, lib_burnt, unburnt = _burn_once(g, current, q)
+                assert unburnt.key() == ref_set.key()
+                fired, l_star = _fire_step(g, current, sub, lib_burnt)
+                arms = [length for a, b, length, _, _ in segments if burnt[a] != burnt[b]]
+                seen.add("exact arm")  # the shortest arm lands its chip on its burnt end
+                if max(arms) > min(arms):
+                    seen.add("longer arm")
+                current, ref_l_star = dhar_oracle.fire(g, current, nodes, segments, burnt)
+                assert (fired.key(), l_star) == (current.key(), ref_l_star)
+            reduced, steps = dv_dhar_trace(g, d, q)
+            ref, ref_steps = dhar_oracle.trace(g, d, q)
+            assert reduced.key() == ref.key() == current.key()
+            assert [(s["fired_set"].key(), s["distance"]) for s in steps] == \
+                [(s["fired_set"].key(), s["distance"]) for s in ref_steps]
+            consumed, unburnt = dv_dhar_certificate(g, d, q)
+            ref_consumed, ref_unburnt = dhar_oracle.certificate(g, d, q)
+            assert consumed == ref_consumed == (not steps)
+            assert (unburnt and unburnt.key()) == (ref_unburnt and ref_unburnt.key())
+            if len(steps) > 1:
+                seen.add("multi-round")
+
+        check()
+        assert seen == {"exact arm", "longer arm", "multi-round"}
 
     def test_two_routes_agree(self, c6, complete):
         """Burning and projection are independent implementations."""

@@ -432,11 +432,10 @@ class TestPLFunctionChecks:
             PLFunction(g, data)
         assert str(exc.value) == message
 
-    def test_from_node_values_orders_string_offsets_as_rationals(self):
+    def test_string_offsets_order_as_rationals(self):
         """"1/3" sorts after "1/2" as text but before it as a rational."""
         g = MetricGraph.of(["a", "b"], [("e", "a", "b", 1)])
-        f = PLFunction.from_node_values(g, {"a": 0, "b": 0},
-                                        {"e": [("1/3", 2), ("1/2", 1)]})
+        f = PLFunction(g, {"e": ((0, 0), ("1/3", 2), ("1/2", 1), (1, 0))})
         assert f.data["e"] == ((0, 0), (Fraction(1, 3), 2), (Fraction(1, 2), 1), (1, 0))
 
 
@@ -502,8 +501,8 @@ class TestIntegerKernel:
         """x and (1 - x)/2 on a unit edge cross at 1/3, so the minimum has
         a breakpoint off every denominator of its inputs."""
         g = MetricGraph.of(["a", "b"], [("e", "a", "b", 1)])
-        f = PLFunction.from_node_values(g, {"a": 0, "b": 1})
-        h = PLFunction.from_node_values(g, {"a": Fraction(1, 2), "b": 0})
+        f = PLFunction(g, {"e": ((0, 0), (1, 1))})
+        h = PLFunction(g, {"e": ((0, Fraction(1, 2)), (1, 0))})
         low = f.min_with(h)
         assert low.data["e"] == ((0, 0), (Fraction(1, 3), Fraction(1, 3)), (1, 0))
         assert low.slopes["e"] == (1, Fraction(-1, 2))

@@ -114,6 +114,33 @@ class TestErrorHandling:
         assert code == 2
         assert payload["code"] == "input-error"
 
+    @pytest.mark.parametrize("block, member", [
+        ("systems", ["D"]), ("systems", {"d": "D"}), ("sets", ["A"]), ("sets", {"p": "A"}),
+    ], ids=["system array", "system object", "set array", "set object"])
+    def test_non_string_members_are_located(self, tmp_path, capsys, block, member):
+        """An array or object where a system or point set names a member is
+        an input error at that entry, not a crash."""
+        path = str(tmp_path / "ws.json")
+        if block == "systems":
+            data = {"vertices": ["a", "b"],
+                    "edges": [{"id": "e", "tail": "a", "head": "b", "length": 1}],
+                    "divisors": {"D": [[{"vertex": "a"}, 1]]}, "systems": {"S": ["D", member]}}
+            argv, kind = ("sys", "member", "--graph", path, "--system", "S", "--divisor", "D"), \
+                "divisor"
+        else:
+            data = {"ground": ["x", "y"], "points": {"A": ["0", "1"]}, "sets": {"S": ["A", member]}}
+            argv, kind = ("tp", "member", "--space", path, "--generators", "S", "--point", "A"), \
+                "point"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": 1, **data}, fh)
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload == {
+            "code": "input-error",
+            "location": f"{path}.{block}.S",
+            "message": f"a {kind} name must be a str, got {type(member).__name__}",
+        }
+
     def test_unknown_system_name(self, capsys):
         code, payload = run_json(capsys, "sys", "member", "--graph", C6,
                                  "--system", "missing", "--divisor", "D0")
