@@ -247,14 +247,7 @@ def dv_dhar_certificate(graph: MetricGraph, d: Divisor, q: GraphPoint):
 # linear systems
 # ---------------------------------------------------------------------------
 
-class SystemMemo:
-    """Tree-layer results of one system, each filled by trees.py on first use."""
-
-    __slots__ = ("criticals", "is_tree", "support", "dominant", "skeleton", "morphism")
-
-    def __init__(self):
-        self.criticals = self.is_tree = self.support = None
-        self.dominant = self.skeleton = self.morphism = None
+_MISS = object()
 
 
 class LinearSystem:
@@ -264,10 +257,14 @@ class LinearSystem:
     one degree and pairwise linearly equivalent. Every divisor the system
     touches gets one exact potential solve against generator 0, cached, so
     segment sweeps and tree machinery are pure piecewise-linear arithmetic
-    afterwards. Caches, keyed by divisors, which hash their key() once: _pots
-    (d -> potential relative to generator 0), _pairs ((a, b) -> pair_function),
-    _projections (e -> f* and projection; ls_project checks its certificates
-    on every call), _path_points ((a, b, t) -> path_point) and memo (SystemMemo).
+    afterwards. Every per-system result lives in one memo table, _memo,
+    filled through cached() and keyed by (kind, *arguments); the arguments
+    are divisors, which hash their key() once, and levels:
+    ("potential", d) -> potential relative to generator 0; ("pair", a, b)
+    -> pair_function; ("path", a, b, t) -> path_point; ("projection", e)
+    -> f* and projection, whose certificates ls_project checks on every
+    call, hit or not; and the tree layer's ("criticals",), ("is_tree",),
+    ("is_dominant",) and ("morphism",).
     """
 
     def __init__(self, graph: MetricGraph, generators: Sequence[Divisor]):
@@ -288,37 +285,40 @@ class LinearSystem:
         self.graph = graph
         self.generators = tuple(gens)
         self.degree: Fraction = deg
-        self._pots: dict[Divisor, PLFunction] = {gens[0]: PLFunction.constant(graph, 0)}
-        self._pairs: dict[tuple, PLFunction] = {}
-        self._projections: dict[Divisor, tuple[PLFunction, Divisor]] = {}
-        self._path_points: dict[tuple, Divisor] = {}
-        self.memo = SystemMemo()
+        self._memo: dict[tuple, object] = {
+            ("potential", gens[0]): PLFunction.constant(graph, 0)}
         for i, g in enumerate(gens):
             if not self.potential(g).slopes_integer():
                 raise InputError(
                     f"generator {i} is not linearly equivalent to generator 0")
 
+    def cached(self, key: tuple, build):
+        """The value stored under key, or build(), stored first."""
+        value = self._memo.get(key, _MISS)
+        if value is _MISS:
+            value = self._memo[key] = build()
+        return value
+
     def potential(self, d: Divisor) -> PLFunction:
         """Potential of d relative to generator 0 (cached, one solve)."""
-        pot = self._pots.get(d)
-        if pot is None:
+        def solve():
             if d.degree() != self.degree:
                 raise InputError("divisor degree does not match the system")
-            pot = self._pots[d] = _potential(self.graph, self.generators[0], d)
-        return pot
+            return _potential(self.graph, self.generators[0], d)
+
+        return self.cached(("potential", d), solve)
 
     def register(self, d: Divisor, f: PLFunction, base: Divisor) -> None:
         """Record f + potential(base), when f's divisor is d - base, as the
         potential of d (relative to generator 0), unless d already has one."""
-        if d not in self._pots:
-            self._pots[d] = f.add(self.potential(base))
+        key = ("potential", d)
+        if key not in self._memo:
+            self._memo[key] = f.add(self.potential(base))
 
     def pair_function(self, a: Divisor, b: Divisor) -> PLFunction:
         """Min-normalized potential from a to b (cached per ordered pair)."""
-        f = self._pairs.get((a, b))
-        if f is None:
-            f = self._pairs[a, b] = self.potential(b).sub(self.potential(a)).minus_min()
-        return f
+        return self.cached(("pair", a, b),
+                           lambda: self.potential(b).sub(self.potential(a)).minus_min())
 
     def rho(self, a: Divisor, b: Divisor) -> Fraction:
         return self.pair_function(a, b).max_value()
@@ -333,12 +333,14 @@ class LinearSystem:
         f = self.pair_function(a, b)
         if not (0 <= t <= f.max_value()):
             raise InputError(f"t must lie in [0, {f.max_value()}]")
-        point = self._path_points.get((a, b, t))
-        if point is None:
+
+        def walk():
             clipped = f.clip_max(t)
-            point = self._path_points[a, b, t] = clipped.divisor().add(a)
+            point = clipped.divisor().add(a)
             self.register(point, clipped, a)
-        return point
+            return point
+
+        return self.cached(("path", a, b, t), walk)
 
 
 def _check_target(T: LinearSystem, e: Divisor) -> None:
@@ -397,12 +399,14 @@ def ls_project(T: LinearSystem, e: Divisor):
     """
     _check_target(T, e)
     g_bars = [T.pair_function(e, g) for g in T.generators]
-    memo = T._projections.get(e)
-    if memo is None:
+
+    def project():
         f_star = reduce(PLFunction.min_with, g_bars)
-        memo = T._projections[e] = f_star, f_star.divisor().add(e)
-        T.register(memo[1], f_star, e)
-    f_star, projection = memo
+        projection = f_star.divisor().add(e)
+        T.register(projection, f_star, e)
+        return f_star, projection
+
+    f_star, projection = T.cached(("projection", e), project)
     if not projection.is_integral() or not projection.is_effective():
         raise CertificateError("projection is not an effective integer divisor",
                                {"projection": str(projection)})
@@ -472,14 +476,10 @@ def ls_bases(T: LinearSystem, d: Divisor) -> list[ClosedSubset]:
     member, _ = ls_member(T, d)
     if not member:
         raise InputError("the divisor is not a member of the system")
-    bases: list[ClosedSubset] = []
-    seen = set()
+    bases: dict[tuple, ClosedSubset] = {}  # key() -> first base found
     for g in T.generators:
         f_bar = T.pair_function(d, g)
-        if f_bar.max_value() == 0:
-            continue
-        base = f_bar.extremum_set("min")
-        if base.key() not in seen:
-            seen.add(base.key())
-            bases.append(base)
-    return sorted(bases, key=ClosedSubset.key)
+        if f_bar.max_value() != 0:
+            base = f_bar.extremum_set("min")
+            bases.setdefault(base.key(), base)
+    return [bases[k] for k in sorted(bases)]

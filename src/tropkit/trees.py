@@ -60,8 +60,10 @@ def tt_critical(system: LinearSystem) -> list[Divisor]:
     values, so the critical set is the collection of path points at those
     levels, deduplicated and sorted canonically.
     """
-    if system.memo.criticals is not None:
-        return list(system.memo.criticals)
+    return list(system.cached(("criticals",), lambda: _criticals(system)))
+
+
+def _criticals(system: LinearSystem) -> tuple[Divisor, ...]:
     gens = system.generators
     crits = dict.fromkeys(gens)  # an ordered set: equal divisors keep the first found
     for i in range(len(gens)):
@@ -69,9 +71,7 @@ def tt_critical(system: LinearSystem) -> list[Divisor]:
             f = system.pair_function(gens[i], gens[j])
             for level in f.breakpoint_values():
                 crits.setdefault(system.path_point(gens[i], gens[j], level))
-    out = sorted(crits, key=Divisor.key)
-    system.memo.criticals = tuple(out)
-    return out
+    return tuple(sorted(crits, key=Divisor.key))
 
 
 def _on_generator_segment(system: LinearSystem, x: Divisor) -> bool:
@@ -105,10 +105,8 @@ def tt_is_tree(system: LinearSystem) -> tuple[bool, dict]:
     generator segments: each direction change along such a segment is
     located and tested for membership on some generator segment.
     """
-    if system.memo.is_tree is None:
-        ok, report = _tree_check(system)
-        system.memo.is_tree = (ok, dict(report))
-    return system.memo.is_tree[0], dict(system.memo.is_tree[1])
+    ok, report = system.cached(("is_tree",), lambda: _tree_check(system))
+    return ok, dict(report)
 
 
 def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
@@ -153,9 +151,6 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
     and the chips that never move sit in the supports of the endpoints.
     Each non-constant piece contributes its closed parameter interval.
     """
-    if system.memo.support is not None:
-        return system.memo.support
-    graph = system.graph
     vertices: set[str] = set()
     intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
 
@@ -174,8 +169,7 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
             f = system.pair_function(gens[i], gens[j])
             for eid, segs in f.nonconstant_intervals().items():
                 intervals.setdefault(eid, []).extend(segs)
-    system.memo.support = ClosedSubset(graph, vertices, intervals)
-    return system.memo.support
+    return ClosedSubset(system.graph, vertices, intervals)
 
 
 def tt_support(system: LinearSystem) -> ClosedSubset:
@@ -206,35 +200,34 @@ def tt_is_dominant(system: LinearSystem) -> tuple[bool, dict]:
     fails that cross-check contradicts the coverage computation, so it is
     raised as a certificate failure instead of a negative verdict.
     """
-    if system.memo.dominant is not None:
-        return system.memo.dominant[0], dict(system.memo.dominant[1])
+    ok, report = system.cached(("is_dominant",), lambda: _dominance_check(system))
+    return ok, dict(report)
+
+
+def _dominance_check(system: LinearSystem) -> tuple[bool, dict]:
     ok, tree_report = tt_is_tree(system)
     if not ok:
-        verdict = (False, {"dominant": False,
-                           "reason": "not a tropical tree",
-                           "tree": tree_report})
-    else:
-        support = _tree_support(system)
-        if not support.covers_graph():
-            verdict = (False, {
-                "dominant": False,
-                "reason": "support misses part of the graph",
-                "uncovered": support.complement_components(),
-            })
-        else:
-            samples = _sample_points(system.graph)
-            for q in samples:
-                red, _ = ls_reduced(system, q)
-                if red.coeff(q) <= 0:
-                    raise CertificateError(
-                        "a sampled point is missing from its own reduced "
-                        "divisor despite full support coverage",
-                        {"point": str(q), "reduced": str(red)})
-            verdict = (True, {"dominant": True,
-                              "method": "critical-set verified",
-                              "spot_checks": len(samples)})
-    system.memo.dominant = (verdict[0], dict(verdict[1]))
-    return verdict
+        return False, {"dominant": False,
+                       "reason": "not a tropical tree",
+                       "tree": tree_report}
+    support = _tree_support(system)
+    if not support.covers_graph():
+        return False, {
+            "dominant": False,
+            "reason": "support misses part of the graph",
+            "uncovered": support.complement_components(),
+        }
+    samples = _sample_points(system.graph)
+    for q in samples:
+        red, _ = ls_reduced(system, q)
+        if red.coeff(q) <= 0:
+            raise CertificateError(
+                "a sampled point is missing from its own reduced "
+                "divisor despite full support coverage",
+                {"point": str(q), "reduced": str(red)})
+    return True, {"dominant": True,
+                  "method": "critical-set verified",
+                  "spot_checks": len(samples)}
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +328,6 @@ def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
     if not ok:
         raise InputError("the system is not a tropical tree: "
                          + report["reason"])
-    if system.memo.skeleton is None:
-        system.memo.skeleton = _build_skeleton(system)
-    return system.memo.skeleton
-
-
-def _build_skeleton(system: LinearSystem) -> TreeSkeleton:
     crits = tt_critical(system)
     index = {d: i for i, d in enumerate(crits)}
     gens = system.generators
@@ -473,8 +460,10 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
     integer, and the midpoint must land exactly halfway between the
     endpoint images.  Finally the sub-arc images must cover every arc.
     """
-    if system.memo.morphism is not None:
-        return system.memo.morphism
+    return system.cached(("morphism",), lambda: _morphism(system))
+
+
+def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
     ok, report = tt_is_dominant(system)
     if not ok:
         raise InputError("the system is not a dominant tropical tree: "
@@ -492,11 +481,7 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
                 {"node": str(node)})
         fibers.append(tuple(points))
 
-    all_fiber_points = [p for fiber in fibers for p in fiber]
-    cut_points = tuple(sorted({p.key(): p for p in all_fiber_points
-                               if not p.is_vertex}.values(),
-                              key=lambda p: p.key()))
-    sub = Subdivision(graph, all_fiber_points)
+    sub = Subdivision(graph, [p for fiber in fibers for p in fiber])
 
     node_red: list[Divisor] = [ls_reduced(system, p)[0] for p in sub.nodes]
 
@@ -547,11 +532,9 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
                  "length": str(arc.length)})
 
     local_degrees = tuple((p, int(red.coeff(p))) for p, red in zip(sub.nodes, node_red))
-    morphism = PseudoHarmonicMap(
-        skeleton=skel, cut_points=cut_points, sub_arcs=tuple(sub_arcs),
-        fibers=tuple(fibers), local_degrees=local_degrees)
-    system.memo.morphism = morphism
-    return morphism
+    return PseudoHarmonicMap(
+        skeleton=skel, cut_points=tuple(sub.nodes[len(graph.vertices):]),
+        sub_arcs=tuple(sub_arcs), fibers=tuple(fibers), local_degrees=local_degrees)
 
 
 def _common_arc(system: LinearSystem, skel: TreeSkeleton,

@@ -329,20 +329,23 @@ class TestLinearSystems:
             return (projection, checks,
                     [s.key() for s in cert["membership"]["min_sets"]])
 
+        def entries(kind):
+            return sum(1 for key in T._memo if key[0] == kind)
+
         first = [summary(*ls_reduced(T, q)) for q in points]
-        assert all((s[0], g) in T._pairs for s in first for g in T.generators)
-        cached = len(T._pairs), len(T._projections)
+        assert all(("pair", s[0], g) in T._memo for s in first for g in T.generators)
+        cached = entries("pair"), entries("projection")
         second = [summary(*ls_reduced(T, q)) for q in points]
-        assert (len(T._pairs), len(T._projections)) == cached
+        assert (entries("pair"), entries("projection")) == cached
         for q, got1, got2 in zip(points, first, second):
             expected = summary(*ls_reduced(LinearSystem(T.graph, T.generators), q))
             assert got1 == got2 == expected
         walks = [(a, b, T.rho(a, b) * Fraction(k, 4))
                  for a in T.generators for b in T.generators for k in range(5)]
         first = [T.path_point(*walk) for walk in walks]
-        cached = len(T._path_points)
+        cached = entries("path")
         assert [T.path_point(*walk) for walk in walks] == first
-        assert len(T._path_points) == cached
+        assert entries("path") == cached
         for walk, point in zip(walks, first):
             assert point == LinearSystem(T.graph, T.generators).path_point(*walk)
 
@@ -353,9 +356,9 @@ class TestLinearSystems:
         T = LinearSystem(c6.need_graph(), c6.system("seg_D1_D3").generators)
         target = Divisor.of(T.graph, [(T.graph.vertex_point("v2"), T.degree)])
         ls_project(T, target)
-        f_star, _ = T._projections[target]
+        f_star, _ = T._memo["projection", target]
         assert not ls_member(LinearSystem(T.graph, T.generators), target)[0]
-        T._projections[target] = (f_star, target)
+        T._memo["projection", target] = (f_star, target)
         with pytest.raises(CertificateError):
             ls_project(T, target)
 

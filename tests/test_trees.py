@@ -4,6 +4,7 @@ import pytest
 
 from tropkit import (
     InputError,
+    LinearSystem,
     ls_bases,
     ls_project,
     ls_reduced,
@@ -175,6 +176,28 @@ class TestSkeletonAndMorphism:
             assert sub.expansion >= 1
             span = abs(sub.arc_to - sub.arc_from)
             assert span == sub.expansion * (sub.end - sub.start)
+
+
+class TestMemoTable:
+    def test_tree_layer_memo_hands_out_copies(self, banana):
+        """A system's second tt_morphism call returns the stored object, and
+        changing a returned report or critical list leaves the next call's
+        result equal to a fresh system's."""
+        W = banana.system("witness4")
+        T = LinearSystem(W.graph, W.generators)
+        morphism = tt_morphism(T)
+        assert tt_morphism(T) is morphism
+        fresh = LinearSystem(W.graph, W.generators)
+        for check in (tt_is_tree, tt_is_dominant):
+            ok, report = check(T)
+            assert ok
+            report.clear()
+            report["method"] = "changed"
+            assert check(T) == check(fresh)
+        crits = tt_critical(T)
+        assert crits
+        crits.clear()
+        assert tt_critical(T) == tt_critical(fresh)
 
 
 class TestHarmonization:
