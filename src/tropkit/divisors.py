@@ -167,7 +167,7 @@ def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,
     each arm and flat at l* beyond.
     """
     arms = [seg for seg in sub.segments if burnt[seg[0]] != burnt[seg[1]]]
-    l_star = min(length for _, _, length, _, _ in arms)
+    tail, head, l_star, _, _ = min(arms, key=lambda arm: arm[2])
     chips = dict(d.entries)
     for a, b, length, eid, off in arms:
         u, w = (sub.nodes[b], sub.nodes[a]) if burnt[a] else (sub.nodes[a], sub.nodes[b])
@@ -179,6 +179,9 @@ def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,
     if not (fired.is_effective() and fired.is_integral()):
         raise CertificateError("chip-firing produced an invalid divisor",
                                {"divisor": str(fired)})
+    if l_star == 0:  # firing would make no progress
+        raise CertificateError("chip-firing met a zero-length arm",
+                               {"arm": f"{sub.nodes[tail]}..{sub.nodes[head]}"})
     return fired, l_star
 
 
@@ -190,12 +193,8 @@ def _check_burning_input(graph: MetricGraph, d: Divisor, q: GraphPoint) -> None:
 
 
 def _dhar_round_cap(graph: MetricGraph, d: Divisor, q: GraphPoint) -> int:
-    denom = 1
-    for e in graph.edges:
-        denom = lcm(denom, e.length.denominator)
-    for p in d.support() + [q]:
-        if not p.is_vertex:
-            denom = lcm(denom, p.offset.denominator)
+    denom = lcm(*(e.length.denominator for e in graph.edges),
+                *(p.offset.denominator for p in d.support() + [q] if not p.is_vertex))
     scaled_length = int(graph.total_length * denom)
     return 64 * (1 + scaled_length) * (int(d.degree()) + 2)
 
@@ -254,17 +253,17 @@ class LinearSystem:
     """Tropically convex family of effective divisors, given by generators.
 
     Generators must be effective divisors with integer coefficients, all of
-    one degree and pairwise linearly equivalent. Every divisor the system
-    touches gets one exact potential solve against generator 0, cached, so
-    segment sweeps and tree machinery are pure piecewise-linear arithmetic
-    afterwards. Every per-system result lives in one memo table, _memo,
-    filled through cached() and keyed by (kind, *arguments); the arguments
-    are divisors, which hash their key() once, and levels:
-    ("potential", d) -> potential relative to generator 0; ("pair", a, b)
-    -> pair_function; ("path", a, b, t) -> path_point; ("projection", e)
-    -> f* and projection, whose certificates ls_project checks on every
-    call, hit or not; and the tree layer's ("criticals",), ("is_tree",),
-    ("is_dominant",) and ("morphism",).
+    one degree and pairwise linearly equivalent. Each divisor value has one
+    object in the system (generators, targets and what derive() builds) and
+    one cached potential, solved exactly or derived, so segment sweeps and
+    tree machinery are pure piecewise-linear arithmetic afterwards. Every
+    per-system result lives in one memo table, _memo, filled through
+    cached() and keyed by (kind, *arguments): ("divisor", d) -> the
+    system's object equal to d; ("potential", d) -> potential relative to
+    generator 0; ("pair", a, b) -> pair_function; ("path", a, b, t) ->
+    path_point; ("projection", e) -> f* and projection, whose certificates
+    ls_project checks on every call, hit or not; and the tree layer's
+    ("criticals",), ("is_tree",), ("is_dominant",) and ("morphism",).
     """
 
     def __init__(self, graph: MetricGraph, generators: Sequence[Divisor]):
@@ -283,42 +282,48 @@ class LinearSystem:
         if any(g.degree() != deg for g in gens):
             raise InputError("generators must share one degree")
         self.graph = graph
-        self.generators = tuple(gens)
         self.degree: Fraction = deg
-        self._memo: dict[tuple, object] = {
-            ("potential", gens[0]): PLFunction.constant(graph, 0)}
-        for i, g in enumerate(gens):
+        self._memo: dict[tuple, object] = {}
+        self.generators = tuple(map(self.intern, gens))
+        self._memo["potential", self.generators[0]] = PLFunction.constant(graph, 0)
+        for i, g in enumerate(self.generators):
             if not self.potential(g).slopes_integer():
                 raise InputError(
                     f"generator {i} is not linearly equivalent to generator 0")
 
-    def cached(self, key: tuple, build):
-        """The value stored under key, or build(), stored first."""
+    def cached(self, key: tuple, build, *args):
+        """The value stored under key, or build(*args), stored first."""
         value = self._memo.get(key, _MISS)
         if value is _MISS:
-            value = self._memo[key] = build()
+            value = self._memo[key] = build(*args)
         return value
+
+    def intern(self, d: Divisor) -> Divisor:
+        """The system's one object equal to d (d itself when it is new)."""
+        return self._memo.setdefault(("divisor", d), d)
+
+    def derive(self, f: PLFunction, base: Divisor) -> Divisor:
+        """div(f) + base, interned; f + potential(base) is recorded as its
+        potential (relative to generator 0) unless it already has one."""
+        d = self.intern(f.divisor().add(base))
+        self.cached(("potential", d), f.add, self.potential(base))
+        return d
 
     def potential(self, d: Divisor) -> PLFunction:
         """Potential of d relative to generator 0 (cached, one solve)."""
-        def solve():
-            if d.degree() != self.degree:
-                raise InputError("divisor degree does not match the system")
-            return _potential(self.graph, self.generators[0], d)
+        return self.cached(("potential", d), self._solve, d)
 
-        return self.cached(("potential", d), solve)
-
-    def register(self, d: Divisor, f: PLFunction, base: Divisor) -> None:
-        """Record f + potential(base), when f's divisor is d - base, as the
-        potential of d (relative to generator 0), unless d already has one."""
-        key = ("potential", d)
-        if key not in self._memo:
-            self._memo[key] = f.add(self.potential(base))
+    def _solve(self, d: Divisor) -> PLFunction:
+        if d.degree() != self.degree:
+            raise InputError("divisor degree does not match the system")
+        return _potential(self.graph, self.generators[0], d)
 
     def pair_function(self, a: Divisor, b: Divisor) -> PLFunction:
         """Min-normalized potential from a to b (cached per ordered pair)."""
-        return self.cached(("pair", a, b),
-                           lambda: self.potential(b).sub(self.potential(a)).minus_min())
+        return self.cached(("pair", a, b), self._pair, a, b)
+
+    def _pair(self, a: Divisor, b: Divisor) -> PLFunction:
+        return self.potential(b).sub(self.potential(a)).minus_min()
 
     def rho(self, a: Divisor, b: Divisor) -> Fraction:
         return self.pair_function(a, b).max_value()
@@ -326,24 +331,20 @@ class LinearSystem:
     def path_point(self, a: Divisor, b: Divisor, t) -> Divisor:
         """Divisor at parameter t along the segment from a to b.
 
-        Also registers the new divisor's potential, so walking a segment
-        costs no additional solves.
+        The point is derived, so walking a segment costs no additional
+        solves.
         """
         t = as_fraction(t)
         f = self.pair_function(a, b)
         if not (0 <= t <= f.max_value()):
             raise InputError(f"t must lie in [0, {f.max_value()}]")
+        return self.cached(("path", a, b, t), self._walk, f, a, t)
 
-        def walk():
-            clipped = f.clip_max(t)
-            point = clipped.divisor().add(a)
-            self.register(point, clipped, a)
-            return point
-
-        return self.cached(("path", a, b, t), walk)
+    def _walk(self, f: PLFunction, a: Divisor, t: Fraction) -> Divisor:
+        return self.derive(f.clip_max(t), a)
 
 
-def _check_target(T: LinearSystem, e: Divisor) -> None:
+def _target(T: LinearSystem, e: Divisor) -> Divisor:
     if not isinstance(e, Divisor):
         raise InputError("the target must be a divisor")
     T.graph.check_divisor(e, "e")
@@ -351,6 +352,7 @@ def _check_target(T: LinearSystem, e: Divisor) -> None:
         raise InputError("divisor degree does not match the system")
     if not e.is_effective():
         raise InputError("the target divisor must be effective")
+    return T.intern(e)
 
 
 def _cover(fns: Sequence[PLFunction]):
@@ -370,7 +372,7 @@ def ls_member(T: LinearSystem, e: Divisor):
     the certificate carries the per-generator sets and, on failure, the
     uncovered components.
     """
-    _check_target(T, e)
+    e = _target(T, e)
     if not e.is_integral():
         return False, {"member": False, "reason": "coefficients are not integers",
                        "min_sets": [], "uncovered": []}
@@ -393,30 +395,23 @@ def ls_project(T: LinearSystem, e: Divisor):
     Residuated construction: shift each generator potential to touch zero
     and take the pointwise minimum f*; the projection is div(f*) + e. Each
     generator is then checked for additivity of the linear pseudonorm
-    through the projection and for a common minimizer witness; the
-    potentials from the projection toward the generators also give the
-    membership certificate. A failed check raises CertificateError.
+    through the projection and for a common minimizer witness, and the
+    membership certificate is ls_member's for the projection. A failed
+    check raises CertificateError.
     """
-    _check_target(T, e)
+    e = _target(T, e)
     g_bars = [T.pair_function(e, g) for g in T.generators]
-
-    def project():
-        f_star = reduce(PLFunction.min_with, g_bars)
-        projection = f_star.divisor().add(e)
-        T.register(projection, f_star, e)
-        return f_star, projection
-
-    f_star, projection = T.cached(("projection", e), project)
+    f_star, projection = T.cached(("projection", e), _project, T, e, g_bars)
     if not projection.is_integral() or not projection.is_effective():
         raise CertificateError("projection is not an effective integer divisor",
                                {"projection": str(projection)})
     f_star_min = f_star.extremum_set("min")
     b_lower = f_star.integral()
     checks = []
-    # potentials from the projection toward each generator (g_bar - f_star, shifted)
-    to_projections = [T.pair_function(projection, g) for g in T.generators]
-    for i, (g_bar, to_projection) in enumerate(zip(g_bars, to_projections)):
+    for i, (g, g_bar) in enumerate(zip(T.generators, g_bars)):
         b_total = g_bar.integral()
+        # the potential from the projection toward g is g_bar - f_star, shifted
+        to_projection = T.pair_function(projection, g)
         b_upper = to_projection.integral()
         witness = to_projection.extremum_set("min").intersect(f_star_min)
         checks.append({
@@ -434,19 +429,23 @@ def ls_project(T: LinearSystem, e: Divisor):
             raise CertificateError(
                 "projection failed the minimizer intersection certificate",
                 {"generator": i})
-    sets, union = _cover(to_projections)
-    if not (T.potential(projection).slopes_integer() and union.covers_graph()):
+    member, membership = ls_member(T, projection)
+    if not member:
         raise CertificateError("projection is not a member of the system",
                                {"projection": str(projection)})
-    membership = {"member": True, "min_sets": sets, "uncovered": []}
     return projection, {"checks": checks, "membership": membership}
+
+
+def _project(T: LinearSystem, e: Divisor, g_bars: list[PLFunction]):
+    """f*, the pointwise minimum of the g_bars, and the projection div(f*) + e."""
+    f_star = reduce(PLFunction.min_with, g_bars)
+    return f_star, T.derive(f_star, e)
 
 
 def ls_reduced(T: LinearSystem, q: GraphPoint):
     """The q-reduced divisor of the system: the projection of deg·(q)."""
     T.graph.check_point(q, "q")
-    target = Divisor(T.graph, {q: T.degree})
-    return ls_project(T, target)
+    return ls_project(T, Divisor(T.graph, {q: T.degree}))
 
 
 def ls_extremals(T: LinearSystem) -> list[Divisor]:

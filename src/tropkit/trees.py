@@ -60,7 +60,7 @@ def tt_critical(system: LinearSystem) -> list[Divisor]:
     values, so the critical set is the collection of path points at those
     levels, deduplicated and sorted canonically.
     """
-    return list(system.cached(("criticals",), lambda: _criticals(system)))
+    return list(system.cached(("criticals",), _criticals, system))
 
 
 def _criticals(system: LinearSystem) -> tuple[Divisor, ...]:
@@ -105,7 +105,7 @@ def tt_is_tree(system: LinearSystem) -> tuple[bool, dict]:
     generator segments: each direction change along such a segment is
     located and tested for membership on some generator segment.
     """
-    ok, report = system.cached(("is_tree",), lambda: _tree_check(system))
+    ok, report = system.cached(("is_tree",), _tree_check, system)
     return ok, dict(report)
 
 
@@ -200,7 +200,7 @@ def tt_is_dominant(system: LinearSystem) -> tuple[bool, dict]:
     fails that cross-check contradicts the coverage computation, so it is
     raised as a certificate failure instead of a negative verdict.
     """
-    ok, report = system.cached(("is_dominant",), lambda: _dominance_check(system))
+    ok, report = system.cached(("is_dominant",), _dominance_check, system)
     return ok, dict(report)
 
 
@@ -460,7 +460,7 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
     integer, and the midpoint must land exactly halfway between the
     endpoint images.  Finally the sub-arc images must cover every arc.
     """
-    return system.cached(("morphism",), lambda: _morphism(system))
+    return system.cached(("morphism",), _morphism, system)
 
 
 def _morphism(system: LinearSystem) -> PseudoHarmonicMap:

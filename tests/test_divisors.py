@@ -8,12 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dhar_oracle
-from conftest import random_graph
+from conftest import random_graph, random_point
 from tropkit import (
     CertificateError,
     Divisor,
+    GraphPoint,
+    GroundSpace,
     InputError,
     LinearSystem,
+    TropGeneratorSet,
+    TropPoint,
     dv_b1,
     dv_dhar,
     dv_dhar_certificate,
@@ -26,8 +30,13 @@ from tropkit import (
     ls_member,
     ls_project,
     ls_reduced,
+    mg_potential,
+    tp_member,
+    tp_project,
+    tt_critical,
 )
 from tropkit.divisors import _burn_once, _fire_step
+from tropkit.graphs import Subdivision
 from tropkit.trees import _sample_points as sample_points
 
 
@@ -216,6 +225,19 @@ class TestDharReduction:
         check()
         assert seen == {"exact arm", "longer arm", "multi-round"}
 
+    def test_a_zero_length_arm_is_a_certificate_failure(self, c6):
+        """A chip at offset 1 of the unit edge e1, an edge point where the
+        vertex w12 is, cuts e1 into a zero-length arm. Firing it would move
+        no chip any distance, so dv_dhar_trace would spin to its round cap;
+        _fire_step raises instead."""
+        g = c6.need_graph()
+        d = Divisor(g, {GraphPoint(edge="e1", offset=1): 1, GraphPoint(vertex="v1"): 1})
+        sub, burnt, unburnt = _burn_once(g, d, g.vertex_point("v3"))
+        assert unburnt is not None
+        with pytest.raises(CertificateError, match="zero-length arm") as failure:
+            _fire_step(g, d, sub, burnt)
+        assert failure.value.detail == {"arm": "e1@1..w12"}
+
     def test_two_routes_agree(self, c6, complete):
         """Burning and projection are independent implementations."""
         g = c6.need_graph()
@@ -374,3 +396,131 @@ class TestLinearSystems:
             LinearSystem(g, [c6.divisor("D1").sub(c6.divisor("D0"))])
         with pytest.raises(InputError):
             LinearSystem(g, [])
+
+
+class TestInterning:
+    """A linear system keeps one object per divisor value: its generators,
+    its targets and every divisor it derives."""
+
+    def test_a_repeated_reduced_divisor_is_the_same_object(self, c6, complete):
+        """ls_reduced builds a fresh deg·(q) target on every call; its
+        projection is the object handed out before, and a generator when
+        it equals one."""
+        T = LinearSystem(c6.need_graph(), complete.generators)
+        at_generators = 0
+        for q in sample_points(T.graph):
+            first, _ = ls_reduced(T, q)
+            assert ls_reduced(T, q)[0] is first
+            assert ls_project(T, Divisor.of(T.graph, [(q, T.degree)]))[0] is first
+            equal = [g for g in T.generators if g == first]
+            assert all(g is first for g in equal)
+            at_generators += bool(equal)
+        assert at_generators == 3  # D1, D2 and D3, reduced at v1, v2 and v3
+
+    def test_equal_generators_share_one_object(self, c6):
+        g = c6.need_graph()
+        d1, d3 = c6.divisor("D1"), c6.divisor("D3")
+        copy = Divisor.of(g, [(g.vertex_point("v1"), 3)])
+        assert copy == d1 and copy is not d1
+        T = LinearSystem(g, [d1, d3, copy])
+        assert len(T.generators) == 3
+        assert T.generators[2] is T.generators[0] is d1
+        assert T.intern(Divisor.of(g, [(g.vertex_point("v3"), 3)])) is d3
+
+    def test_targets_are_interned(self, c6, complete):
+        """The first target of a value that ls_member or ls_project sees is
+        the system's object for that value."""
+        T = LinearSystem(c6.need_graph(), complete.generators)
+        w12, w23 = T.graph.vertex_point("w12"), T.graph.vertex_point("w23")
+        for check, point in ((ls_member, w12), (ls_project, w23)):
+            target = Divisor.of(T.graph, [(point, 3)])
+            check(T, target)
+            assert T.intern(Divisor.of(T.graph, [(point, 3)])) is target
+
+    @pytest.mark.parametrize("fixture,system", [
+        ("banana", "witness4"), ("c6", "complete"), ("c6", "triangle_mid")])
+    def test_critical_divisors_are_the_handed_out_objects(self, request, fixture, system):
+        """Each critical divisor is the object that T.generators or
+        T.path_point hands out for its value, whichever segment, direction
+        and level reaches it."""
+        W = request.getfixturevalue(fixture).system(system)
+        T = LinearSystem(W.graph, W.generators)
+        crits = tt_critical(T)
+        reached = list(T.generators)
+        for a in T.generators:
+            for b in T.generators:
+                reached += [T.path_point(a, b, level)
+                            for level in T.pair_function(a, b).breakpoint_values()]
+        for c in crits:
+            equal = [d for d in reached if d == c]
+            assert equal and all(d is c for d in equal)
+
+
+def _node_space(graph, fns):
+    """The subdivision at every interior breakpoint of the functions, with
+    trapezoid weights: each node carries half of every segment at it."""
+    sub = Subdivision(graph, [GraphPoint(edge=eid, offset=o) for f in fns
+                              for eid, bps in f.data.items() for o, _ in bps[1:-1]])
+    weights = [Fraction(0)] * len(sub.nodes)
+    for a, b, length, _, _ in sub.segments:
+        weights[a] += length / 2
+        weights[b] += length / 2
+    return sub.nodes, GroundSpace.of([f"n{i}" for i in range(len(sub.nodes))], weights)
+
+
+def _check_against_tropical_projection(T, e):
+    """ls_project(T, e) is tp_project on node vectors of the potentials.
+
+    The nodes are the vertices and every breakpoint of the potentials of
+    the generators, of e and of the projection, solved afresh against
+    generator 0. Between nodes each of these is linear, so the vectors
+    determine them, and the trapezoid weights turn the integrals in
+    ls_project's certificates into tp_project's weighted sums."""
+    projection, cert = ls_project(T, e)
+    base = T.generators[0]
+    fns = [mg_potential(T.graph, base, d) for d in (*T.generators, e, projection)]
+    nodes, space = _node_space(T.graph, fns)
+    *gens, gamma, expected = [TropPoint.of([f.eval(p) for p in nodes]) for f in fns]
+    S = TropGeneratorSet.of(gens)
+    assert len(S.points) == len(T.generators)
+    got, tp_cert = tp_project(S, gamma, space)
+    assert got == expected
+    b1 = ("b1_total", "b1_to_projection", "b1_from_projection")
+    assert [[c[k] for k in b1] for c in cert["checks"]] == \
+        [[c[k] for k in b1] for c in tp_cert["checks"]]
+    assert ls_member(T, e)[0] == tp_member(S, gamma)[0] == (projection == e)
+
+
+class TestTropicalProjection:
+    """The paper's thesis: a reduced divisor is a tropical projection."""
+
+    @pytest.mark.parametrize("fixture,system", [
+        ("banana", "witness4"), ("banana", "seg_E1_E3"), ("c6", "complete"),
+        ("c6", "triangle_mid"), ("c6", "triangle_bad"), ("c6", "seg_D1_D3")])
+    def test_fixture_systems(self, request, fixture, system):
+        W = request.getfixturevalue(fixture).system(system)
+        T = LinearSystem(W.graph, list(dict.fromkeys(W.generators)))
+        for q in sample_points(T.graph):
+            _check_against_tropical_projection(T, Divisor.of(T.graph, [(q, T.degree)]))
+
+    def test_random_systems(self):
+        """Generators dv_dhar(D, q) of degree genus + 1 on random graphs,
+        deduplicated; targets deg·(q) and random effective divisors."""
+        seen = set()
+
+        @given(seed=st.integers(0, 2 ** 32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            g = random_graph(rng, max_vertices=6, max_edges=9)
+            deg = g.genus + 1
+            D = Divisor.of(g, [(random_point(rng, g), 1) for _ in range(deg)])
+            T = LinearSystem(g, list(dict.fromkeys(
+                dv_dhar(g, D, random_point(rng, g)) for _ in range(rng.randint(2, 4)))))
+            e = Divisor.of(g, [(random_point(rng, g), 1) for _ in range(deg)])
+            for target in (Divisor.of(g, [(random_point(rng, g), deg)]), e):
+                _check_against_tropical_projection(T, target)
+            seen.add(len(T.generators) > 1)
+            seen.add(ls_member(T, e)[0])
+
+        check()
+        assert seen == {True, False}
