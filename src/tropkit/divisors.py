@@ -51,8 +51,6 @@ def dv_lin_equiv(graph: MetricGraph, d1: Divisor, d2: Divisor) -> bool:
     """Whether the two divisors differ by an integer-slope function."""
     graph.check_divisor(d1, "d1")
     graph.check_divisor(d2, "d2")
-    if d1.degree() != d2.degree():
-        raise InputError("divisors must have equal degree")
     return _potential(graph, d1, d2).slopes_integer()
 
 
@@ -63,8 +61,6 @@ def _segment_function(graph: MetricGraph, d1: Divisor, d2: Divisor) -> PLFunctio
     for d, which in ((d1, "first"), (d2, "second")):
         if not d.is_effective():
             raise InputError(f"the {which} divisor must be effective")
-    if d1.degree() != d2.degree():
-        raise InputError("divisors must have equal degree")
     f = _potential(graph, d1, d2)
     if not f.slopes_integer():
         raise InputError("divisors are not linearly equivalent")
@@ -95,8 +91,6 @@ def dv_b1(graph: MetricGraph, d: Divisor, e: Divisor) -> Fraction:
     min-normalized potential from e to d over the whole graph."""
     graph.check_divisor(d, "d")
     graph.check_divisor(e, "e")
-    if d.degree() != e.degree():
-        raise InputError("divisors must have equal degree")
     return _potential(graph, e, d).integral()
 
 
@@ -261,7 +255,8 @@ class LinearSystem:
     cached() and keyed by (kind, *arguments): ("divisor", d) -> the
     system's object equal to d; ("potential", d) -> potential relative to
     generator 0; ("pair", a, b) -> pair_function; ("path", a, b, t) ->
-    path_point; ("projection", e) -> f* and projection, whose certificates
+    path_point strictly inside the segment (its ends are a and b, with no
+    entry); ("projection", e) -> f* and projection, whose certificates
     ls_project checks on every call, hit or not; and the tree layer's
     ("criticals",), ("is_tree",), ("is_dominant",) and ("morphism",).
     """
@@ -331,13 +326,18 @@ class LinearSystem:
     def path_point(self, a: Divisor, b: Divisor, t) -> Divisor:
         """Divisor at parameter t along the segment from a to b.
 
-        The point is derived, so walking a segment costs no additional
-        solves.
+        The ends are a and b themselves (interned); an interior point is
+        derived, so walking a segment costs no additional solves.
         """
         t = as_fraction(t)
         f = self.pair_function(a, b)
-        if not (0 <= t <= f.max_value()):
-            raise InputError(f"t must lie in [0, {f.max_value()}]")
+        rho = f.max_value()
+        if not (0 <= t <= rho):
+            raise InputError(f"t must lie in [0, {rho}]")
+        if t == 0:
+            return self.intern(a)
+        if t == rho:
+            return self.intern(b)
         return self.cached(("path", a, b, t), self._walk, f, a, t)
 
     def _walk(self, f: PLFunction, a: Divisor, t: Fraction) -> Divisor:
@@ -372,7 +372,11 @@ def ls_member(T: LinearSystem, e: Divisor):
     the certificate carries the per-generator sets and, on failure, the
     uncovered components.
     """
-    e = _target(T, e)
+    return _membership(T, _target(T, e))
+
+
+def _membership(T: LinearSystem, e: Divisor):
+    """ls_member for an interned effective divisor of the system's degree."""
     if not e.is_integral():
         return False, {"member": False, "reason": "coefficients are not integers",
                        "min_sets": [], "uncovered": []}
@@ -429,7 +433,7 @@ def ls_project(T: LinearSystem, e: Divisor):
             raise CertificateError(
                 "projection failed the minimizer intersection certificate",
                 {"generator": i})
-    member, membership = ls_member(T, projection)
+    member, membership = _membership(T, projection)
     if not member:
         raise CertificateError("projection is not a member of the system",
                                {"projection": str(projection)})

@@ -68,26 +68,23 @@ def _criticals(system: LinearSystem) -> tuple[Divisor, ...]:
     crits = dict.fromkeys(gens)  # an ordered set: equal divisors keep the first found
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            f = system.pair_function(gens[i], gens[j])
-            for level in f.breakpoint_values():
-                crits.setdefault(system.path_point(gens[i], gens[j], level))
+            crits.update(dict.fromkeys(_turns(system, gens[i], gens[j]).values()))
     return tuple(sorted(crits, key=Divisor.key))
 
 
-def _on_generator_segment(system: LinearSystem, x: Divisor) -> bool:
-    """Whether x lies on the segment between some pair of generators."""
-    gens = system.generators
-    if any(x == g for g in gens):
-        return True
-    for i in range(len(gens)):
-        t = system.rho(gens[i], x)
-        for j in range(len(gens)):
-            if j == i:
-                continue
-            if t <= system.rho(gens[i], gens[j]) and \
-                    system.path_point(gens[i], gens[j], t) == x:
-                return True
-    return False
+def _turns(system: LinearSystem, a: Divisor, b: Divisor) -> dict[Fraction, Divisor]:
+    """The path points at the breakpoint levels of the segment from a to b,
+    by level in increasing order: where the segment changes direction."""
+    return {t: system.path_point(a, b, t)
+            for t in system.pair_function(a, b).breakpoint_values()}
+
+
+def _level(system: LinearSystem, a: Divisor, b: Divisor, x: Divisor) -> Fraction | None:
+    """The level of x on the segment from a to b, or None when x is off it."""
+    t = system.rho(a, x)
+    if t <= system.rho(a, b) and system.path_point(a, b, t) == x:
+        return t
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +120,14 @@ def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
                         "divisor": d,
                         "bases": (bases[x], bases[y]),
                     }
-    confirmed: set[Divisor] = set(system.generators)
+    gens = system.generators
+    confirmed: set[Divisor] = set(gens)
     for ia in range(len(crits)):
         for ib in range(ia + 1, len(crits)):
-            f = system.pair_function(crits[ia], crits[ib])
-            for level in f.breakpoint_values():
-                x = system.path_point(crits[ia], crits[ib], level)
+            for x in _turns(system, crits[ia], crits[ib]).values():
                 if x in confirmed:
                     continue
-                if not _on_generator_segment(system, x):
+                if all(_level(system, a, b, x) is None for a in gens for b in gens):
                     return False, {
                         "method": "critical-set verified",
                         "reason": "a segment between members leaves the "
@@ -334,41 +330,32 @@ def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
     arcs: dict[tuple[int, int], SkeletonArc] = {}
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            rho_ij = system.rho(gens[i], gens[j])
-            if rho_ij == 0:
-                continue
-            levels = set(system.pair_function(gens[i], gens[j])
-                         .breakpoint_values())
+            points = _turns(system, gens[i], gens[j])
             # Criticals discovered on other generator segments may sit at
-            # interior levels of this one; include their positions so no
-            # arc skips through a node.
+            # interior levels of this one; include them so no arc skips
+            # through a node.
             for d in crits:
-                t = system.rho(gens[i], d)
-                if 0 < t < rho_ij and t not in levels and \
-                        system.path_point(gens[i], gens[j], t) == d:
-                    levels.add(t)
-            ordered = sorted(levels)
-            points = [system.path_point(gens[i], gens[j], t) for t in ordered]
-            for k in range(len(points) - 1):
-                na = index[points[k]]
-                nb = index[points[k + 1]]
+                t = _level(system, gens[i], gens[j], d)
+                if t is not None:
+                    points.setdefault(t, d)
+            ordered = sorted(points)
+            for lo, hi in zip(ordered, ordered[1:]):
+                na, nb = index[points[lo]], index[points[hi]]
                 if na == nb:
                     raise CertificateError(
                         "two distinct levels yield the same divisor on a "
                         "generator segment",
-                        {"pair": (i, j), "level": str(ordered[k])})
-                span = ordered[k + 1] - ordered[k]
+                        {"pair": (i, j), "level": str(lo)})
                 stored = arcs.get((min(na, nb), max(na, nb)))
                 if stored is None:
                     arcs[(min(na, nb), max(na, nb))] = SkeletonArc(
-                        a=na, b=nb, length=span, pair=(i, j),
-                        level=ordered[k])
-                elif stored.length != span:
+                        a=na, b=nb, length=hi - lo, pair=(i, j), level=lo)
+                elif stored.length != hi - lo:
                     raise CertificateError(
                         "the same pair of critical divisors is joined by "
                         "arcs of different lengths",
                         {"nodes": (na, nb),
-                         "lengths": (str(stored.length), str(span))})
+                         "lengths": (str(stored.length), str(hi - lo))})
     arc_list = tuple(arcs[k] for k in sorted(arcs))
     # A connected graph on n nodes with n-1 edges and no repeated edge is
     # a tree; verify connectivity explicitly.
@@ -390,15 +377,16 @@ def _locate(system: LinearSystem, skel: TreeSkeleton,
     """Position of divisor x on the skeleton.
 
     Returns (arc index, node index, offset from the arc's first node);
-    exactly one of the two indices is set.
+    exactly one of the two indices is set.  An arc's length is the
+    distance between its nodes, so a divisor other than a node lies
+    inside the arc exactly when it is on the segment between them.
     """
     for idx, node in enumerate(skel.nodes):
         if node == x:
             return None, idx, Fraction(0)
     for ai, arc in enumerate(skel.arcs):
-        na, nb = skel.nodes[arc.a], skel.nodes[arc.b]
-        t = system.rho(na, x)
-        if 0 < t < arc.length and system.path_point(na, nb, t) == x:
+        t = _level(system, skel.nodes[arc.a], skel.nodes[arc.b], x)
+        if t is not None:
             return ai, None, t
     raise CertificateError("a reduced divisor does not lie on the tree",
                            {"divisor": str(x)})
@@ -540,30 +528,25 @@ def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
 def _common_arc(system: LinearSystem, skel: TreeSkeleton,
                 ra: Divisor, rb: Divisor) -> tuple[int, Fraction, Fraction]:
     """Arc carrying both endpoint images, with their positions on it."""
-    arc_a, node_a, t_a = _locate(system, skel, ra)
-    arc_b, node_b, t_b = _locate(system, skel, rb)
-
-    def candidates(arc_idx, node_idx):
-        if arc_idx is not None:
-            return {arc_idx}
-        return {i for i, _ in skel.neighbors(node_idx)}
-
-    shared = candidates(arc_a, node_a) & candidates(arc_b, node_b)
+    places_a, places_b = _places(system, skel, ra), _places(system, skel, rb)
+    shared = places_a.keys() & places_b.keys()
     if not shared:
         raise CertificateError(
             "segment endpoint images do not share an arc",
             {"from": str(ra), "to": str(rb)})
     ai = min(shared)
-    arc = skel.arcs[ai]
+    return ai, places_a[ai], places_b[ai]
 
-    def position(arc_idx, node_idx, t):
-        if arc_idx is not None:
-            return t
-        if node_idx == arc.a:
-            return Fraction(0)
-        return arc.length
 
-    return ai, position(arc_a, node_a, t_a), position(arc_b, node_b, t_b)
+def _places(system: LinearSystem, skel: TreeSkeleton,
+            x: Divisor) -> dict[int, Fraction]:
+    """x's position on each arc that carries it: one arc inside, or every
+    arc at a node, at 0 or the arc's length."""
+    arc_idx, node_idx, t = _locate(system, skel, x)
+    if arc_idx is not None:
+        return {arc_idx: t}
+    return {i: Fraction(0) if skel.arcs[i].a == node_idx else skel.arcs[i].length
+            for i, _ in skel.neighbors(node_idx)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tropkit import Divisor, GraphPoint, MetricGraph, load_workspace
+from tropkit import Divisor, GraphPoint, InputError, MetricGraph, load_workspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -108,3 +109,61 @@ def equal_degree_pair(rng: random.Random,
         patch = Divisor.of(graph, [(random_point(rng, graph), gap)])
         d2 = d2.add(patch)
     return d1, d2
+
+
+def random_cover(rng: random.Random, tree_vertices: int, degree: int):
+    """A planted harmonic morphism of the given degree from a random graph
+    onto a random metric tree: (graph, generators, local degrees by
+    vertex, expansion by edge).
+
+    Each tree vertex t gets a random composition of the degree, the local
+    degrees of the vertices over t.  Each tree edge of length l gets a
+    nonnegative integer matrix whose margins are its two fibers' local
+    degrees (the northwest corner rule over shuffled orders), and each
+    positive entry w becomes an edge of length l/w, so the map is harmonic
+    of the given degree by construction.  The generators are the pullbacks
+    of the tree's leaves, whose span is the pullback of the whole tree,
+    and on about half the draws the pullback of one interior point of a
+    tree edge.  A disconnected cover is drawn again.
+    """
+    while True:
+        tree = [(rng.randrange(t), t, random_length(rng)) for t in range(1, tree_vertices)]
+        local: dict[str, int] = {}
+        fibers = []
+        for t in range(tree_vertices):
+            cuts = sorted(rng.sample(range(1, degree), rng.randint(0, degree - 1)))
+            parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, degree])]
+            fibers.append([f"t{t}.{k}" for k in range(len(parts))])
+            local.update(zip(fibers[-1], parts))
+        edges, lifts = [], []  # lifts: per tree edge, its (edge id, w) over it
+        for s, t, length in tree:
+            rows = rng.sample(fibers[s], len(fibers[s]))
+            cols = rng.sample(fibers[t], len(fibers[t]))
+            left, right = [local[v] for v in rows], [local[v] for v in cols]
+            i = j = 0
+            lifts.append([])
+            while i < len(rows):
+                w = min(left[i], right[j])
+                eid = f"e{t}.{len(lifts[-1])}"
+                edges.append((eid, rows[i], cols[j], length / w))
+                lifts[-1].append((eid, w))
+                left[i] -= w
+                right[j] -= w
+                i += not left[i]
+                j += not right[j]
+        try:
+            graph = MetricGraph.of(list(local), edges)
+        except InputError as exc:
+            if str(exc) != "graph must be connected":
+                raise
+            continue
+        valence = Counter(end for s, t, _ in tree for end in (s, t))
+        generators = [Divisor(graph, {graph.vertex_point(v): local[v] for v in fibers[t]})
+                      for t in range(tree_vertices) if valence[t] == 1]
+        if rng.random() < 0.5:
+            k = rng.randrange(len(tree))
+            at = tree[k][2] * Fraction(rng.randint(1, 3), 4)
+            generators.append(Divisor(graph, {graph.point(edge=eid, offset=at / w): w
+                                              for eid, w in lifts[k]}))
+        expansion = {eid: w for lift in lifts for eid, w in lift}
+        return graph, generators, local, expansion

@@ -81,6 +81,18 @@ class TestEquivalenceAndSegments:
             dv_lin_equiv(g, c6.divisor("D1"), c6.divisor("D0").sub(
                 Divisor.of(g, [(g.vertex_point("v1"), 1)])))
 
+    @pytest.mark.parametrize("call", [
+        lambda g, d, e: dv_lin_equiv(g, d, e),
+        lambda g, d, e: dv_rho(g, d, e),
+        lambda g, d, e: dv_path(g, d, e, 0),
+        lambda g, d, e: dv_b1(g, d, e),
+    ], ids=["dv_lin_equiv", "dv_rho", "dv_path", "dv_b1"])
+    def test_unequal_degrees_are_one_input_error(self, c6, call):
+        g = c6.need_graph()
+        two = Divisor.of(g, [(g.vertex_point("v1"), 2)])
+        with pytest.raises(InputError, match="^divisors must have equal degree$"):
+            call(g, c6.divisor("D1"), two)
+
     def test_path_points_are_effective_and_reversible(self, c6):
         g = c6.need_graph()
         d1, d3 = c6.divisor("D1"), c6.divisor("D3")
@@ -370,6 +382,20 @@ class TestLinearSystems:
         assert entries("path") == cached
         for walk, point in zip(walks, first):
             assert point == LinearSystem(T.graph, T.generators).path_point(*walk)
+
+    def test_segment_ends_are_the_ends(self, c6, complete):
+        """path_point hands out the system's own a at level 0 and b at level
+        rho(a, b), and stores no path entry for either end."""
+        T = LinearSystem(c6.need_graph(), complete.generators)
+        for a in T.generators:
+            for b in T.generators:
+                rho = T.rho(a, b)
+                copy = Divisor(T.graph, a.entries)
+                assert T.path_point(copy, b, 0) is T.intern(a) is a
+                assert T.path_point(a, b, rho) is b
+                assert ("path", a, b, Fraction(0)) not in T._memo
+                assert ("path", a, b, rho) not in T._memo
+        assert not any(key[0] == "path" for key in T._memo)
 
     def test_a_projection_memo_hit_is_still_checked(self, c6):
         """ls_project reuses (f*, projection) for a target it has seen, but

@@ -1,7 +1,12 @@
 """Tropical trees: recognition, reduced maps, morphisms, harmonization."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import random_cover
 from tropkit import (
     InputError,
     LinearSystem,
@@ -19,6 +24,7 @@ from tropkit import (
     tt_support,
     tt_verify_witness,
 )
+from tropkit.trees import _locate
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +260,34 @@ class TestWitnessVerification:
     def test_non_integer_degree_is_rejected(self, banana):
         with pytest.raises(InputError):
             tt_verify_witness(banana.system("witness4"), "1/2")
+
+
+class TestRandomCovers:
+    """A harmonic morphism planted by conftest.random_cover is found again:
+    the pullback of its tree is a dominant tropical tree whose
+    reduced-divisor map has the planted local degrees and expansions."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), tree_vertices=st.integers(2, 6),
+           degree=st.integers(2, 4))
+    def test_the_planted_morphism_is_found(self, seed, tree_vertices, degree):
+        graph, generators, local, expansion = random_cover(
+            random.Random(seed), tree_vertices, degree)
+        T = LinearSystem(graph, generators)
+        assert tt_is_tree(T)[0]
+        assert tt_is_dominant(T)[0]
+        morphism = tt_morphism(T)
+        skel = morphism.skeleton
+        for arc in skel.arcs:  # the invariant that locating a divisor relies on
+            assert arc.length == T.rho(skel.nodes[arc.a], skel.nodes[arc.b])
+        for v, m in local.items():
+            assert morphism.degree_of(graph.vertex_point(v)) == m
+        assert {sa.edge for sa in morphism.sub_arcs} == set(expansion)
+        for sa in morphism.sub_arcs:
+            assert sa.expansion == expansion[sa.edge]
+            mid = graph.point(edge=sa.edge, offset=(sa.start + sa.end) / 2)
+            image = _locate(T, skel, ls_reduced(T, mid)[0])
+            assert image == (sa.arc, None, (sa.arc_from + sa.arc_to) / 2)
+        modification, _, d = tt_harmonize(T)
+        assert d == degree
+        assert modification.is_trivial
+        assert tt_verify_witness(T, degree)[0]

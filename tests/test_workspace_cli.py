@@ -268,6 +268,13 @@ class TestPredicateExitCodes:
             "--divisor", '[[{"vertex":"w12"},"3"]]')
         assert code == 1
 
+    def test_equiv_of_unequal_degrees_is_an_input_error(self, capsys):
+        code, payload = run_json(
+            capsys, "div", "equiv", "--graph", C6, "--divisor", "D1",
+            "--divisor", '[[{"vertex":"v1"},"2"]]')
+        assert code == 2
+        assert payload["message"] == "divisors must have equal degree"
+
     def test_witness_codes(self, capsys):
         code, _ = run_json(capsys, "tree", "witness", "--graph", BANANA,
                            "--system", "witness4", "--degree", "4")
