@@ -358,10 +358,7 @@ def _target(T: LinearSystem, e: Divisor) -> Divisor:
 def _cover(fns: Sequence[PLFunction]):
     """Minimizer sets of the functions, and their union."""
     sets = [f.extremum_set("min") for f in fns]
-    union = sets[0]
-    for s in sets[1:]:
-        union = union.union(s)
-    return sets, union
+    return sets, sets[0].union(*sets[1:])
 
 
 def ls_member(T: LinearSystem, e: Divisor):

@@ -786,11 +786,15 @@ class ClosedSubset:
 
     # -- set algebra -----------------------------------------------------------
 
-    def union(self, other: "ClosedSubset") -> "ClosedSubset":
-        den = lcm(self._den, other._den)
-        a, b = self._scaled(den), other._scaled(den)
-        ivs = {eid: sorted(a.get(eid, ()) + b.get(eid, ())) for eid in a.keys() | b.keys()}
-        return ClosedSubset._of_valid(self.graph, set(self.vertices) | other.vertices, ivs, den)
+    def union(self, *others: "ClosedSubset") -> "ClosedSubset":
+        sets = (self, *others)
+        den = lcm(*(s._den for s in sets))
+        ivs: dict[str, list[tuple[int, int]]] = {}
+        for s in sets:
+            for eid, segs in s._scaled(den).items():
+                ivs.setdefault(eid, []).extend(segs)
+        return ClosedSubset._of_valid(self.graph, set().union(*(s.vertices for s in sets)),
+                                      {eid: sorted(segs) for eid, segs in ivs.items()}, den)
 
     def intersect(self, other: "ClosedSubset") -> "ClosedSubset":
         den = lcm(self._den, other._den)

@@ -127,7 +127,9 @@ def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
             for x in _turns(system, crits[ia], crits[ib]).values():
                 if x in confirmed:
                     continue
-                if all(_level(system, a, b, x) is None for a in gens for b in gens):
+                # x is not a generator, so the one-point segment from a to a misses it
+                if all(_level(system, a, b, x) is None
+                       for a in gens for b in gens if b is not a):
                     return False, {
                         "method": "critical-set verified",
                         "reason": "a segment between members leaves the "
@@ -372,22 +374,21 @@ def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
     return skeleton
 
 
-def _locate(system: LinearSystem, skel: TreeSkeleton,
-            x: Divisor) -> tuple[int | None, int | None, Fraction]:
-    """Position of divisor x on the skeleton.
-
-    Returns (arc index, node index, offset from the arc's first node);
-    exactly one of the two indices is set.  An arc's length is the
-    distance between its nodes, so a divisor other than a node lies
-    inside the arc exactly when it is on the segment between them.
-    """
-    for idx, node in enumerate(skel.nodes):
-        if node == x:
-            return None, idx, Fraction(0)
+def _places(system: LinearSystem, skel: TreeSkeleton,
+            x: Divisor) -> dict[int, Fraction]:
+    """x's position on each skeleton arc that carries it, measured from the
+    arc's first node: every arc at a node, at 0 or the arc's length, or the
+    one arc whose interior holds x.  An arc's length is the distance between
+    its nodes, so a divisor other than a node lies inside the arc exactly
+    when it is on the segment between them."""
+    if x in skel.nodes:
+        n = skel.nodes.index(x)
+        return {i: Fraction(0) if skel.arcs[i].a == n else skel.arcs[i].length
+                for i, _ in skel.neighbors(n)}
     for ai, arc in enumerate(skel.arcs):
         t = _level(system, skel.nodes[arc.a], skel.nodes[arc.b], x)
         if t is not None:
-            return ai, None, t
+            return {ai: t}
     raise CertificateError("a reduced divisor does not lie on the tree",
                            {"divisor": str(x)})
 
@@ -480,6 +481,8 @@ def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
                     "a fiber point does not reduce to its node",
                     {"point": str(p), "node": str(skel.nodes[ni])})
 
+    places = [_places(system, skel, r) for r in node_red]
+
     sub_arcs: list[SubArcMap] = []
     for na, nb, length, eid, off in sub.segments:
         ra, rb = node_red[na], node_red[nb]
@@ -499,9 +502,14 @@ def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
             raise CertificateError(
                 "the reduced-divisor map is not linear on a segment",
                 {"edge": eid, "start": str(off)})
-        arc_idx, pos_a, pos_b = _common_arc(system, skel, ra, rb)
-        sub_arcs.append(SubArcMap(edge=eid, start=off, end=off + length,
-                                  arc=arc_idx, arc_from=pos_a, arc_to=pos_b,
+        shared = places[na].keys() & places[nb].keys()
+        if not shared:
+            raise CertificateError(
+                "segment endpoint images do not share an arc",
+                {"from": str(ra), "to": str(rb)})
+        ai = min(shared)
+        sub_arcs.append(SubArcMap(edge=eid, start=off, end=off + length, arc=ai,
+                                  arc_from=places[na][ai], arc_to=places[nb][ai],
                                   expansion=int(factor)))
 
     for ai, arc in enumerate(skel.arcs):
@@ -523,30 +531,6 @@ def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
     return PseudoHarmonicMap(
         skeleton=skel, cut_points=tuple(sub.nodes[len(graph.vertices):]),
         sub_arcs=tuple(sub_arcs), fibers=tuple(fibers), local_degrees=local_degrees)
-
-
-def _common_arc(system: LinearSystem, skel: TreeSkeleton,
-                ra: Divisor, rb: Divisor) -> tuple[int, Fraction, Fraction]:
-    """Arc carrying both endpoint images, with their positions on it."""
-    places_a, places_b = _places(system, skel, ra), _places(system, skel, rb)
-    shared = places_a.keys() & places_b.keys()
-    if not shared:
-        raise CertificateError(
-            "segment endpoint images do not share an arc",
-            {"from": str(ra), "to": str(rb)})
-    ai = min(shared)
-    return ai, places_a[ai], places_b[ai]
-
-
-def _places(system: LinearSystem, skel: TreeSkeleton,
-            x: Divisor) -> dict[int, Fraction]:
-    """x's position on each arc that carries it: one arc inside, or every
-    arc at a node, at 0 or the arc's length."""
-    arc_idx, node_idx, t = _locate(system, skel, x)
-    if arc_idx is not None:
-        return {arc_idx: t}
-    return {i: Fraction(0) if skel.arcs[i].a == node_idx else skel.arcs[i].length
-            for i, _ in skel.neighbors(node_idx)}
 
 
 # ---------------------------------------------------------------------------
@@ -623,26 +607,16 @@ def tt_harmonize(
     for key in sorted(candidates):
         p = candidates[key]
         red, _ = ls_reduced(system, p)
-        arc_idx, node_idx, t = _locate(system, skel, red)
-        if node_idx is not None:
-            for arc_i, far in skel.neighbors(node_idx):
-                tau = int(skel.nodes[far].coeff(p))
-                if tau > 0:
-                    comp = skel.component_through(arc_i, far)
+        for ai, t in _places(system, skel, red).items():
+            arc = skel.arcs[ai]
+            inside = 0 < t < arc.length
+            for side, end, at in (("a", arc.a, 0), ("b", arc.b, arc.length)):
+                tau = int(skel.nodes[end].coeff(p))
+                if tau > 0 and at != t:  # an end at the image itself carries no branch
+                    # the partial fields are set only when the image is inside the arc
                     attachments.append(Attachment(
-                        point=p, multiplicity=tau,
-                        component_nodes=tuple(sorted(comp))))
-        else:
-            arc = skel.arcs[arc_idx]
-            for side, endpoint in (("a", arc.a), ("b", arc.b)):
-                tau = int(skel.nodes[endpoint].coeff(p))
-                if tau > 0:
-                    comp = skel.component_through(arc_idx, endpoint)
-                    attachments.append(Attachment(
-                        point=p, multiplicity=tau,
-                        component_nodes=tuple(sorted(comp)),
-                        partial_arc=arc_idx, partial_t=t,
-                        partial_side=side))
+                        p, tau, tuple(sorted(skel.component_through(ai, end))),
+                        *((ai, t, side) if inside else ())))
 
     modification = Modification(attachments=tuple(attachments))
 

@@ -580,6 +580,18 @@ class TestClosedSubsets:
         assert mid.contains(g.vertex_point("v2"))
         assert not mid.contains(g.point(edge="e1", offset=Fraction(1, 2)))
 
+    def test_equal_sets_over_different_denominators(self, c6):
+        """Equality and hashing read the intervals, not the int form: a union
+        kept over the lcm of its operands' denominators still equals the set
+        it adds nothing to."""
+        g = c6.need_graph()
+        half = ClosedSubset(g, (), {"e1": [(Fraction(0), Fraction(1, 2))]})
+        same = half.union(ClosedSubset(g, (), {"e1": [(Fraction(1, 3), Fraction(1, 2))]}))
+        assert (half._den, half._ivs) == (2, {"e1": ((0, 1),)})
+        assert (same._den, same._ivs) == (6, {"e1": ((0, 3),)})
+        assert half == same
+        assert hash(half) == hash(same)
+
     def test_complement_components(self, c6):
         g = c6.need_graph()
         sub = ClosedSubset(g, {"v1", "w12"},
@@ -709,7 +721,7 @@ class TestIntegerClosedSets:
         """Random interval sets through the checked constructor and the
         minimizer and maximizer sets of random potentials (and of their
         clipped versions, which have plateaus), then unions and
-        intersections of random pairs of them."""
+        intersections of random pairs of them and unions of three."""
         rng = random.Random(seed)
         g = random_graph(rng)
         pairs = [(ClosedSubset(g, verts, ivs), closed_oracle.ClosedSubset(g, verts, ivs))
@@ -725,6 +737,13 @@ class TestIntegerClosedSets:
             (s, o), (t, u) = rng.sample(pairs, 2)
             _assert_same_closed_set(g, s.union(t), o.union(u))
             _assert_same_closed_set(g, s.intersect(t), o.intersect(u))
+        for _ in range(4):  # one union of many sets builds what the chained unions build
+            picked = rng.sample(pairs, 3)
+            s = picked[0][0].union(*(t for t, _ in picked[1:]))
+            chained = reduce(ClosedSubset.union, (t for t, _ in picked))
+            _assert_same_closed_set(g, s, reduce(closed_oracle.ClosedSubset.union,
+                                                 (u for _, u in picked)))
+            assert (s._den, s._ivs, s.vertices) == (chained._den, chained._ivs, chained.vertices)
 
 
 def _probe_points(g, offsets):

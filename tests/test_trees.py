@@ -1,6 +1,7 @@
 """Tropical trees: recognition, reduced maps, morphisms, harmonization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import random_cover
 from tropkit import (
+    Attachment,
+    Divisor,
     InputError,
     LinearSystem,
+    MetricGraph,
     ls_bases,
     ls_project,
     ls_reduced,
@@ -24,7 +28,7 @@ from tropkit import (
     tt_support,
     tt_verify_witness,
 )
-from tropkit.trees import _locate
+from tropkit.trees import _places
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,14 @@ class TestTreeRecognition:
 
 
 class TestReducedMapAndPreimages:
+    def test_a_lone_generator_is_the_image_of_every_point(self, c6):
+        """A one-generator system admits no chip-firing move, so every point
+        reduces to the generator and its preimage is the whole graph."""
+        d = c6.divisor("D1")
+        T = LinearSystem(c6.need_graph(), [d])
+        assert ls_bases(T, d) == []
+        assert tt_preimage(T, d).covers_graph()
+
     def test_preimage_of_the_center(self, c6, triangle):
         pre = tt_preimage(triangle, c6.divisor("D0"))
         pts = pre.finite_points()
@@ -238,6 +250,23 @@ class TestHarmonization:
         assert shape == [("u2", 1), ("u2", 1),
                          ("w13", 2), ("w13", 2), ("w13", 2)]
 
+    def test_attachments_inside_an_arc(self):
+        """A point whose reduced divisor lies inside an arc gets one branch
+        toward each end of that arc, each cut at the image's position."""
+        g = MetricGraph.of(["v0", "v1"], [("e0", "v0", "v1", 3),
+                                          ("e1", "v1", "v0", "4/3")])
+        at = g.point(edge="e0", offset="25/12")
+        T = LinearSystem(g, [
+            Divisor.of(g, [(at, 1), (g.point(edge="e1", offset="2/3"), 2)]),
+            Divisor.of(g, [(g.point(edge="e0", offset="3/2"), 2), (at, 1)])])
+        modification, _, degree = tt_harmonize(T)
+        assert degree == 3
+        assert modification.attachments == (
+            Attachment(at, 1, (1, 2), partial_arc=0, partial_t=Fraction(11, 12),
+                       partial_side="a"),
+            Attachment(at, 1, (0,), partial_arc=0, partial_t=Fraction(11, 12),
+                       partial_side="b"))
+
 
 class TestWitnessVerification:
     def test_banana_degree_four_witness(self, banana):
@@ -285,8 +314,8 @@ class TestRandomCovers:
         for sa in morphism.sub_arcs:
             assert sa.expansion == expansion[sa.edge]
             mid = graph.point(edge=sa.edge, offset=(sa.start + sa.end) / 2)
-            image = _locate(T, skel, ls_reduced(T, mid)[0])
-            assert image == (sa.arc, None, (sa.arc_from + sa.arc_to) / 2)
+            image = _places(T, skel, ls_reduced(T, mid)[0])
+            assert image == {sa.arc: (sa.arc_from + sa.arc_to) / 2}
         modification, _, d = tt_harmonize(T)
         assert d == degree
         assert modification.is_trivial
