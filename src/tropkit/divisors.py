@@ -25,7 +25,6 @@ from .graphs import (
     MetricGraph,
     PLFunction,
     Subdivision,
-    _over,
     _potential,
 )
 from .tropical import as_fraction
@@ -102,10 +101,11 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
     """One burning pass from q.
 
     Fire starts at q and crosses a point only when the arriving directions
-    outnumber its chips. Returns (sub, burnt, unburnt): the subdivision at
-    d's support and q, whether each of its nodes burnt, and the maximal
-    closed set the fire cannot enter, or None when the fire consumes the
-    whole graph.
+    outnumber its chips. It spreads breadth first in one pass: each burnt
+    point sends it once along each of its segments, parallel ones apart.
+    Returns (sub, burnt, unburnt): the subdivision at d's support and q,
+    whether each of its nodes burnt, and the maximal closed set the fire
+    cannot enter, or None when the fire consumes the whole graph.
     """
     sub = Subdivision(graph, d.support() + [q])
     n = len(sub.nodes)
@@ -117,36 +117,31 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
         inc[a].append(b)
         inc[b].append(a)
     burnt = [False] * n
-    burnt[sub.index[q]] = True
-    changed = True
-    while changed:
-        changed = False
-        for node in range(n):
-            if burnt[node]:
-                continue
-            arrivals = sum(1 for other in inc[node] if burnt[other])
-            if arrivals > chips[node]:
-                burnt[node] = True
-                changed = True
+    front = [sub.index[q]]  # the burnt nodes, in the order they burnt
+    burnt[front[0]] = True
+    arrived = [0] * n  # the segments along which fire has reached each node
+    for node in front:
+        for other in inc[node]:
+            if not burnt[other]:
+                arrived[other] += 1
+                if arrived[other] > chips[other]:
+                    burnt[other] = True
+                    front.append(other)
     if all(burnt):
         return sub, burnt, None
     vertices = set()
-    den = lcm(*(e.length.denominator for e in graph.edges),
-              *(o.denominator for offs in sub.cuts.values() for o in offs))
-    intervals: dict[str, list[tuple[int, int]]] = {}  # over den
+    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
     for p, is_burnt in zip(sub.nodes, burnt):
         if is_burnt:
             continue
         if p.is_vertex:
             vertices.add(p.vertex)
         else:
-            intervals.setdefault(p.edge, []).append((_over(p.offset, den),) * 2)
+            intervals.setdefault(p.edge, []).append((p.offset, p.offset))
     for a, b, length, eid, off in sub.segments:
         if not burnt[a] and not burnt[b]:
-            intervals.setdefault(eid, []).append((_over(off, den), _over(off + length, den)))
-    unburnt = ClosedSubset._of_valid(
-        graph, vertices, {eid: sorted(segs) for eid, segs in intervals.items()}, den)
-    return sub, burnt, unburnt
+            intervals.setdefault(eid, []).append((off, off + length))
+    return sub, burnt, ClosedSubset._encode(graph, vertices, intervals)
 
 
 def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,

@@ -469,16 +469,11 @@ class PLFunction:
         return [Fraction(v, self._dv) for v in
                 sorted({v for _, vals, _ in self._pieces.values() for v in vals})]
 
-    def nonconstant_intervals(self) -> dict[str, list[tuple[Fraction, Fraction]]]:
-        """Per edge, the closed offset intervals of the segments on which the
-        function is not constant; edges without one are left out."""
-        do, out = self._do, {}
-        for eid, (offs, _, ss) in self._pieces.items():
-            segs = [(Fraction(o1, do), Fraction(o2, do))
-                    for o1, o2, s in zip(offs, offs[1:], ss) if s]
-            if segs:
-                out[eid] = segs
-        return out
+    def nonconstant_set(self) -> "ClosedSubset":
+        """Closed union of the segments on which the function is not constant."""
+        return ClosedSubset._of_valid(self.graph, set(), {
+            eid: [(o1, o2) for o1, o2, s in zip(offs, offs[1:], ss) if s]
+            for eid, (offs, _, ss) in self._pieces.items()}, self._do)
 
     def divisor(self) -> "Divisor":
         """Sum of incoming slopes at every point (supported on breakpoints)."""
@@ -496,6 +491,8 @@ class PLFunction:
 
     def extremum_set(self, which: str = "min") -> "ClosedSubset":
         """Closed locus where the global minimum (or maximum) is attained."""
+        if which not in ("min", "max"):
+            raise InputError(f"which must be 'min' or 'max', got {which!r}")
         if which == "min" and self._min_set is not None:
             return self._min_set
         target, do = self._extremes()[which == "max"], self._do
@@ -594,8 +591,6 @@ def pl_div(f: PLFunction) -> "Divisor":
 
 
 def pl_extremum_set(f: PLFunction, which: str = "min") -> "ClosedSubset":
-    if which not in ("min", "max"):
-        raise InputError(f"which must be 'min' or 'max', got {which!r}")
     return f.extremum_set(which)
 
 
@@ -687,15 +682,19 @@ class ClosedSubset:
     """Closed subset: a vertex set plus closed intervals on each edge, kept
     as sorted, disjoint int pairs over one denominator _den per set (_ivs)
     and shown as Fractions by intervals. The constructor checks and coerces
-    outside input; extremum_set, union, intersect and Dhar burning build
-    their results through the unchecked _of_valid. Instances are immutable
-    and may be shared: the minimizer set a function caches is the one its
-    certificates report, so never mutate one."""
+    outside input and returns what _encode, the one encoder of rational
+    intervals into that form, builds from it. Library code holding
+    rational intervals (Dhar burning, the tree layer) calls _encode
+    directly, and extremum_set, nonconstant_set, union and intersect build
+    their results from ints through _of_valid; neither checks. Instances
+    are immutable and may be shared: the minimizer set a function caches
+    is the one its certificates report, so never mutate one."""
 
     __slots__ = ("graph", "vertices", "_ivs", "_den")
 
-    def __init__(self, graph: MetricGraph, vertices: Iterable[str] = (),
-                 intervals: dict | None = None):
+    def __new__(cls, graph: MetricGraph, vertices: Iterable[str] = (),
+                intervals: dict | None = None) -> "ClosedSubset":
+        # __new__, not __init__, so that the constructor returns _encode's set
         verts = set(vertices)
         ivs: dict[str, list[tuple[Fraction, Fraction]]] = {}
         for eid, raw in (intervals or {}).items():
@@ -710,19 +709,23 @@ class ClosedSubset:
         for v in verts:
             if v not in graph.vertex_set:
                 raise InputError(f"unknown vertex {v!r}")
-        den = lcm(*(x.denominator for segs in ivs.values() for seg in segs for x in seg))
-        self._close(graph, verts, {eid: [(_over(a, den), _over(b, den)) for a, b in segs]
-                                   for eid, segs in ivs.items()}, den)
+        return cls._encode(graph, verts, ivs)
 
     @classmethod
-    def _of_valid(cls, graph: MetricGraph, vertices: set, intervals: dict,
-                  den: int) -> "ClosedSubset":
-        """Build from known vertices and sorted int intervals over den in their edges."""
-        s = object.__new__(cls)
-        s._close(graph, vertices, intervals, den)
-        return s
+    def _encode(cls, graph: MetricGraph, vertices: Iterable[str],
+                intervals: dict) -> "ClosedSubset":
+        """Build from known vertices and rational intervals [a, b] within
+        their edges, in any order, over the lcm of their ends."""
+        den = lcm(*(x.denominator for segs in intervals.values() for seg in segs for x in seg))
+        return cls._of_valid(graph, set(vertices), {
+            eid: sorted((_over(a, den), _over(b, den)) for a, b in segs)
+            for eid, segs in intervals.items()}, den)
 
-    def _close(self, graph: MetricGraph, verts: set, intervals: dict, den: int) -> None:
+    @classmethod
+    def _of_valid(cls, graph: MetricGraph, verts: set, intervals: dict,
+                  den: int) -> "ClosedSubset":
+        """Build from known vertices (a set it adds to) and sorted int
+        intervals over den in their edges."""
         ivs: dict[str, tuple[tuple[int, int], ...]] = {}
         for eid, segs in intervals.items():
             merged: list[tuple[int, int]] = []
@@ -739,7 +742,9 @@ class ClosedSubset:
                 if merged[-1][1] * e.length.denominator == e.length.numerator * den:
                     verts.add(e.head)
                 ivs[eid] = tuple(merged)
-        self.graph, self.vertices, self._ivs, self._den = graph, frozenset(verts), ivs, den
+        s = object.__new__(cls)
+        s.graph, s.vertices, s._ivs, s._den = graph, frozenset(verts), ivs, den
+        return s
 
     @property
     def intervals(self) -> dict[str, tuple[tuple[Fraction, Fraction], ...]]:
@@ -765,7 +770,7 @@ class ClosedSubset:
         return any(a * d <= x <= b * d for a, b in self._ivs.get(point.edge, ()))
 
     def covers_graph(self) -> bool:
-        """Whether each edge is the one interval [0, length]; _close then put
+        """Whether each edge is the one interval [0, length]; _of_valid then put
         every vertex, an end of some edge, in the set."""
         if len(self._ivs) != len(self.graph.edges):
             return False
@@ -809,28 +814,27 @@ class ClosedSubset:
     def finite_points(self) -> list[GraphPoint] | None:
         """The point list if the set is finite, else None."""
         pts = [GraphPoint(vertex=v) for v in sorted(self.vertices)]
-        for eid, segs in sorted(self.intervals.items()):
-            e = self.graph.edge_map[eid]
+        for eid, segs in self._ivs.items():
+            length = self.graph.edge_map[eid].length
             for a, b in segs:
                 if a != b:
                     return None
-                if 0 < a < e.length:
-                    pts.append(GraphPoint(edge=eid, offset=a))
+                if 0 < a and a * length.denominator < length.numerator * self._den:
+                    pts.append(GraphPoint(edge=eid, offset=Fraction(a, self._den)))
         return sorted(pts, key=GraphPoint.key)
 
     def complement_gaps(self):
         """Open complement, as uncovered vertices and open intervals."""
-        missing_vertices = sorted(set(self.graph.vertices) - set(self.vertices))
-        gaps: list[tuple[str, Fraction, Fraction]] = []
+        missing_vertices = sorted(set(self.graph.vertices) - self.vertices)
+        den, gaps = self._den, []
         for e in self.graph.edges:
-            segs = list(self.intervals.get(e.id, ()))
-            cursor = Fraction(0)
-            for a, b in segs:
+            cursor = 0
+            for a, b in self._ivs.get(e.id, ()):
                 if a > cursor:
-                    gaps.append((e.id, cursor, a))
-                cursor = max(cursor, b)
-            if cursor < e.length:
-                gaps.append((e.id, cursor, e.length))
+                    gaps.append((e.id, Fraction(cursor, den), Fraction(a, den)))
+                cursor = b
+            if cursor * e.length.denominator < e.length.numerator * den:
+                gaps.append((e.id, Fraction(cursor, den), e.length))
         return missing_vertices, gaps
 
     def complement_components(self):
@@ -881,27 +885,27 @@ class Subdivision:
     """Graph refined at a finite set of interior points.
 
     nodes lists the vertices, as points, then the interior points by edge id
-    and offset; index maps each node to its position. cuts maps each cut
-    edge to its sorted offsets, and segments lists the resulting simple
-    pieces as (tail node, head node, length, edge id, start offset).
+    and offset; index maps each node to its position, and segments lists
+    the resulting simple pieces as (tail node, head node, length, edge id,
+    start offset).
     """
 
     def __init__(self, graph: MetricGraph, points: Iterable[GraphPoint]):
-        cuts: dict[str, set[Fraction]] = {}
+        cut: dict[str, set[Fraction]] = {}
         for p in points:
             if not p.is_vertex:
-                cuts.setdefault(p.edge, set()).add(p.offset)
-        self.cuts = {eid: sorted(offs) for eid, offs in sorted(cuts.items())}
+                cut.setdefault(p.edge, set()).add(p.offset)
+        cuts = {eid: sorted(offs) for eid, offs in sorted(cut.items())}
         self.nodes = [GraphPoint(vertex=v) for v in graph.vertices]
         first = {}  # cut edge id -> position of its first cut node
-        for eid, offs in self.cuts.items():
+        for eid, offs in cuts.items():
             first[eid] = len(self.nodes)
             self.nodes += [GraphPoint(edge=eid, offset=o) for o in offs]
         self.index = {p: i for i, p in enumerate(self.nodes)}
         at = {v: i for i, v in enumerate(graph.vertices)}
         self.segments: list[tuple[int, int, Fraction, str, Fraction]] = []
         for e in graph.edges:
-            offs = [_ZERO, *self.cuts.get(e.id, ()), e.length]
+            offs = [_ZERO, *cuts.get(e.id, ()), e.length]
             k = first.get(e.id, 0)
             ids = [at[e.tail], *range(k, k + len(offs) - 2), at[e.head]]
             self.segments += [(a, b, o2 - o1, e.id, o1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .divisors import LinearSystem, ls_bases, ls_reduced
@@ -149,25 +150,18 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
     and the chips that never move sit in the supports of the endpoints.
     Each non-constant piece contributes its closed parameter interval.
     """
-    vertices: set[str] = set()
-    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-
-    def add_point(p: GraphPoint) -> None:
-        if p.is_vertex:
-            vertices.add(p.vertex)
-        else:
-            intervals.setdefault(p.edge, []).append((p.offset, p.offset))
-
     gens = system.generators
+    vertices: set[str] = set()
+    points: dict[str, list[tuple[Fraction, Fraction]]] = {}
     for g in gens:
         for p in g.support():
-            add_point(p)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            f = system.pair_function(gens[i], gens[j])
-            for eid, segs in f.nonconstant_intervals().items():
-                intervals.setdefault(eid, []).extend(segs)
-    return ClosedSubset(system.graph, vertices, intervals)
+            if p.is_vertex:
+                vertices.add(p.vertex)
+            else:
+                points.setdefault(p.edge, []).append((p.offset, p.offset))
+    return ClosedSubset._encode(system.graph, vertices, points).union(
+        *(system.pair_function(a, b).nonconstant_set()
+          for i, a in enumerate(gens) for b in gens[i + 1:]))
 
 
 def tt_support(system: LinearSystem) -> ClosedSubset:
@@ -232,11 +226,6 @@ def _dominance_check(system: LinearSystem) -> tuple[bool, dict]:
 # preimages and the reduced-divisor map
 
 
-def _full_subset(graph: MetricGraph) -> ClosedSubset:
-    return ClosedSubset(graph, set(graph.vertices),
-                        {e.id: [(Fraction(0), e.length)] for e in graph.edges})
-
-
 def tt_preimage(system: LinearSystem, d: Divisor) -> ClosedSubset:
     """Points of the graph whose reduced divisor is d.
 
@@ -245,12 +234,11 @@ def tt_preimage(system: LinearSystem, d: Divisor) -> ClosedSubset:
     reduces to it and the preimage is the whole graph.
     """
     bases = ls_bases(system, d)
-    if not bases:
-        return _full_subset(system.graph)
-    out = bases[0]
-    for b in bases[1:]:
-        out = out.intersect(b)
-    return out
+    if bases:
+        return reduce(ClosedSubset.intersect, bases)
+    graph = system.graph
+    return ClosedSubset._encode(graph, graph.vertices,
+                                {e.id: [(0, e.length)] for e in graph.edges})
 
 
 def tt_reduced_map(

@@ -159,6 +159,17 @@ class TestPotentials:
         assert not pl_extremum_set(const, "min") \
             .intersect(pl_extremum_set(const, "max")).is_empty()
 
+    def test_unknown_extremum_is_rejected(self, c6):
+        """The method rejects what its wrapper rejects, with the same
+        message, and a rejected call leaves the minimizer cache alone."""
+        g = c6.need_graph()
+        f = mg_potential(g, c6.divisor("D1"), c6.divisor("D3"))
+        for find in (f.extremum_set, lambda which: pl_extremum_set(f, which)):
+            with pytest.raises(InputError, match="^which must be 'min' or 'max', got 'MAX'$"):
+                find("MAX")
+        assert f._min_set is None
+        assert f.extremum_set("min") is pl_extremum_set(f) is f._min_set
+
     def test_pointwise_operations_agree_with_eval(self):
         """add, sub, min_with, neg, add_const, clip_max and minus_min against
         eval of the inputs, at every breakpoint of either input and every
@@ -694,7 +705,8 @@ def _assert_same_closed_set(g, s, o):
     """The integer closed set s shows exactly what the Fraction oracle o
     shows: vertices, intervals with their types, key, cover, emptiness,
     complement, finite points, JSON form, and membership at every vertex,
-    interval end and midpoint between them."""
+    interval end and midpoint between them. Gap ends and point offsets
+    must be Fractions: an int 0 compares equal but prints as a number."""
     typed = lambda ivs: {eid: (type(segs), [(a, type(a), b, type(b)) for a, b in segs])
                          for eid, segs in ivs.items()}
     assert s.vertices == o.vertices and type(s.vertices) is type(o.vertices)
@@ -702,7 +714,12 @@ def _assert_same_closed_set(g, s, o):
     assert s.key() == o.key()
     assert (s.covers_graph(), s.is_empty()) == (o.covers_graph(), o.is_empty())
     assert s.complement_components() == o.complement_components()
-    assert s.finite_points() == o.finite_points()
+    missing, gaps = s.complement_gaps()
+    assert (missing, gaps) == o.complement_gaps()
+    assert all(type(x) is Fraction for _, a, b in gaps for x in (a, b))
+    points = s.finite_points()
+    assert points == o.finite_points()
+    assert all(type(p.offset) is Fraction for p in points or () if not p.is_vertex)
     assert to_jsonable(s) == {
         "vertices": sorted(o.vertices),
         "intervals": {eid: [[rational_str(a), rational_str(b)] for a, b in segs]
@@ -719,8 +736,8 @@ class TestIntegerClosedSets:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_the_fraction_oracle(self, seed):
         """Random interval sets through the checked constructor and the
-        minimizer and maximizer sets of random potentials (and of their
-        clipped versions, which have plateaus), then unions and
+        minimizer, maximizer and nonconstant sets of random potentials (and
+        of their clipped versions, which have plateaus), then unions and
         intersections of random pairs of them and unions of three."""
         rng = random.Random(seed)
         g = random_graph(rng)
@@ -731,6 +748,10 @@ class TestIntegerClosedSets:
             for h in (f, f.clip_max((f.min_value() + f.max_value()) / 2)):
                 pairs += [(h.extremum_set(which), closed_oracle.extremum_set(h, which))
                           for which in ("min", "max")]
+                moving = {eid: [(o1, o2) for (o1, _), (o2, _), s
+                                in zip(bps, bps[1:], h.slopes[eid]) if s]
+                          for eid, bps in h.data.items()}
+                pairs.append((h.nonconstant_set(), closed_oracle.ClosedSubset(g, (), moving)))
         for s, o in pairs:
             _assert_same_closed_set(g, s, o)
         for _ in range(12):

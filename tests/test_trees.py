@@ -28,6 +28,7 @@ from tropkit import (
     tt_support,
     tt_verify_witness,
 )
+from tropkit import trees
 from tropkit.trees import _places
 
 
@@ -71,6 +72,25 @@ class TestTreeRecognition:
         dominant, dreport = tt_is_dominant(bad)
         assert not dominant
         assert dreport["reason"] == "not a tropical tree"
+
+    def test_segment_leaving_the_generator_segments_is_reported(self, c6, monkeypatch):
+        """With no chip-firing bases the first check passes vacuously, and
+        c6 `complete` fails the second: a segment between two critical
+        members turns at a divisor on no generator segment. triangle_bad,
+        which the first check rejects, passes the second, so neither check
+        stands in for the other. The systems are built fresh: the fixture's
+        own are shared and would keep the patched verdict in their memo."""
+        monkeypatch.setattr(trees, "ls_bases", lambda system, d: [])
+        fresh = lambda name: LinearSystem(c6.need_graph(),
+                                          [c6.divisor(n) for n in c6.systems[name]])
+        ok, report = tt_is_tree(fresh("complete"))
+        assert not ok
+        assert report["reason"] == \
+            "a segment between members leaves the generator segments"
+        assert str(report["divisor"]) == "(v2)+(w12)+(w23)"
+        assert [str(d) for d in report["between"]] == \
+            ["2(e1@1/2)+(w13)", "2(e3@1/2)+(w12)"]
+        assert tt_is_tree(fresh("triangle_bad"))[0]
 
     def test_segment_is_a_dominant_tree(self, seg):
         ok, _ = tt_is_tree(seg)
