@@ -21,41 +21,13 @@ import json
 import os
 import sys
 
-from .divisors import (
-    dv_b1,
-    dv_dhar_trace,
-    dv_lin_equiv,
-    dv_path,
-    dv_rho,
-    ls_extremals,
-    ls_member,
-    ls_project,
-    ls_reduced,
-)
+import tropkit as tk
+
 from .errors import CertificateError, InputError
-from .trees import (
-    _sample_points,
-    tt_harmonize,
-    tt_is_dominant,
-    tt_is_tree,
-    tt_morphism,
-    tt_preimage,
-    tt_reduced_map,
-    tt_support,
-    tt_verify_witness,
-)
-from .tropical import (
-    TropPoint,
-    as_fraction,
-    tp_extremals,
-    tp_independence,
-    tp_member,
-    tp_norm,
-    tp_project,
-    tp_pseudonorm,
-)
+from .tropical import TropPoint, as_fraction
 from .workspace import (
     Workspace,
+    _exact_int,
     _reject_float,
     divisor_from_json,
     dumps_canonical,
@@ -75,7 +47,8 @@ __all__ = ["main"]
 def _loads_strict(text: str, location: str):
     try:
         return json.loads(
-            text, parse_float=lambda raw: _reject_float(raw, location))
+            text, parse_float=lambda raw: _reject_float(raw, location),
+            parse_int=lambda raw: _exact_int(raw, location))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", location) from None
 
@@ -138,8 +111,10 @@ def _component_label(component: dict) -> str:
 # subcommand handlers: handler(workspace, args) -> (exit code, payload); a
 # str payload is printed as is (CSV, DOT), anything else as canonical JSON.
 # The order in which a handler resolves its inputs decides which error a bad
-# invocation reports.  Handlers call the library through module globals, so
-# a tracer that rebinds those names sees every call.
+# invocation reports.  Handlers call the library through the package
+# namespace, which loads a layer on first use of one of its names, so a
+# command loads only the layers it needs; and each call reads the name at
+# call time, so a tracer that rebinds those names sees every call.
 
 
 def _graph_validate(ws: Workspace, args):
@@ -154,7 +129,7 @@ def _graph_validate(ws: Workspace, args):
 def _tp_project(ws: Workspace, args):
     S = ws.generator_set(args.generators, args.mode)
     gamma = _resolve_trop_point(ws, args.point, "--point")
-    projection, cert = tp_project(S, gamma, ws.need_space())
+    projection, cert = tk.tp_project(S, gamma, ws.need_space())
     return 0, {"mode": args.mode, "point": gamma,
                "projection": projection, "certificate": cert}
 
@@ -162,13 +137,13 @@ def _tp_project(ws: Workspace, args):
 def _tp_member(ws: Workspace, args):
     S = ws.generator_set(args.generators, args.mode)
     gamma = _resolve_trop_point(ws, args.point, "--point")
-    ok, cert = tp_member(S, gamma)
+    ok, cert = tk.tp_member(S, gamma)
     return 0 if ok else 1, {"mode": args.mode, "point": gamma, "member": ok,
                             "certificate": cert}
 
 
 def _tp_extremals(ws: Workspace, args):
-    kept = tp_extremals(ws.generator_set(args.generators, args.mode))
+    kept = tk.tp_extremals(ws.generator_set(args.generators, args.mode))
     # the first name of a repeated point wins
     by_coords = {ws.points[name].coords: name
                  for name in reversed(ws.sets[args.generators])}
@@ -178,8 +153,8 @@ def _tp_extremals(ws: Workspace, args):
 
 
 def _tp_independence(ws: Workspace, args):
-    result = tp_independence(ws.generator_set(args.generators, args.mode),
-                             args.kind)
+    result = tk.tp_independence(ws.generator_set(args.generators, args.mode),
+                                args.kind)
     code = {"independent": 0, "dependent": 1, "undecided": 3}[result["status"]]
     return code, result
 
@@ -187,64 +162,64 @@ def _tp_independence(ws: Workspace, args):
 def _tp_norm(ws: Workspace, args):
     ws.need_space()
     gamma = _resolve_trop_point(ws, args.point, "--point")
-    payload = {"point": gamma, "norm": tp_norm(gamma)}
+    payload = {"point": gamma, "norm": tk.tp_norm(gamma)}
     if args.p is not None:
         p = args.p if args.p == "inf" else int(args.p)
         payload["pseudonorm"] = {
             "p": args.p, "mode": args.mode,
-            "value": tp_pseudonorm(gamma, p, args.mode, ws.space)}
+            "value": tk.tp_pseudonorm(gamma, p, args.mode, ws.space)}
     return 0, payload
 
 
 def _div_equiv(ws: Workspace, args):
     d1, d2 = _divisors(ws, args, 2)
-    ok = dv_lin_equiv(ws.need_graph(), d1, d2)
+    ok = tk.dv_lin_equiv(ws.need_graph(), d1, d2)
     return 0 if ok else 1, {"equivalent": ok}
 
 
 def _div_rho(ws: Workspace, args):
     d1, d2 = _divisors(ws, args, 2)
-    return 0, {"rho": dv_rho(ws.need_graph(), d1, d2)}
+    return 0, {"rho": tk.dv_rho(ws.need_graph(), d1, d2)}
 
 
 def _div_path(ws: Workspace, args):
     d1, d2 = _divisors(ws, args, 2)
     t = as_fraction(_required(args, "t"), "--t")
-    return 0, {"t": t, "divisor": dv_path(ws.need_graph(), d1, d2, t)}
+    return 0, {"t": t, "divisor": tk.dv_path(ws.need_graph(), d1, d2, t)}
 
 
 def _div_b1(ws: Workspace, args):
     d, e = _divisors(ws, args, 2)
-    return 0, {"b1": dv_b1(ws.need_graph(), d, e)}
+    return 0, {"b1": tk.dv_b1(ws.need_graph(), d, e)}
 
 
 def _div_reduce(ws: Workspace, args):
     d, = _divisors(ws, args, 1)
     q = _point_at(ws, args)
-    reduced, steps = dv_dhar_trace(ws.need_graph(), d, q)
+    reduced, steps = tk.dv_dhar_trace(ws.need_graph(), d, q)
     return 0, {"point": q, "reduced": reduced, "steps": steps,
                "rounds": len(steps)}
 
 
 def _sys_member(ws: Workspace, args):
-    ok, cert = ls_member(ws.system(args.system), *_divisors(ws, args, 1))
+    ok, cert = tk.ls_member(ws.system(args.system), *_divisors(ws, args, 1))
     return 0 if ok else 1, {"member": ok, "certificate": cert}
 
 
 def _sys_project(ws: Workspace, args):
-    projection, cert = ls_project(ws.system(args.system),
-                                  *_divisors(ws, args, 1))
+    projection, cert = tk.ls_project(ws.system(args.system),
+                                     *_divisors(ws, args, 1))
     return 0, {"projection": projection, "certificate": cert}
 
 
 def _sys_reduced(ws: Workspace, args):
     T, q = ws.system(args.system), _point_at(ws, args)
-    reduced, cert = ls_reduced(T, q)
+    reduced, cert = tk.ls_reduced(T, q)
     return 0, {"point": q, "reduced": reduced, "certificate": cert}
 
 
 def _sys_extremals(ws: Workspace, args):
-    kept = ls_extremals(ws.system(args.system))
+    kept = tk.ls_extremals(ws.system(args.system))
     by_key = {ws.divisors[name].key(): name
               for name in reversed(ws.systems[args.system])}
     names = [by_key.get(d.key(), str(d)) for d in kept]
@@ -252,12 +227,12 @@ def _sys_extremals(ws: Workspace, args):
 
 
 def _tree_check(ws: Workspace, args):
-    ok, report = tt_is_tree(ws.system(args.system))
+    ok, report = tk.tt_is_tree(ws.system(args.system))
     return 0 if ok else 1, {"tree": ok, "report": report}
 
 
 def _tree_support(ws: Workspace, args):
-    support = tt_support(ws.system(args.system))
+    support = tk.tt_support(ws.system(args.system))
     payload = {"covers_graph": support.covers_graph(), "support": support}
     if not support.covers_graph():
         payload["uncovered"] = support.complement_components()
@@ -265,7 +240,7 @@ def _tree_support(ws: Workspace, args):
 
 
 def _tree_dominant(ws: Workspace, args):
-    ok, report = tt_is_dominant(ws.system(args.system))
+    ok, report = tk.tt_is_dominant(ws.system(args.system))
     payload = dict(report)
     if not ok and "uncovered" in report:
         labels = [_component_label(c) for c in report["uncovered"]]
@@ -277,7 +252,7 @@ def _tree_dominant(ws: Workspace, args):
 def _tree_preimage(ws: Workspace, args):
     T = ws.system(args.system)
     d, = _divisors(ws, args, 1)
-    region = tt_preimage(T, d)
+    region = tk.tt_preimage(T, d)
     return 0, {"divisor": d, "preimage": region,
                "points": region.finite_points()}
 
@@ -288,7 +263,7 @@ def _tree_redmap(ws: Workspace, args):
     per_edge = 3 if args.samples is None else args.samples
     if per_edge < 0:
         raise InputError("--samples must be nonnegative", "--samples")
-    rows = tt_reduced_map(T, _sample_points(graph, per_edge))
+    rows = tk.tt_reduced_map(T, tk.trees._sample_points(graph, per_edge))
     if args.format != "csv":
         return 0, {"samples": [{"point": p, "reduced": r} for p, r in rows]}
     buf = io.StringIO()
@@ -321,20 +296,20 @@ def _skeleton_dot(morphism) -> str:
 
 
 def _tree_morphism(ws: Workspace, args):
-    morphism = tt_morphism(ws.system(args.system))
+    morphism = tk.tt_morphism(ws.system(args.system))
     return 0, _skeleton_dot(morphism) if args.format == "dot" else morphism
 
 
 def _tree_harmonize(ws: Workspace, args):
-    modification, morphism, degree = tt_harmonize(ws.system(args.system))
+    modification, morphism, degree = tk.tt_harmonize(ws.system(args.system))
     return 0, {"degree": degree, "trivial": modification.is_trivial,
                "attachments": modification.attachments,
                "skeleton": morphism.skeleton}
 
 
 def _tree_witness(ws: Workspace, args):
-    ok, report = tt_verify_witness(ws.system(args.system),
-                                   _required(args, "degree"))
+    ok, report = tk.tt_verify_witness(ws.system(args.system),
+                                      _required(args, "degree"))
     return 0 if ok else 1, report
 
 

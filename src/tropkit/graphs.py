@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CertificateError, InputError
 from .tropical import as_fraction
@@ -45,16 +44,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     tail: str
     head: str
     length: Fraction
 
 
-@dataclass(frozen=True)
-class GraphPoint:
+class GraphPoint(NamedTuple):
     """A point of the graph: a vertex, or an interior position on an edge."""
 
     vertex: str | None = None

@@ -18,10 +18,9 @@ the reason for a negative verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .divisors import LinearSystem, ls_bases, ls_reduced
 from .errors import CertificateError, InputError
@@ -260,8 +259,7 @@ def tt_reduced_map(
 # skeleton
 
 
-@dataclass(frozen=True)
-class SkeletonArc:
+class SkeletonArc(NamedTuple):
     """Arc of a tree skeleton between node indices a and b.
 
     The arc is realized on the segment between generators ``pair``; node a
@@ -276,8 +274,7 @@ class SkeletonArc:
     level: Fraction
 
 
-@dataclass(frozen=True)
-class TreeSkeleton:
+class TreeSkeleton(NamedTuple):
     """Critical divisors as nodes joined by the arcs between them."""
 
     nodes: tuple[Divisor, ...]
@@ -385,8 +382,7 @@ def _places(system: LinearSystem, skel: TreeSkeleton,
 # the reduced-divisor map as a pseudo-harmonic morphism
 
 
-@dataclass(frozen=True)
-class SubArcMap:
+class SubArcMap(NamedTuple):
     """Linear piece of the reduced-divisor map.
 
     The source is the stretch of edge ``edge`` between offsets ``start``
@@ -404,8 +400,7 @@ class SubArcMap:
     expansion: int
 
 
-@dataclass(frozen=True)
-class PseudoHarmonicMap:
+class PseudoHarmonicMap(NamedTuple):
     """Reduced-divisor map from the graph onto a tree skeleton.
 
     ``cut_points`` are the interior points at which the graph was
@@ -525,8 +520,7 @@ def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
 # harmonization
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     """Branch to graft at ``point``: ``multiplicity`` copies of the part of
     the tree spanned by ``component_nodes``.
 
@@ -544,8 +538,7 @@ class Attachment:
     partial_side: str | None = None
 
 
-@dataclass(frozen=True)
-class Modification:
+class Modification(NamedTuple):
     """Branches whose attachment turns the reduced-divisor map harmonic."""
 
     attachments: tuple[Attachment, ...]

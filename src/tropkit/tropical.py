@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -48,7 +48,9 @@ __all__ = [
 def as_fraction(value, location: str = "") -> Fraction:
     """The exact rational an outside value stands for: a Fraction, an int
     that is not a bool, or a string that ``Fraction`` parses ("-3", "5/3",
-    the exact decimal "1.5", the exponent form "1e3"). Floats, booleans and
+    the exact decimal "1.5", the exponent form "1e3"). Floats, booleans,
+    strings whose numerator or denominator would pass the int digit limit
+    (``sys.get_int_max_str_digits``, so the value could not be printed) and
     anything else raise InputError at location."""
     if isinstance(value, Fraction):
         return value
@@ -60,20 +62,69 @@ def as_fraction(value, location: str = "") -> Fraction:
         raise InputError('floats are not accepted; write rationals as "p/q" strings', location)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _parse_rational(value)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"not a rational: {value!r}", location) from None
+        except OverflowError:
+            raise InputError(f"past the {_DIGIT_LIMIT()}-digit limit: {value!r}",
+                             location) from None
     raise InputError(f"expected a rational, got {type(value).__name__}", location)
 
 
-@dataclass(frozen=True)
-class GroundSpace:
+# the int digit limit; 0 (no limit) on interpreters older than 3.10.7
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), raising OverflowError past the digit limit. Like
+    ``int``, which counts leading zeros, it refuses an exponent larger than
+    the limit plus the mantissa's length on any mantissa, before
+    ``Fraction`` builds that power of ten."""
+    limit = _DIGIT_LIMIT()
+    mantissa, _, exponent = text.lower().partition("e")
+    if limit and exponent and abs(int(exponent)) > limit + len(mantissa):
+        raise OverflowError
+    value = Fraction(text)
+    if limit and (exponent or len(text) > limit):
+        try:
+            str(value)  # printing an int is where the digit limit is checked
+        except ValueError:
+            raise OverflowError from None
+    return value
+
+
+class _Frozen:
+    """Immutable value semantics: fields (the ``__slots__``) set once with
+    ``object.__setattr__`` in ``__init__``, equality within one class, the
+    hash of the field tuple that a subclass's ``_astuple`` returns, and a
+    repr that names each field."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GroundSpace(_Frozen):
     """Finite ground set with positive weights (a measure with full support)."""
 
-    labels: tuple[str, ...]
-    weights: tuple[Fraction, ...]
+    __slots__ = ("labels", "weights")
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...], weights: tuple[Fraction, ...]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights", weights)
         if not self.labels:
             raise InputError("ground set must be nonempty")
         if len(set(self.labels)) != len(self.labels):
@@ -82,6 +133,9 @@ class GroundSpace:
             raise InputError("need exactly one weight per ground element")
         if any(w <= 0 for w in self.weights):
             raise InputError("weights must be positive")
+
+    def _astuple(self) -> tuple:
+        return (self.labels, self.weights)
 
     @classmethod
     def of(cls, labels: Iterable[str], weights: Iterable | None = None) -> "GroundSpace":
@@ -102,17 +156,20 @@ class GroundSpace:
         return sum(self.weights, Fraction(0))
 
 
-@dataclass(frozen=True)
-class TropPoint:
+class TropPoint(_Frozen):
     """A point of min-plus projective space, stored with minimum zero."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
+    def __init__(self, coords: tuple[Fraction, ...]):
+        object.__setattr__(self, "coords", coords)
         if not self.coords:
             raise InputError("a point needs at least one coordinate")
         if min(self.coords) != 0:
             raise InputError("canonical coordinates must have minimum zero")
+
+    def _astuple(self) -> tuple:
+        return (self.coords,)
 
     @classmethod
     def of(cls, values: Iterable) -> "TropPoint":
@@ -152,14 +209,14 @@ def _check_dim(a: TropPoint, b: TropPoint) -> None:
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-@dataclass(frozen=True)
-class TropGeneratorSet:
+class TropGeneratorSet(_Frozen):
     """A finite generating set together with the hull flavor it spans."""
 
-    points: tuple[TropPoint, ...]
-    mode: str = "lower"
+    __slots__ = ("points", "mode")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[TropPoint, ...], mode: str = "lower"):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "mode", mode)
         if self.mode not in ("lower", "upper"):
             raise InputError(f"mode must be 'lower' or 'upper', got {self.mode!r}")
         if not self.points:
@@ -167,6 +224,9 @@ class TropGeneratorSet:
         dims = {p.dim for p in self.points}
         if len(dims) != 1:
             raise InputError("generators must share one dimension")
+
+    def _astuple(self) -> tuple:
+        return (self.points, self.mode)
 
     @classmethod
     def of(cls, points: Iterable, mode: str = "lower") -> "TropGeneratorSet":

@@ -15,13 +15,16 @@ again yields the same workspace, and serialization output is byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .divisors import LinearSystem
 from .errors import InputError
-from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, mg_validate
 from .tropical import GroundSpace, TropGeneratorSet, TropPoint, as_fraction
+
+if TYPE_CHECKING:  # the graph layers load on first use
+    from .divisors import LinearSystem
+    from .graphs import Divisor, GraphPoint, MetricGraph
 
 __all__ = [
     "Workspace",
@@ -113,6 +116,7 @@ def divisor_from_json(graph: MetricGraph, data, location: str) -> Divisor:
         point = point_from_json(graph, entry[0], here)
         coeff = as_fraction(entry[1], f"{here}[1]")
         pairs.append((point, coeff))
+    from .graphs import Divisor
     return Divisor.of(graph, pairs)
 
 
@@ -120,18 +124,18 @@ def divisor_from_json(graph: MetricGraph, data, location: str) -> Divisor:
 # the workspace
 
 
-@dataclass
 class Workspace:
     """Parsed workspace: at most one graph block and one point block."""
 
-    graph: MetricGraph | None = None
-    graph_report: dict | None = None
-    divisors: dict[str, Divisor] = field(default_factory=dict)
-    systems: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    space: GroundSpace | None = None
-    points: dict[str, TropPoint] = field(default_factory=dict)
-    sets: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    _system_cache: dict[str, LinearSystem] = field(default_factory=dict)
+    def __init__(self, graph: MetricGraph | None = None, graph_report: dict | None = None,
+                 divisors=None, systems=None, space: GroundSpace | None = None,
+                 points=None, sets=None):
+        self.graph, self.graph_report, self.space = graph, graph_report, space
+        self.divisors: dict[str, Divisor] = divisors or {}
+        self.systems: dict[str, tuple[str, ...]] = systems or {}
+        self.points: dict[str, TropPoint] = points or {}
+        self.sets: dict[str, tuple[str, ...]] = sets or {}
+        self._system_cache: dict[str, LinearSystem] = {}
 
     def need_graph(self) -> MetricGraph:
         if self.graph is None:
@@ -149,6 +153,7 @@ class Workspace:
             raise InputError(f"unknown system {name!r} (known: "
                              f"{sorted(self.systems)})", "systems")
         if name not in self._system_cache:
+            from .divisors import LinearSystem
             gens = [self.divisor(d) for d in self.systems[name]]
             self._system_cache[name] = LinearSystem(self.need_graph(), gens)
         return self._system_cache[name]
@@ -212,6 +217,7 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
                 _expect(e["head"], str, "edge head", f"{here}.head"),
                 as_fraction(e["length"], f"{here}.length"),
             ))
+        from .graphs import mg_validate
         try:
             graph, report = mg_validate(
                 [_expect(v, str, "a vertex name", f"{location}.vertices")
@@ -283,7 +289,8 @@ def load_workspace(path: str) -> Workspace:
         raise InputError(f"cannot read {path}: {exc.strerror}", path) \
             from None
     try:
-        data = json.loads(text, parse_float=_reject_float)
+        data = json.loads(text, parse_float=_reject_float,
+                          parse_int=lambda raw: _exact_int(raw, path))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}",
                          f"{path}:{exc.lineno}:{exc.colno}") from None
@@ -299,6 +306,17 @@ def _reject_float(text: str, location: str = "number"):
         location)
 
 
+def _exact_int(text: str, location: str) -> int:
+    """``parse_int`` hook for ``json.loads``: an integer literal past the
+    int digit limit is an input error at location (the file path, or the
+    flag name for inline JSON on the command line)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"integer literal of {len(text.lstrip('-'))} digits is past the "
+                         f"{sys.get_int_max_str_digits()}-digit limit", location) from None
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization
 
@@ -307,8 +325,9 @@ def to_jsonable(obj):
     """Canonical JSON-ready form of library values.
 
     Rationals become canonical strings, points and divisors their file
-    encodings, sets and maps sorted containers. Used both by the workspace
-    serializer and by command-line reports.
+    encodings, sets and maps sorted containers, and records (the tree
+    layer's ``NamedTuple``s) maps of their ``_fields`` in field order. Used
+    both by the workspace serializer and by command-line reports.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -316,33 +335,35 @@ def to_jsonable(obj):
         return rational_str(obj)
     if isinstance(obj, float):
         return repr(obj)
-    if isinstance(obj, GraphPoint):
-        if obj.is_vertex:
-            return {"vertex": obj.vertex}
-        return {"edge": obj.edge, "offset": rational_str(obj.offset)}
-    if isinstance(obj, Divisor):
-        return [[to_jsonable(p), rational_str(c)] for p, c in obj.items()]
     if isinstance(obj, TropPoint):
         return [rational_str(c) for c in obj.coords]
     if isinstance(obj, TropGeneratorSet):
         return {"mode": obj.mode,
                 "points": [to_jsonable(p) for p in obj.points]}
-    if isinstance(obj, ClosedSubset):
-        return {
-            "vertices": sorted(obj.vertices),
-            "intervals": {
-                eid: [[rational_str(a), rational_str(b)] for a, b in segs]
-                for eid, segs in sorted(obj.intervals.items())},
-        }
+    # no graph-layer value exists before the graph layer is loaded
+    graphs = sys.modules.get(f"{__package__}.graphs")
+    if graphs is not None:
+        if isinstance(obj, graphs.GraphPoint):
+            if obj.is_vertex:
+                return {"vertex": obj.vertex}
+            return {"edge": obj.edge, "offset": rational_str(obj.offset)}
+        if isinstance(obj, graphs.Divisor):
+            return [[to_jsonable(p), rational_str(c)] for p, c in obj.items()]
+        if isinstance(obj, graphs.ClosedSubset):
+            return {
+                "vertices": sorted(obj.vertices),
+                "intervals": {
+                    eid: [[rational_str(a), rational_str(b)] for a, b in segs]
+                    for eid, segs in sorted(obj.intervals.items())},
+            }
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(x) for x in obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "_fields"):
+        return {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {name: to_jsonable(getattr(obj, name))
-                for name in obj.__dataclass_fields__}
     return str(obj)
 
 

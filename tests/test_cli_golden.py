@@ -7,8 +7,8 @@ the repository root, as in ``perfbench/cli_expected.json``, whose 41
 invocations are all included here.  The rows after them pin the report
 of each input error the front end raises itself or passes on from the
 workspace: argument counts, missing and malformed flags, unknown names,
-a workspace without the block a command needs, and a system that is not
-the tree a command needs.
+a workspace without the block a command needs, a system that is not
+the tree a command needs, and values past the int digit limit.
 """
 
 import contextlib
@@ -162,6 +162,11 @@ GOLDEN = [
      "9d0c9d113e9351756ee7a421173f7cb9a0dedcde2630762b8c1c592b61e1554d"),
     (["tree", "morphism", "--graph", "tests/fixtures/banana.json", "--system", "seg_E1_E3"], 2,
      "9472b90e88cd5a8c8b93a7adc8faffc470df57af48394ba1d9b89817a5cf849d"),
+    # values past the int digit limit, which cannot be printed
+    (["tp", "norm", "--space", "tests/fixtures/long_integer.json", "--point", "A"], 2,
+     "585a8874f5eb1a507c03660199989d3945c715b0a25bdccd9eaa739b70a810ac"),
+    (["tp", "norm", "--space", "tests/fixtures/tp3.json", "--point", "[\"1e5000\",\"0\",\"0\"]"], 2,
+     "074e9a675d9dd1ee68b47975798bd64c05304d22c04f9551bf73358b0a75b6c5"),
 ]
 
 

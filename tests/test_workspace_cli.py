@@ -87,6 +87,46 @@ class TestErrorHandling:
             "message": "floats are not accepted; write '1.5' as a \"p/q\" string",
         }
 
+    def test_long_integers_are_rejected_at_the_path(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"schema_version": 1, "ground": ["a"], "points": {"A": [%s]}}'
+                       % ("9" * 5000))
+        code, payload = run_json(capsys, "tp", "norm", "--space", str(bad), "--point", "A")
+        assert code == 2
+        assert payload == {
+            "code": "input-error",
+            "location": str(bad),
+            "message": "integer literal of 5000 digits is past the 4300-digit limit",
+        }
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--point", ("tp", "norm", "--space", TP3, "--point", "[%s, 0, 0]")),
+        ("--divisor", ("div", "rho", "--graph", C6, "--divisor", '[[{"vertex":"v1"}, %s]]',
+                       "--divisor", "D1")),
+        ("--at", ("div", "reduce", "--graph", C6, "--divisor", "D1", "--at",
+                  '{"edge": "e1", "offset": %s}')),
+    ])
+    def test_inline_long_integers_are_rejected_at_the_flag(self, capsys, flag, argv):
+        code, payload = run_json(capsys, *[a.replace("%s", "-" + "1" * 5000) for a in argv])
+        assert code == 2
+        assert payload == {
+            "code": "input-error",
+            "location": flag,
+            "message": "integer literal of 5000 digits is past the 4300-digit limit",
+        }
+
+    def test_unprintable_workspace_values_are_located(self, tmp_path, capsys):
+        bad = tmp_path / "exponent.json"
+        bad.write_text('{"schema_version": 1, "ground": ["a", "b"], '
+                       '"points": {"A": ["0", "1e5000"]}}')
+        code, payload = run_json(capsys, "tp", "norm", "--space", str(bad), "--point", "A")
+        assert code == 2
+        assert payload == {
+            "code": "input-error",
+            "location": f"{bad}.points.A[1]",
+            "message": "past the 4300-digit limit: '1e5000'",
+        }
+
     def test_missing_schema_version(self, tmp_path, capsys):
         bad = tmp_path / "nover.json"
         bad.write_text(json.dumps({
@@ -173,6 +213,24 @@ class TestRationalParsing:
     def test_accepted_forms(self):
         assert [as_fraction(x) for x in (3, "-3", "5/3", "1.5", "1e3")] == \
             [3, -3, Fraction(5, 3), Fraction(3, 2), 1000]
+
+    # at the default limit of 4300 digits: 10**4299 has 4300 digits and
+    # 1.5e-4299 is 3 / (2 * 10**4299), whose denominator has 4300
+    @pytest.mark.parametrize("text, value", [
+        ("1e4299", Fraction(10 ** 4299)),
+        ("-1.5e-4299", Fraction(-3, 2 * 10 ** 4299)),
+    ])
+    def test_exponents_at_the_digit_limit_are_accepted(self, text, value):
+        assert str(as_fraction(text)) == str(value)  # and it can be printed
+
+    @pytest.mark.parametrize("text", ["1e4300", "1.5e-4300", "1e5000", "-1.5e-5000",
+                                      "1e1000000", "1" * 3000 + "." + "1" * 3000],
+                             ids=lambda text: text if len(text) < 20 else "long decimal")
+    def test_values_past_the_digit_limit_are_located(self, text):
+        with pytest.raises(InputError) as exc:
+            as_fraction(text, "here")
+        assert str(exc.value) == f"past the 4300-digit limit: {text!r}"
+        assert exc.value.location == "here"
 
 
 class TestExamples:
