@@ -19,23 +19,24 @@ Everything computes in ``fractions.Fraction``; no floats enter any
 decision.  The ``tropkit`` command line (``cli``) serves the same
 operations over JSON workspace files (``workspace``).
 
-Importing the package loads only ``tropical``; every other layer loads on
-first use of one of its names, so a tropical-only program never imports
-(or compiles) the graph layers.
+Importing the package loads no layer, only ``errors`` and ``rational``
+(the one parser and printer of rationals); each layer loads on first use
+of one of its names, so a program never compiles a layer it does not use.
 """
 
 import importlib
 
 from .errors import CertificateError, InputError
-from .tropical import *  # noqa: F403 -- the names in tropical.__all__
-from .tropical import __all__ as _TROPICAL, as_fraction
+from .rational import as_fraction, rational_str
 
 # layer -> the names it exports, resolved by __getattr__ on first use
 _LAZY = {
+    "tropical": ("GroundSpace", "TropGeneratorSet", "TropPoint", "tp_argext", "tp_combine",
+                 "tp_dist", "tp_extremals", "tp_fixed_point", "tp_independence", "tp_member",
+                 "tp_norm", "tp_path", "tp_project", "tp_pseudonorm", "tp_retract"),
     "graphs": ("ClosedSubset", "Divisor", "Edge", "GraphPoint", "MetricGraph",
                "PLFunction", "mg_distance", "mg_jfunction", "mg_potential",
-               "mg_resistance", "mg_validate", "pl_div", "pl_eval", "pl_extremum_set",
-               "pl_integral"),
+               "mg_resistance", "mg_validate"),
     "divisors": ("LinearSystem", "dv_b1", "dv_dhar", "dv_dhar_certificate",
                  "dv_dhar_trace", "dv_lin_equiv", "dv_path", "dv_rho", "ls_bases",
                  "ls_extremals", "ls_member", "ls_project", "ls_reduced"),
@@ -44,8 +45,8 @@ _LAZY = {
               "tt_is_dominant", "tt_is_tree", "tt_morphism", "tt_preimage",
               "tt_reduced_map", "tt_skeleton", "tt_support", "tt_verify_witness"),
     "workspace": ("Workspace", "divisor_from_json", "dumps_canonical", "load_workspace",
-                  "parse_workspace", "point_from_json", "rational_str",
-                  "serialize_workspace", "to_jsonable"),
+                  "parse_workspace", "point_from_json", "serialize_workspace",
+                  "to_jsonable"),
 }
 _HOME = {name: layer for layer, names in _LAZY.items() for name in names}
 
@@ -66,4 +67,5 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = ["CertificateError", "InputError", "as_fraction", *_TROPICAL, *_HOME, "__version__"]
+__all__ = ["CertificateError", "InputError", "as_fraction", "rational_str", *_HOME,
+           "__version__"]

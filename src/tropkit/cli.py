@@ -9,14 +9,13 @@ output: keys are sorted and all rationals use canonical strings.
 
 Every subcommand is one entry of ``_COMMANDS``: its help text, its flags
 (named from ``_FLAGS``) and its handler.  ``build_parser`` and ``main``
-both read that table.
+both read that table; given the arguments of one valid-looking command,
+``build_parser`` builds only that command's parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ import sys
 import tropkit as tk
 
 from .errors import CertificateError, InputError
-from .tropical import TropPoint, as_fraction
+from .rational import as_fraction, rational_str
 from .workspace import (
     Workspace,
     _exact_int,
@@ -33,7 +32,6 @@ from .workspace import (
     dumps_canonical,
     load_workspace,
     point_from_json,
-    rational_str,
     to_jsonable,
 )
 
@@ -67,15 +65,14 @@ def _point_at(ws: Workspace, args):
                            "--at")
 
 
-def _resolve_trop_point(ws: Workspace, text: str, location: str) -> TropPoint:
+def _resolve_trop_point(ws: Workspace, text: str, location: str):
     s = text.strip()
     if s.startswith("["):
         data = _loads_strict(s, location)
         if not isinstance(data, list):
             raise InputError("a point is a JSON array of rationals",
                              location)
-        return TropPoint.of([as_fraction(c, f"{location}[{i}]")
-                             for i, c in enumerate(data)])
+        return tk.TropPoint.of(as_fraction(c, f"{location}[{i}]") for i, c in enumerate(data))
     return ws.point(s)
 
 
@@ -266,14 +263,18 @@ def _tree_redmap(ws: Workspace, args):
     rows = tk.tt_reduced_map(T, tk.trees._sample_points(graph, per_edge))
     if args.format != "csv":
         return 0, {"samples": [{"point": p, "reduced": r} for p, r in rows]}
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["point_id", "edge", "offset", "image_divisor"])
     for point, reduced in rows:
+        # rational_str first: it reports an unprintable offset, str(point) crashes
+        offset = "" if point.is_vertex else rational_str(point.offset)
         writer.writerow([
             str(point),
             "" if point.is_vertex else point.edge,
-            "" if point.is_vertex else rational_str(point.offset),
+            offset,
             json.dumps(to_jsonable(reduced), sort_keys=True,
                        separators=(",", ":")),
         ])
@@ -404,13 +405,21 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command line's parser; for an argv that names a known group and
+    action and asks no help, only that action's chain, which acts as the full one."""
+    # usage names every group, however many are built; prog keeps it out of sub-usages
     root = argparse.ArgumentParser(
-        prog="tropkit",
+        prog="tropkit", usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description="Exact toolkit for tropical convexity and divisor "
                     "theory on metric graphs.")
-    top = root.add_subparsers(dest="group", required=True)
-    for group, (group_help, group_flags, actions) in _COMMANDS.items():
+    top = root.add_subparsers(dest="group", required=True, prog="tropkit")
+    commands = _COMMANDS
+    group, action, *_ = [*(argv or ()), None, None]
+    if action in _COMMANDS.get(group, ("", (), {}))[2] and not {"-h", "--help"} & set(argv):
+        group_help, group_flags, actions = _COMMANDS[group]
+        commands = {group: (group_help, group_flags, {action: actions[action]})}
+    for group, (group_help, group_flags, actions) in commands.items():
         sub = top.add_parser(group, help=group_help) \
             .add_subparsers(dest="action", required=True)
         for action, (action_help, flags, handler) in actions.items():
@@ -427,10 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         ws = load_workspace(getattr(args, args.workspace))
         code, payload = args.handler(ws, args)
+        text = payload if isinstance(payload, str) else dumps_canonical(payload)
     except InputError as exc:
         sys.stdout.write(dumps_canonical({
             "code": "input-error", "message": str(exc),
@@ -441,7 +452,6 @@ def main(argv: list[str] | None = None) -> int:
             "code": "certificate-failure", "message": str(exc),
             "detail": exc.detail}))
         return 3
-    text = payload if isinstance(payload, str) else dumps_canonical(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -27,7 +27,7 @@ from .graphs import (
     Subdivision,
     _potential,
 )
-from .tropical import as_fraction
+from .rational import as_fraction
 
 __all__ = [
     "dv_lin_equiv",

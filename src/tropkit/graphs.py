@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CertificateError, InputError
-from .tropical import as_fraction
+from .rational import as_fraction
 
 _ZERO = Fraction(0)
 
@@ -37,10 +37,6 @@ __all__ = [
     "mg_potential",
     "mg_jfunction",
     "mg_resistance",
-    "pl_eval",
-    "pl_div",
-    "pl_extremum_set",
-    "pl_integral",
 ]
 
 
@@ -577,22 +573,6 @@ def _push(offs: list, vals: list, ss: list, o: int, v: int, s: int) -> None:
         offs.append(o)
         vals.append(v)
         ss.append(s)
-
-
-def pl_eval(f: PLFunction, point: GraphPoint) -> Fraction:
-    return f.eval(point)
-
-
-def pl_div(f: PLFunction) -> "Divisor":
-    return f.divisor()
-
-
-def pl_extremum_set(f: PLFunction, which: str = "min") -> "ClosedSubset":
-    return f.extremum_set(which)
-
-
-def pl_integral(f: PLFunction) -> Fraction:
-    return f.integral()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 from .divisors import LinearSystem, ls_bases, ls_reduced
 from .errors import CertificateError, InputError
 from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, Subdivision
-from .tropical import as_fraction
+from .rational import as_fraction
 
 __all__ = [
     "Attachment",

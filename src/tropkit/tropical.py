@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, InputError
+from .rational import as_fraction
 
 __all__ = [
     "GroundSpace",
     "TropPoint",
     "TropGeneratorSet",
-    "tp_canonical",
     "tp_combine",
     "tp_norm",
     "tp_dist",
@@ -43,54 +42,6 @@ __all__ = [
     "tp_retract",
     "tp_fixed_point",
 ]
-
-
-def as_fraction(value, location: str = "") -> Fraction:
-    """The exact rational an outside value stands for: a Fraction, an int
-    that is not a bool, or a string that ``Fraction`` parses ("-3", "5/3",
-    the exact decimal "1.5", the exponent form "1e3"). Floats, booleans,
-    strings whose numerator or denominator would pass the int digit limit
-    (``sys.get_int_max_str_digits``, so the value could not be printed) and
-    anything else raise InputError at location."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise InputError("expected a rational, got a boolean", location)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise InputError('floats are not accepted; write rationals as "p/q" strings', location)
-    if isinstance(value, str):
-        try:
-            return _parse_rational(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"not a rational: {value!r}", location) from None
-        except OverflowError:
-            raise InputError(f"past the {_DIGIT_LIMIT()}-digit limit: {value!r}",
-                             location) from None
-    raise InputError(f"expected a rational, got {type(value).__name__}", location)
-
-
-# the int digit limit; 0 (no limit) on interpreters older than 3.10.7
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def _parse_rational(text: str) -> Fraction:
-    """Fraction(text), raising OverflowError past the digit limit. Like
-    ``int``, which counts leading zeros, it refuses an exponent larger than
-    the limit plus the mantissa's length on any mantissa, before
-    ``Fraction`` builds that power of ten."""
-    limit = _DIGIT_LIMIT()
-    mantissa, _, exponent = text.lower().partition("e")
-    if limit and exponent and abs(int(exponent)) > limit + len(mantissa):
-        raise OverflowError
-    value = Fraction(text)
-    if limit and (exponent or len(text) > limit):
-        try:
-            str(value)  # printing an int is where the digit limit is checked
-        except ValueError:
-            raise OverflowError from None
-    return value
 
 
 class _Frozen:
@@ -251,11 +202,6 @@ class TropGeneratorSet(_Frozen):
 # ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
-
-def tp_canonical(values: Iterable) -> TropPoint:
-    """Canonicalize raw coordinates to the minimum-zero representative."""
-    return TropPoint.of(values)
-
 
 def tp_combine(points: Sequence[TropPoint], coeffs: Sequence, mode: str = "lower") -> TropPoint:
     """Min- (or max-) combination [op_i (c_i + f_i)] of the given points."""

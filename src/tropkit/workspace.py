@@ -6,7 +6,7 @@ workspaces carry a ground set with weights, named points, and named
 generator sets.  One file may carry both blocks.
 
 Rationals are JSON integers, or strings such as "-3", "5/3", the exact
-decimal "1.5" or the exponent form "1e3" (``tropical.as_fraction`` parses
+decimal "1.5" or the exponent form "1e3" (``rational.as_fraction`` parses
 them). JSON floats and booleans are rejected: the toolkit is exact.
 Serialization is canonical; parsing a file, serializing it, and parsing
 again yields the same workspace, and serialization output is byte-stable.
@@ -20,11 +20,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .tropical import GroundSpace, TropGeneratorSet, TropPoint, as_fraction
+from .rational import as_fraction, rational_str
 
-if TYPE_CHECKING:  # the graph layers load on first use
+if TYPE_CHECKING:  # every layer loads on first use
     from .divisors import LinearSystem
     from .graphs import Divisor, GraphPoint, MetricGraph
+    from .tropical import GroundSpace, TropGeneratorSet, TropPoint
 
 __all__ = [
     "Workspace",
@@ -33,21 +34,11 @@ __all__ = [
     "load_workspace",
     "parse_workspace",
     "point_from_json",
-    "rational_str",
     "serialize_workspace",
     "to_jsonable",
 ]
 
 SCHEMA_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# rationals
-
-
-def rational_str(value: Fraction) -> str:
-    """Canonical string form: lowest terms, "p" or "p/q" with q > 0."""
-    return str(Fraction(value))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +164,7 @@ class Workspace:
         if name not in self.sets:
             raise InputError(f"unknown point set {name!r} (known: "
                              f"{sorted(self.sets)})", "sets")
+        from .tropical import TropGeneratorSet
         return TropGeneratorSet.of(
             [self.point(p) for p in self.sets[name]], mode)
 
@@ -242,6 +234,7 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
 
     has_points = "ground" in data or "points" in data
     if has_points:
+        from .tropical import GroundSpace, TropPoint
         ground = _expect(data.get("ground"), list, "ground labels",
                          f"{location}.ground")
         labels = [_expect(x, str, "a ground label", f"{location}.ground")
@@ -335,12 +328,14 @@ def to_jsonable(obj):
         return rational_str(obj)
     if isinstance(obj, float):
         return repr(obj)
-    if isinstance(obj, TropPoint):
-        return [rational_str(c) for c in obj.coords]
-    if isinstance(obj, TropGeneratorSet):
-        return {"mode": obj.mode,
-                "points": [to_jsonable(p) for p in obj.points]}
-    # no graph-layer value exists before the graph layer is loaded
+    # no value of a layer exists before that layer is loaded
+    tropical = sys.modules.get(f"{__package__}.tropical")
+    if tropical is not None:
+        if isinstance(obj, tropical.TropPoint):
+            return [rational_str(c) for c in obj.coords]
+        if isinstance(obj, tropical.TropGeneratorSet):
+            return {"mode": obj.mode,
+                    "points": [to_jsonable(p) for p in obj.points]}
     graphs = sys.modules.get(f"{__package__}.graphs")
     if graphs is not None:
         if isinstance(obj, graphs.GraphPoint):

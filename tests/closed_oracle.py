@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from tropkit import GraphPoint, InputError, MetricGraph
-from tropkit.tropical import as_fraction
+from tropkit.rational import as_fraction
 
 
 class ClosedSubset:

@@ -13,7 +13,7 @@ tests use them only as an oracle.
 from fractions import Fraction
 
 from tropkit import ClosedSubset, Divisor, GraphPoint, InputError, MetricGraph
-from tropkit.tropical import as_fraction
+from tropkit.rational import as_fraction
 
 from potential_oracle import cut_value, solve
 

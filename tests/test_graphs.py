@@ -33,11 +33,10 @@ from tropkit import (
     mg_potential,
     mg_resistance,
     mg_validate,
-    pl_div,
-    pl_extremum_set,
+    rational_str,
 )
 from tropkit import graphs
-from tropkit.workspace import rational_str, to_jsonable
+from tropkit.workspace import to_jsonable
 
 import closed_oracle
 import pl_oracle
@@ -128,8 +127,8 @@ class TestPotentials:
             g = random_graph(rng)
             d1, d2 = equal_degree_pair(rng, g)
             f = mg_potential(g, d1, d2)
-            assert pl_div(f) == d2.sub(d1)
-            assert pl_div(f).degree() == 0
+            assert f.divisor() == d2.sub(d1)
+            assert f.divisor().degree() == 0
         # a zero coefficient is dropped whatever form it is given in
         p, q = g.vertex_point("v0"), g.vertex_point("v1")
         d = Divisor(g, {p: "0", q: 1})
@@ -152,23 +151,22 @@ class TestPotentials:
     def test_extremum_sets_disjoint_unless_constant(self, c6):
         g = c6.need_graph()
         f = mg_potential(g, c6.divisor("D1"), c6.divisor("D3"))
-        lo = pl_extremum_set(f, "min")
-        hi = pl_extremum_set(f, "max")
+        lo = f.extremum_set("min")
+        hi = f.extremum_set("max")
         assert lo.intersect(hi).is_empty()
         const = PLFunction.constant(g, 5)
-        assert not pl_extremum_set(const, "min") \
-            .intersect(pl_extremum_set(const, "max")).is_empty()
+        assert not const.extremum_set("min") \
+            .intersect(const.extremum_set("max")).is_empty()
 
     def test_unknown_extremum_is_rejected(self, c6):
-        """The method rejects what its wrapper rejects, with the same
-        message, and a rejected call leaves the minimizer cache alone."""
+        """An unknown extremum is an input error, and a rejected call leaves
+        the minimizer cache alone."""
         g = c6.need_graph()
         f = mg_potential(g, c6.divisor("D1"), c6.divisor("D3"))
-        for find in (f.extremum_set, lambda which: pl_extremum_set(f, which)):
-            with pytest.raises(InputError, match="^which must be 'min' or 'max', got 'MAX'$"):
-                find("MAX")
+        with pytest.raises(InputError, match="^which must be 'min' or 'max', got 'MAX'$"):
+            f.extremum_set("MAX")
         assert f._min_set is None
-        assert f.extremum_set("min") is pl_extremum_set(f) is f._min_set
+        assert f.extremum_set("min") is f.extremum_set() is f._min_set
 
     def test_pointwise_operations_agree_with_eval(self):
         """add, sub, min_with, neg, add_const, clip_max and minus_min against
@@ -569,7 +567,7 @@ class TestJFunctions:
                 continue
             j = mg_jfunction(g, q, p)
             expected = Divisor.of(g, [(p, 1), (q, -1)])
-            assert pl_div(j) == expected
+            assert j.divisor() == expected
 
 
 class TestClosedSubsets:

@@ -14,6 +14,8 @@ SRC = ROOT / "src"
 PROBE = """
 import sys
 import tropkit
+loaded = sorted(m for m in sys.modules if m.startswith("tropkit"))
+assert loaded == ["tropkit", "tropkit.errors", "tropkit.rational"], loaded
 tropkit.tp_project
 loaded = [m for m in ("graphs", "divisors", "trees", "workspace")
           if f"tropkit.{m}" in sys.modules]
@@ -44,8 +46,16 @@ def _fresh(*argv: str) -> subprocess.CompletedProcess:
     return out
 
 
-def test_graph_layers_load_on_first_use():
+def test_layers_load_on_first_use():
     assert _fresh("-c", PROBE).stdout.strip() == "ok"
+
+
+def test_the_one_rational_parser_is_exported():
+    import tropkit
+    from tropkit import rational
+
+    assert tropkit.as_fraction is rational.as_fraction
+    assert tropkit.rational_str is rational.rational_str
 
 
 # One run of the command line; prints its exit code, the tropkit modules it
@@ -59,11 +69,11 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tropkit")
                   "dataclasses" in sys.modules]))
 """
 
-BASE = ["tropkit", "tropkit.cli", "tropkit.errors", "tropkit.tropical", "tropkit.workspace"]
+BASE = ["tropkit", "tropkit.cli", "tropkit.errors", "tropkit.rational", "tropkit.workspace"]
 
 GROUPS = [
     (["tp", "project", "--space", "tests/fixtures/tp3.json", "--generators", "rect",
-      "--point", "O"], []),
+      "--point", "O"], ["tropical"]),
     (["graph", "validate", "tests/fixtures/c6.json"], ["graphs"]),
     (["div", "equiv", "--graph", "tests/fixtures/c6.json", "--divisor", "D1",
       "--divisor", "D2"], ["graphs", "divisors"]),

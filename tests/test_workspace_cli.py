@@ -19,6 +19,7 @@ from tropkit import (
     parse_workspace,
     serialize_workspace,
 )
+from tropkit import cli
 from tropkit.cli import main
 
 from conftest import FIXTURES
@@ -126,6 +127,36 @@ class TestErrorHandling:
             "location": f"{bad}.points.A[1]",
             "message": "past the 4300-digit limit: '1e5000'",
         }
+
+    def test_results_past_the_digit_limit_are_located(self, capsys):
+        # each coordinate's denominator has 4,300 digits, inside the limit; the
+        # canonical point shifts by -1/Q2, and its first coordinate's
+        # denominator Q1*Q2 has 8,599
+        q1, q2 = 10 ** 4299 + 1, 10 ** 4299 + 3
+        point = json.dumps([f"1/{q1}", f"-1/{q2}", "0"])
+        code, out = run(capsys, "tp", "norm", "--space", TP3, "--point", point)
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error",
+            "location": "output",
+            "message": "a result has a rational past the 4300-digit limit",
+        })
+        assert capsys.readouterr().err == ""
+
+    def test_unprintable_csv_offsets_are_located(self, tmp_path, capsys):
+        # with 9 samples, the first point on an edge of length 1/Q, Q of 4,300
+        # digits, sits at offset 1/(10*Q), whose denominator has 4,301
+        ws = tmp_path / "short_edge.json"
+        ws.write_text(json.dumps({
+            "schema_version": 1, "vertices": ["a", "b"],
+            "edges": [{"id": "e1", "tail": "a", "head": "b", "length": f"1/{10 ** 4299 + 1}"},
+                      {"id": "e2", "tail": "a", "head": "b", "length": "1"}],
+            "divisors": {"D": [[{"vertex": "a"}, 1]]}, "systems": {"S": ["D"]}}))
+        for fmt in ("json", "csv"):
+            code, out = run(capsys, "tree", "redmap", "--graph", str(ws), "--system", "S",
+                            "--samples", "9", "--format", fmt)
+            assert code == 2
+            assert json.loads(out)["location"] == "output"
 
     def test_missing_schema_version(self, tmp_path, capsys):
         bad = tmp_path / "nover.json"
@@ -424,3 +455,65 @@ class TestFormats:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["valid"] is True
+
+
+# a value for every flag in cli._FLAGS, to build each command's valid argv
+FLAG_VALUES = {"file": "w.json", "--space": "w.json", "--graph": "w.json", "--generators": "S",
+               "--system": "T", "--mode": "upper", "--point": "P", "--kind": "tropical",
+               "--p": "inf", "--divisor": "D", "--t": "1/2", "--at": '{"vertex":"v1"}',
+               "--samples": "2", "--degree": "2"}
+
+
+def _valid_argv(group: str, action: str) -> list[str]:
+    _, group_flags, actions = cli._COMMANDS[group]
+    argv = [group, action]
+    for flag in group_flags + actions[action][1]:
+        argv += [FLAG_VALUES[flag]] if flag == "file" else [flag, FLAG_VALUES[flag]]
+    return argv
+
+
+COMMANDS = [(group, action) for group, (_, _, actions) in cli._COMMANDS.items()
+            for action in actions]
+COMMAND_IDS = [" ".join(command) for command in COMMANDS]
+
+
+class TestParser:
+    """The parser build_parser narrows to the invoked command parses every
+    command line as the full parser does, and fails with the same exit code,
+    usage line and message."""
+
+    @staticmethod
+    def _parse(capsys, parser, argv):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            out = capsys.readouterr()
+            return exc.code, out.out, out.err
+
+    @pytest.mark.parametrize("case", ["valid", "missing required", "bad choice",
+                                      "unknown flag", "help"])
+    @pytest.mark.parametrize("group, action", COMMANDS, ids=COMMAND_IDS)
+    def test_narrowed_parser_matches_the_full_one(self, capsys, group, action, case):
+        argv = _valid_argv(group, action)
+        argv = {"valid": argv,
+                "missing required": argv[:2] + argv[3 if group == "graph" else 4:],
+                "bad choice": argv + ["--format", "xml"],
+                "unknown flag": argv + ["--bogus", "1"],
+                "help": argv + ["--help"]}[case]
+        narrowed = self._parse(capsys, cli.build_parser(argv), argv)
+        full = self._parse(capsys, cli.build_parser(), argv)
+        assert narrowed == full
+        if case == "valid":
+            assert vars(full)["handler"] is cli._COMMANDS[group][2][action][2]
+        else:
+            code, out, err = full
+            assert code == (0 if case == "help" else 2)
+            usage = "[-h] {graph,tp,div,sys,tree} ..." if case == "unknown flag" \
+                else f"{group} {action} [-h]"
+            assert (out + err).startswith(f"usage: tropkit {usage}")
+
+    @pytest.mark.parametrize("group, action", COMMANDS, ids=COMMAND_IDS)
+    def test_narrowed_parser_knows_only_its_command(self, capsys, group, action):
+        other = _valid_argv(*COMMANDS[COMMANDS.index((group, action)) - 1])
+        code, _, err = self._parse(capsys, cli.build_parser(_valid_argv(group, action)), other)
+        assert code == 2 and "invalid choice" in err
