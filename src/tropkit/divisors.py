@@ -395,7 +395,11 @@ def ls_project(T: LinearSystem, e: Divisor):
     membership certificate is ls_member's for the projection. A failed
     check raises CertificateError.
     """
-    e = _target(T, e)
+    return _projection(T, _target(T, e))
+
+
+def _projection(T: LinearSystem, e: Divisor):
+    """ls_project for an interned effective divisor of the system's degree."""
     g_bars = [T.pair_function(e, g) for g in T.generators]
     f_star, projection = T.cached(("projection", e), _project, T, e, g_bars)
     if not projection.is_integral() or not projection.is_effective():
@@ -441,22 +445,16 @@ def _project(T: LinearSystem, e: Divisor, g_bars: list[PLFunction]):
 def ls_reduced(T: LinearSystem, q: GraphPoint):
     """The q-reduced divisor of the system: the projection of deg·(q)."""
     T.graph.check_point(q, "q")
-    return ls_project(T, Divisor(T.graph, {q: T.degree}))
+    return _projection(T, T.intern(Divisor(T.graph, {q: T.degree})))
 
 
 def ls_extremals(T: LinearSystem) -> list[Divisor]:
-    """Unique minimal generating subset, by greedy redundancy removal."""
+    """Unique minimal generating subset: each distinct generator outside
+    the system of the others, in order (the tropical Minkowski theorem)."""
     gens = list(dict.fromkeys(T.generators))
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for i in range(len(gens)):
-            others = gens[:i] + gens[i + 1:]
-            _, union = _cover([T.pair_function(gens[i], g) for g in others])
-            if union.covers_graph():
-                gens.pop(i)
-                changed = True
-                break
+    if len(gens) > 1:
+        gens = [g for g in gens if not _cover(
+            [T.pair_function(g, h) for h in gens if h is not g])[1].covers_graph()]
     return gens
 
 
@@ -465,16 +463,15 @@ def ls_bases(T: LinearSystem, d: Divisor) -> list[ClosedSubset]:
 
     One candidate per generator direction: the minimizer set of the
     potential from d toward that generator (constant along the segment
-    until the first critical level); the whole graph (no move) is skipped
-    and duplicates are merged.
+    until the first critical level), from ls_member's certificate; a set
+    covering the graph (a constant potential, no move) is skipped and
+    duplicates are merged.
     """
-    member, _ = ls_member(T, d)
+    member, cert = ls_member(T, d)
     if not member:
         raise InputError("the divisor is not a member of the system")
     bases: dict[tuple, ClosedSubset] = {}  # key() -> first base found
-    for g in T.generators:
-        f_bar = T.pair_function(d, g)
-        if f_bar.max_value() != 0:
-            base = f_bar.extremum_set("min")
+    for base in cert["min_sets"]:
+        if not base.covers_graph():
             bases.setdefault(base.key(), base)
     return [bases[k] for k in sorted(bases)]

@@ -425,22 +425,19 @@ def tp_project(S: TropGeneratorSet, gamma: TropPoint,
                                     "checks": checks}
 
 
-def _first_redundant(pts: list[TropPoint], mode: str):
-    """(i, tp_member's certificate) for the first point, in order, that
-    lies in the hull of the others, or None."""
-    if len(pts) > 1:
-        for i, p in enumerate(pts):
-            ok, cert = tp_member(TropGeneratorSet.of(pts[:i] + pts[i + 1:], mode), p)
-            if ok:
-                return i, cert
-    return None
+def _redundant(pts: list[TropPoint], i: int, mode: str):
+    """tp_member's (verdict, certificate) for pts[i] against the hull of
+    the other points."""
+    return tp_member(TropGeneratorSet.of(pts[:i] + pts[i + 1:], mode), pts[i])
 
 
 def tp_extremals(S: TropGeneratorSet) -> TropGeneratorSet:
-    """Unique minimal generating subset, by greedy redundancy removal."""
+    """Unique minimal generating subset: each distinct generator outside
+    the hull of the others, in order (the tropical Minkowski theorem:
+    Butkovic, Sergeev and Schneider 2007; Gaubert and Katz 2007)."""
     pts = list(dict.fromkeys(S.points))  # dedupe, keep order
-    while (found := _first_redundant(pts, S.mode)) is not None:
-        pts.pop(found[0])
+    if len(pts) > 1:
+        pts = [p for i, p in enumerate(pts) if not _redundant(pts, i, S.mode)[0]]
     return TropGeneratorSet.of(pts, S.mode)
 
 
@@ -490,7 +487,8 @@ def _gm_partition_meets(left: list[list[int]], right: list[list[int]]):
 def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     """Independence check of one of three strengths.
 
-    weak: no generator lies in the hull of the others.
+    weak: no generator lies in the hull of the others (tp_extremals keeps
+      every distinct one; a dependent verdict names the first it drops).
     gondran_minoux: no 2-partition of the generators has meeting hulls
       (decided exactly by alternating residuation on integer-scaled data;
       a common point is checked for membership in both hulls; a family
@@ -508,19 +506,19 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     """
     pts = list(dict.fromkeys(S.points))
     n = len(pts)
-    if kind == "weak":
-        found = _first_redundant(pts, S.mode)
-        if found is None:
-            return {"kind": kind, "status": "independent", "certificate": None}
-        i, cert = found
-        return {"kind": kind, "status": "dependent",
-                "certificate": {"redundant_index": i, "cover": cert["cover"],
-                                "coefficients": cert["coefficients"]}}
-
-    if kind not in ("gondran_minoux", "tropical"):
+    if kind not in ("weak", "gondran_minoux", "tropical"):
         raise InputError(f"kind must be weak, gondran_minoux or tropical, got {kind!r}")
     if n < 2:
         return {"kind": kind, "status": "independent", "certificate": None}
+    if kind == "weak":
+        for i in range(n):
+            redundant, cert = _redundant(pts, i, S.mode)
+            if redundant:
+                return {"kind": kind, "status": "dependent",
+                        "certificate": {"redundant_index": i, "cover": cert["cover"],
+                                        "coefficients": cert["coefficients"]}}
+        return {"kind": kind, "status": "independent", "certificate": None}
+
     sign = _SIGN[S.mode]
     ivecs, scale = _integer_vectors(pts, sign)
 

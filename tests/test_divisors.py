@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dhar_oracle
+import system_oracle
 from conftest import random_graph, random_point
 from tropkit import (
     CertificateError,
@@ -317,6 +318,10 @@ class TestLinearSystems:
         assert {d.key() for d in ls_extremals(padded)} == \
             {d.key() for d in ls_extremals(complete)}
 
+    def test_one_distinct_generator_is_its_own_extremal(self, c6):
+        D = c6.divisor("D1")
+        assert ls_extremals(LinearSystem(c6.need_graph(), [D, D])) == [D]
+
     def test_bases_structure(self, c6, triangle):
         g = c6.need_graph()
         bases = ls_bases(triangle, c6.divisor("D0"))
@@ -422,6 +427,37 @@ class TestLinearSystems:
             LinearSystem(g, [c6.divisor("D1").sub(c6.divisor("D0"))])
         with pytest.raises(InputError):
             LinearSystem(g, [])
+
+
+class TestRandomExtremals:
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_pass_matches_the_greedy_loop(self, seed):
+        """ls_extremals against tests/system_oracle.py on random systems:
+        generators dv_dhar(D, q) for random q on a random graph, plus a
+        point strictly inside the segment between two of them, planted at
+        a random place. The same divisors in the same order; the planted
+        point and every other dropped generator lie in the system the
+        kept ones span."""
+        rng = random.Random(seed)
+        g = random_graph(rng, max_vertices=5, max_edges=7)
+        D = Divisor.of(g, [(random_point(rng, g), rng.randint(1, 2))
+                           for _ in range(rng.randint(1, 3))])
+        gens = list(dict.fromkeys(dv_dhar(g, D, random_point(rng, g))
+                                  for _ in range(rng.randint(2, 5))))
+        planted = None
+        if len(gens) > 1:
+            a, b = rng.sample(gens, 2)
+            base = LinearSystem(g, gens)
+            level = base.rho(a, b) * Fraction(rng.randint(1, 4), 5)
+            planted = base.path_point(a, b, level)
+            gens.insert(rng.randint(0, len(gens)), planted)
+        T = LinearSystem(g, gens)
+        kept = ls_extremals(T)
+        assert kept == system_oracle.extremals(T)
+        assert planted not in kept
+        spanned = LinearSystem(g, kept)
+        for d in T.generators:
+            assert d in kept or ls_member(spanned, d)[0]
 
 
 class TestInterning:

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropkit import (
@@ -477,6 +477,33 @@ class TestExtremals:
         for g in gens:
             ok, _ = tp_member(kept, g)
             assert ok
+
+    @given(oracle_case())
+    @example((TropGeneratorSet.of([(0, 3), (0, 1), (0, 0), (0, 2)], "lower"), None, None))
+    @example((TropGeneratorSet.of([(0, 0), (0, 2), (0, 3), (0, 1)], "upper"), None, None))
+    def test_weak_independence_is_keeping_every_point(self, case):
+        """The set-theoretical characterization: a family is weakly
+        independent iff no point lies in the hull of the others, that is,
+        iff tp_extremals keeps every distinct point; a dependent verdict
+        names the first point that tp_extremals drops. The two examples
+        drop two points each, the segment between the ends."""
+        S, _, _ = case
+        kept = tp_extremals(S).points
+        dropped = [i for i, p in enumerate(dict.fromkeys(S.points)) if p not in kept]
+        verdict = tp_independence(S, "weak")
+        assert (verdict["status"] == "independent") == (not dropped)
+        if dropped:
+            assert verdict["certificate"]["redundant_index"] == dropped[0]
+
+    @pytest.mark.parametrize("mode", ["lower", "upper"])
+    def test_one_distinct_point_is_its_own_extremal(self, mode):
+        """A one-point set, and a set that repeats its one point, keep that
+        point: there are no others to span it."""
+        A = TropPoint.of((0, 1, 2))
+        assert tp_extremals(TropGeneratorSet((A,), mode)) == TropGeneratorSet((A,), mode)
+        twins = TropGeneratorSet((A, A), mode)
+        assert tp_extremals(twins) == TropGeneratorSet((A,), mode)
+        assert tp_independence(twins, "weak")["status"] == "independent"
 
 
 class TestIndependence:

@@ -406,6 +406,30 @@ class TestComputedPayloads:
         assert code == 0
         assert sorted(payload["extremals"]) == ["D12", "D13", "D23"]
 
+    @pytest.mark.parametrize("mode", ["lower", "upper"])
+    def test_tp_extremals_of_two_names_for_one_point(self, tmp_path, capsys, mode):
+        data = json.loads((FIXTURES / "tp3.json").read_text())
+        data["points"]["A2"] = data["points"]["A"]
+        data["sets"]["twins"] = ["A", "A2"]
+        space = tmp_path / "twins.json"
+        space.write_text(json.dumps(data))
+        code, payload = run_json(capsys, "tp", "extremals", "--space", str(space),
+                                 "--generators", "twins", "--mode", mode)
+        assert code == 0
+        assert payload == {"extremals": ["A"], "mode": mode, "points": [["0", "4", "1"]]}
+
+    @pytest.mark.parametrize("names", [["D1", "D1"], ["D1", "E1"]])
+    def test_sys_extremals_of_one_repeated_divisor(self, tmp_path, capsys, names):
+        data = json.loads((FIXTURES / "c6.json").read_text())
+        data["divisors"]["E1"] = data["divisors"]["D1"]
+        data["systems"]["twins"] = names
+        graph = tmp_path / "twins.json"
+        graph.write_text(json.dumps(data))
+        code, payload = run_json(capsys, "sys", "extremals", "--graph", str(graph),
+                                 "--system", "twins")
+        assert code == 0
+        assert payload == {"divisors": [[[{"vertex": "v1"}, "3"]]], "extremals": ["D1"]}
+
     def test_tree_preimage_points(self, capsys):
         code, payload = run_json(capsys, "tree", "preimage", "--graph", C6,
                                  "--system", "triangle_mid",
