@@ -22,6 +22,8 @@ operations over JSON workspace files (``workspace``).
 Importing the package loads no layer, only ``errors`` and ``rational``
 (the one parser and printer of rationals); each layer loads on first use
 of one of its names, so a program never compiles a layer it does not use.
+``_LAZY`` is the one list of public names: each layer's ``__all__`` is its
+entry there, so a new export is declared once.
 """
 
 import importlib
@@ -29,7 +31,7 @@ import importlib
 from .errors import CertificateError, InputError
 from .rational import as_fraction, rational_str
 
-# layer -> the names it exports, resolved by __getattr__ on first use
+# layer -> the names it exports (its __all__), resolved by __getattr__ on first use
 _LAZY = {
     "tropical": ("GroundSpace", "TropGeneratorSet", "TropPoint", "tp_argext", "tp_combine",
                  "tp_dist", "tp_extremals", "tp_fixed_point", "tp_independence", "tp_member",

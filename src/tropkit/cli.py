@@ -219,7 +219,7 @@ def _sys_extremals(ws: Workspace, args):
     kept = tk.ls_extremals(ws.system(args.system))
     by_key = {ws.divisors[name].key(): name
               for name in reversed(ws.systems[args.system])}
-    names = [by_key.get(d.key(), str(d)) for d in kept]
+    names = [by_key[d.key()] for d in kept]
     return 0, {"extremals": names, "divisors": kept}
 
 

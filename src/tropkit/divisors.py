@@ -17,6 +17,7 @@ from functools import reduce
 from math import lcm
 from typing import Sequence
 
+from . import _LAZY
 from .errors import CertificateError, InputError
 from .graphs import (
     ClosedSubset,
@@ -29,21 +30,7 @@ from .graphs import (
 )
 from .rational import as_fraction
 
-__all__ = [
-    "dv_lin_equiv",
-    "dv_rho",
-    "dv_path",
-    "dv_b1",
-    "dv_dhar",
-    "dv_dhar_trace",
-    "dv_dhar_certificate",
-    "LinearSystem",
-    "ls_member",
-    "ls_project",
-    "ls_reduced",
-    "ls_extremals",
-    "ls_bases",
-]
+__all__ = _LAZY["divisors"]
 
 
 def dv_lin_equiv(graph: MetricGraph, d1: Divisor, d2: Divisor) -> bool:

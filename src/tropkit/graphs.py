@@ -20,24 +20,13 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _LAZY
 from .errors import CertificateError, InputError
 from .rational import as_fraction
 
 _ZERO = Fraction(0)
 
-__all__ = [
-    "Edge",
-    "MetricGraph",
-    "GraphPoint",
-    "PLFunction",
-    "Divisor",
-    "ClosedSubset",
-    "mg_validate",
-    "mg_distance",
-    "mg_potential",
-    "mg_jfunction",
-    "mg_resistance",
-]
+__all__ = _LAZY["graphs"]
 
 
 class Edge(NamedTuple):
@@ -264,25 +253,18 @@ class PLFunction:
         raw = {eid: tuple((as_fraction(o), as_fraction(v)) for o, v in bps)
                for eid, bps in data.items()}
         self._validate(raw)
+        slopes = {eid: [(v2 - v1) / (o2 - o1) for (o1, v1), (o2, v2) in zip(bps, bps[1:])]
+                  for eid, bps in raw.items()}
         do = lcm(*(o.denominator for bps in raw.values() for o, _ in bps))
-        dv = lcm(*(v.denominator for bps in raw.values() for _, v in bps))
-        kept = {}
+        ds = lcm(*(s.denominator for ss in slopes.values() for s in ss))
+        dv = lcm(do * ds, *(v.denominator for bps in raw.values() for _, v in bps))
+        self._do, self._ds, self._dv, self._pieces = do, ds, dv, {}
         for e in graph.edges:
-            pts = [(o.numerator * (do // o.denominator), v.numerator * (dv // v.denominator))
-                   for o, v in raw[e.id]]
-            bps, steps = [], []  # a breakpoint where the slope changes, and the step after it
-            for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
-                if not steps or (v2 - v1) * steps[-1][0] != steps[-1][1] * (o2 - o1):
-                    bps.append((o1, v1))
-                    steps.append((o2 - o1, v2 - v1))
-            kept[e.id] = (*bps, pts[-1]), steps
-        # a step (p, q) has slope q do/(p dv)
-        ds = lcm(*(p * dv // gcd(q * do, p * dv) for _, steps in kept.values() for p, q in steps))
-        self._do, self._ds, self._dv = do, ds, lcm(do * ds, dv)
-        k = self._dv // dv
-        self._pieces = {eid: (tuple(o for o, _ in bps), tuple(v * k for _, v in bps),
-                              tuple(q * do * ds // (p * dv) for p, q in steps))
-                        for eid, (bps, steps) in kept.items()}
+            offs, vals, ss = [], [], []
+            for (o, v), s in zip(raw[e.id], slopes[e.id]):
+                _push(offs, vals, ss, _over(o, do), _over(v, dv), _over(s, ds))
+            o, v = raw[e.id][-1]
+            self._pieces[e.id] = (*offs, _over(o, do)), (*vals, _over(v, dv)), tuple(ss)
         seen: dict[str, int] = {}
         for e in graph.edges:
             vals = self._pieces[e.id][1]

@@ -22,29 +22,13 @@ from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple, Sequence
 
+from . import _LAZY
 from .divisors import LinearSystem, ls_bases, ls_reduced
 from .errors import CertificateError, InputError
 from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, Subdivision
 from .rational import as_fraction
 
-__all__ = [
-    "Attachment",
-    "Modification",
-    "PseudoHarmonicMap",
-    "SkeletonArc",
-    "SubArcMap",
-    "TreeSkeleton",
-    "tt_critical",
-    "tt_harmonize",
-    "tt_is_dominant",
-    "tt_is_tree",
-    "tt_morphism",
-    "tt_preimage",
-    "tt_reduced_map",
-    "tt_skeleton",
-    "tt_support",
-    "tt_verify_witness",
-]
+__all__ = _LAZY["trees"]
 
 
 # ---------------------------------------------------------------------------

@@ -22,26 +22,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import _LAZY
 from .errors import CertificateError, InputError
 from .rational import as_fraction
 
-__all__ = [
-    "GroundSpace",
-    "TropPoint",
-    "TropGeneratorSet",
-    "tp_combine",
-    "tp_norm",
-    "tp_dist",
-    "tp_pseudonorm",
-    "tp_argext",
-    "tp_path",
-    "tp_member",
-    "tp_project",
-    "tp_extremals",
-    "tp_independence",
-    "tp_retract",
-    "tp_fixed_point",
-]
+__all__ = _LAZY["tropical"]
 
 
 class _Frozen:
@@ -238,6 +223,7 @@ def tp_pseudonorm(point: TropPoint, p, mode: str = "lower",
     upper: p-norm of (representative minus its maximum), i.e. of the
     distance down from the top. p is 1, 2, or the string 'inf'. The p=2
     value is a float and is informational only; everything else is exact.
+    A p=2 value past the float range is an InputError at "output".
     """
     if space is None:
         space = GroundSpace.of([f"x{i}" for i in range(point.dim)])
@@ -254,7 +240,13 @@ def tp_pseudonorm(point: TropPoint, p, mode: str = "lower",
     if p == 1:
         return sum((w * v for w, v in zip(space.weights, vec)), Fraction(0))
     if p == 2:
-        return math.sqrt(sum(float(w) * float(v) ** 2 for w, v in zip(space.weights, vec)))
+        try:
+            value = math.sqrt(sum(float(w) * float(v) ** 2 for w, v in zip(space.weights, vec)))
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise InputError("the p=2 pseudonorm is past the float range", "output")
+        return value
     raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")
 
 

@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import _LAZY
 from .errors import InputError
 from .rational import as_fraction, rational_str
 
@@ -27,16 +28,7 @@ if TYPE_CHECKING:  # every layer loads on first use
     from .graphs import Divisor, GraphPoint, MetricGraph
     from .tropical import GroundSpace, TropGeneratorSet, TropPoint
 
-__all__ = [
-    "Workspace",
-    "divisor_from_json",
-    "dumps_canonical",
-    "load_workspace",
-    "parse_workspace",
-    "point_from_json",
-    "serialize_workspace",
-    "to_jsonable",
-]
+__all__ = _LAZY["workspace"]
 
 SCHEMA_VERSION = 1
 
@@ -134,18 +126,13 @@ class Workspace:
         return self.graph
 
     def divisor(self, name: str) -> Divisor:
-        if name not in self.divisors:
-            raise InputError(f"unknown divisor {name!r} (known: "
-                             f"{sorted(self.divisors)})", "divisors")
-        return self.divisors[name]
+        return _named(self.divisors, name, "divisor", "divisors")
 
     def system(self, name: str) -> LinearSystem:
-        if name not in self.systems:
-            raise InputError(f"unknown system {name!r} (known: "
-                             f"{sorted(self.systems)})", "systems")
+        names = _named(self.systems, name, "system", "systems")
         if name not in self._system_cache:
             from .divisors import LinearSystem
-            gens = [self.divisor(d) for d in self.systems[name]]
+            gens = [self.divisor(d) for d in names]
             self._system_cache[name] = LinearSystem(self.need_graph(), gens)
         return self._system_cache[name]
 
@@ -155,18 +142,19 @@ class Workspace:
         return self.space
 
     def point(self, name: str) -> TropPoint:
-        if name not in self.points:
-            raise InputError(f"unknown point {name!r} (known: "
-                             f"{sorted(self.points)})", "points")
-        return self.points[name]
+        return _named(self.points, name, "point", "points")
 
     def generator_set(self, name: str, mode: str = "lower") -> TropGeneratorSet:
-        if name not in self.sets:
-            raise InputError(f"unknown point set {name!r} (known: "
-                             f"{sorted(self.sets)})", "sets")
+        names = _named(self.sets, name, "point set", "sets")
         from .tropical import TropGeneratorSet
-        return TropGeneratorSet.of(
-            [self.point(p) for p in self.sets[name]], mode)
+        return TropGeneratorSet.of([self.point(p) for p in names], mode)
+
+
+def _named(table: dict, name: str, kind: str, location: str):
+    """table[name], or an InputError at location that lists the known names."""
+    if name not in table:
+        raise InputError(f"unknown {kind} {name!r} (known: {sorted(table)})", location)
+    return table[name]
 
 
 def parse_workspace(data, location: str = "workspace") -> Workspace:

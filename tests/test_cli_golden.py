@@ -8,7 +8,8 @@ invocations are all included here.  The rows after them pin the report
 of each input error the front end raises itself or passes on from the
 workspace: argument counts, missing and malformed flags, unknown names,
 a workspace without the block a command needs, a system that is not
-the tree a command needs, and values past the int digit limit.
+the tree a command needs, values past the int digit limit, and a p=2
+pseudonorm past the float range.
 """
 
 import contextlib
@@ -167,6 +168,9 @@ GOLDEN = [
      "585a8874f5eb1a507c03660199989d3945c715b0a25bdccd9eaa739b70a810ac"),
     (["tp", "norm", "--space", "tests/fixtures/tp3.json", "--point", "[\"1e5000\",\"0\",\"0\"]"], 2,
      "074e9a675d9dd1ee68b47975798bd64c05304d22c04f9551bf73358b0a75b6c5"),
+    # a p=2 pseudonorm past the float range
+    (["tp", "norm", "--space", "tests/fixtures/tp3.json", "--point", "[\"0\",\"1e155\",\"0\"]", "--p", "2"], 2,
+     "277781f1ce35d2e3795cf2723e6e66f9a1ff846c46181530398a3e6f8ea4e9a4"),
 ]
 
 

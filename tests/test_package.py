@@ -29,7 +29,10 @@ exec("from tropkit import *", names)
 assert set(tropkit.__all__) <= set(names)
 assert tropkit.graphs.MetricGraph is tropkit.MetricGraph
 for layer, exported in tropkit._LAZY.items():
-    assert set(exported) == set(getattr(tropkit, layer).__all__), layer
+    assert getattr(tropkit, layer).__all__ == exported, layer
+    names = {}
+    exec(f"from tropkit.{layer} import *", names)
+    assert set(names) - {"__builtins__"} == set(exported), layer
 assert len(tropkit.__all__) == len(set(tropkit.__all__))
 print("ok")
 """

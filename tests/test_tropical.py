@@ -86,6 +86,8 @@ def weighted_space(dim: int, seedlist) -> GroundSpace:
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+huge_rationals = st.builds(Fraction, st.integers(-10 ** 400, 10 ** 400), st.integers(1, 5))
+huge_weights = st.builds(Fraction, st.integers(1, 10 ** 400), st.integers(1, 10 ** 400))
 
 
 @st.composite
@@ -171,6 +173,28 @@ class TestNormsAndPseudonorms:
         minf = float(tp_pseudonorm(p, "inf", "lower", space))
         assert m1 <= m2 + 1e-9
         assert m2 <= minf + 1e-9
+
+    @given(st.integers(2, 5).flatmap(lambda dim: st.tuples(
+        st.lists(huge_rationals, min_size=dim, max_size=dim),
+        st.lists(huge_weights, min_size=dim, max_size=dim))),
+        st.sampled_from(("lower", "upper")))
+    @example(([0, 10 ** 155, 0], [Fraction(1, 3)] * 3), "lower")
+    @example(([10 ** 100, 0], [10 ** 300, 1]), "lower")
+    def test_quadratic_value_is_finite_or_an_output_error(self, case, mode):
+        coords, weights = case
+        p = TropPoint.of(coords)
+        space = weighted_space(p.dim, weights)
+        vec = p.coords if mode == "lower" else tuple(-v for v in p.max_normalized())
+        try:
+            expected = math.sqrt(sum(float(w) * float(v) ** 2 for w, v in zip(weights, vec)))
+        except OverflowError:
+            expected = math.inf
+        if expected == math.inf:
+            with pytest.raises(InputError) as err:
+                tp_pseudonorm(p, 2, mode, space)
+            assert err.value.location == "output"
+        else:
+            assert tp_pseudonorm(p, 2, mode, space) == expected
 
     @given(point_family(1))
     def test_sup_pseudonorm_is_the_norm(self, fam):

@@ -143,6 +143,38 @@ class TestErrorHandling:
         })
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("point", ['["0", "1e155", "0"]', '["0", "1e400", "0"]'])
+    def test_quadratic_pseudonorms_past_the_float_range_are_located(self, capsys, point):
+        code, out = run(capsys, "tp", "norm", "--space", TP3, "--point", point, "--p", "2")
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error",
+            "location": "output",
+            "message": "the p=2 pseudonorm is past the float range",
+        })
+        assert capsys.readouterr().err == ""
+
+    def test_infinite_quadratic_pseudonorms_are_located(self, tmp_path, capsys):
+        # each term is finite, but the weight times the square is not
+        ws = tmp_path / "heavy.json"
+        ws.write_text(json.dumps({"schema_version": 1, "ground": ["a", "b"],
+                                  "weights": ["1e300", "1"], "points": {"P": ["1e100", "0"]}}))
+        code, payload = run_json(capsys, "tp", "norm", "--space", str(ws), "--point", "P",
+                                 "--p", "2")
+        assert code == 2
+        assert payload == {
+            "code": "input-error",
+            "location": "output",
+            "message": "the p=2 pseudonorm is past the float range",
+        }
+        assert capsys.readouterr().err == ""
+
+    def test_quadratic_pseudonorms_inside_the_float_range_print(self, capsys):
+        code, payload = run_json(capsys, "tp", "norm", "--space", TP3,
+                                 "--point", '["0", "1e154", "0"]', "--p", "2")
+        assert code == 0
+        assert payload["pseudonorm"]["value"] == "5.7735026918962576e+153"
+
     def test_unprintable_csv_offsets_are_located(self, tmp_path, capsys):
         # with 9 samples, the first point on an edge of length 1/Q, Q of 4,300
         # digits, sits at offset 1/(10*Q), whose denominator has 4,301
