@@ -93,6 +93,13 @@ def _required(args, flag: str):
     return value
 
 
+def _first_names(table: dict, members, kept) -> list[str]:
+    """The name in members of each kept value: the first name of a repeated
+    value wins."""
+    by_value = {table[name]: name for name in reversed(members)}
+    return [by_value[value] for value in kept]
+
+
 def _component_label(component: dict) -> str:
     """Short name for an uncovered component, from its edge ids."""
     ids = sorted({gap["edge"] for gap in component["gaps"]})
@@ -141,12 +148,8 @@ def _tp_member(ws: Workspace, args):
 
 def _tp_extremals(ws: Workspace, args):
     kept = tk.tp_extremals(ws.generator_set(args.generators, args.mode))
-    # the first name of a repeated point wins
-    by_coords = {ws.points[name].coords: name
-                 for name in reversed(ws.sets[args.generators])}
-    names = [by_coords[p.coords] for p in kept.points]
-    return 0, {"mode": args.mode, "extremals": names,
-               "points": list(kept.points)}
+    return 0, {"mode": args.mode, "points": list(kept.points),
+               "extremals": _first_names(ws.points, ws.sets[args.generators], kept.points)}
 
 
 def _tp_independence(ws: Workspace, args):
@@ -217,10 +220,8 @@ def _sys_reduced(ws: Workspace, args):
 
 def _sys_extremals(ws: Workspace, args):
     kept = tk.ls_extremals(ws.system(args.system))
-    by_key = {ws.divisors[name].key(): name
-              for name in reversed(ws.systems[args.system])}
-    names = [by_key[d.key()] for d in kept]
-    return 0, {"extremals": names, "divisors": kept}
+    return 0, {"divisors": kept,
+               "extremals": _first_names(ws.divisors, ws.systems[args.system], kept)}
 
 
 def _tree_check(ws: Workspace, args):

@@ -288,12 +288,7 @@ class LinearSystem:
 
     def potential(self, d: Divisor) -> PLFunction:
         """Potential of d relative to generator 0 (cached, one solve)."""
-        return self.cached(("potential", d), self._solve, d)
-
-    def _solve(self, d: Divisor) -> PLFunction:
-        if d.degree() != self.degree:
-            raise InputError("divisor degree does not match the system")
-        return _potential(self.graph, self.generators[0], d)
+        return self.cached(("potential", d), _potential, self.graph, self.generators[0], d)
 
     def pair_function(self, a: Divisor, b: Divisor) -> PLFunction:
         """Min-normalized potential from a to b (cached per ordered pair)."""

@@ -147,12 +147,16 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
           for i, a in enumerate(gens) for b in gens[i + 1:]))
 
 
+def _require(verdict: tuple[bool, dict], what: str) -> None:
+    """Raise the InputError of a negative (ok, report) verdict on the system."""
+    ok, report = verdict
+    if not ok:
+        raise InputError(f"the system is not a {what}: " + report["reason"])
+
+
 def tt_support(system: LinearSystem) -> ClosedSubset:
     """Union of the supports of all divisors in a tropical tree."""
-    ok, report = tt_is_tree(system)
-    if not ok:
-        raise InputError("the system is not a tropical tree: "
-                         + report["reason"])
+    _require(tt_is_tree(system), "tropical tree")
     return _tree_support(system)
 
 
@@ -192,9 +196,8 @@ def _dominance_check(system: LinearSystem) -> tuple[bool, dict]:
             "reason": "support misses part of the graph",
             "uncovered": support.complement_components(),
         }
-    samples = _sample_points(system.graph)
-    for q in samples:
-        red, _ = ls_reduced(system, q)
+    samples = tt_reduced_map(system)
+    for q, red in samples:
         if red.coeff(q) <= 0:
             raise CertificateError(
                 "a sampled point is missing from its own reduced "
@@ -291,10 +294,7 @@ class TreeSkeleton(NamedTuple):
 
 def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
     """Skeleton of a tropical tree: critical divisors joined by arcs."""
-    ok, report = tt_is_tree(system)
-    if not ok:
-        raise InputError("the system is not a tropical tree: "
-                         + report["reason"])
+    _require(tt_is_tree(system), "tropical tree")
     crits = tt_critical(system)
     index = {d: i for i, d in enumerate(crits)}
     gens = system.generators
@@ -420,10 +420,7 @@ def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
 
 
 def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
-    ok, report = tt_is_dominant(system)
-    if not ok:
-        raise InputError("the system is not a dominant tropical tree: "
-                         + report["reason"])
+    _require(tt_is_dominant(system), "dominant tropical tree")
     skel = tt_skeleton(system)
     graph = system.graph
 
@@ -563,14 +560,8 @@ def tt_harmonize(
     skel = morphism.skeleton
     degree = int(system.degree)
 
-    candidates: dict[tuple, GraphPoint] = {}
-    for node in skel.nodes:
-        for p in node.support():
-            candidates.setdefault(p.key(), p)
-
     attachments: list[Attachment] = []
-    for key in sorted(candidates):
-        p = candidates[key]
+    for p in sorted({p for node in skel.nodes for p in node.entries}, key=GraphPoint.key):
         red, _ = ls_reduced(system, p)
         for ai, t in _places(system, skel, red).items():
             arc = skel.arcs[ai]

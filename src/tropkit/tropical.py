@@ -29,24 +29,39 @@ from .rational import as_fraction
 __all__ = _LAZY["tropical"]
 
 
+def _sign(mode: str) -> int:
+    """1 for lower mode and -1 for upper mode; any other mode is an InputError."""
+    if mode == "lower":
+        return 1
+    if mode == "upper":
+        return -1
+    raise InputError(f"mode must be 'lower' or 'upper', got {mode!r}")
+
+
 class _Frozen:
-    """Immutable value semantics: fields (the ``__slots__``) set once with
-    ``object.__setattr__`` in ``__init__``, equality within one class, the
-    hash of the field tuple that a subclass's ``_astuple`` returns, and a
-    repr that names each field."""
+    """Immutable value semantics: the fields, named once in ``__slots__``,
+    set once in slot order by ``__init__``, equality within one class, the
+    hash of the field tuple, and a repr that names each field."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -59,8 +74,7 @@ class GroundSpace(_Frozen):
     __slots__ = ("labels", "weights")
 
     def __init__(self, labels: tuple[str, ...], weights: tuple[Fraction, ...]):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
+        super().__init__(labels, weights)
         if not self.labels:
             raise InputError("ground set must be nonempty")
         if len(set(self.labels)) != len(self.labels):
@@ -69,9 +83,6 @@ class GroundSpace(_Frozen):
             raise InputError("need exactly one weight per ground element")
         if any(w <= 0 for w in self.weights):
             raise InputError("weights must be positive")
-
-    def _astuple(self) -> tuple:
-        return (self.labels, self.weights)
 
     @classmethod
     def of(cls, labels: Iterable[str], weights: Iterable | None = None) -> "GroundSpace":
@@ -98,21 +109,16 @@ class TropPoint(_Frozen):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]):
-        object.__setattr__(self, "coords", coords)
+        super().__init__(coords)
         if not self.coords:
             raise InputError("a point needs at least one coordinate")
         if min(self.coords) != 0:
             raise InputError("canonical coordinates must have minimum zero")
 
-    def _astuple(self) -> tuple:
-        return (self.coords,)
-
     @classmethod
     def of(cls, values: Iterable) -> "TropPoint":
         vals = tuple(as_fraction(v) for v in values)
-        if not vals:
-            raise InputError("a point needs at least one coordinate")
-        m = min(vals)
+        m = min(vals, default=0)
         return cls(tuple(v - m for v in vals))
 
     @property
@@ -151,18 +157,13 @@ class TropGeneratorSet(_Frozen):
     __slots__ = ("points", "mode")
 
     def __init__(self, points: tuple[TropPoint, ...], mode: str = "lower"):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "mode", mode)
-        if self.mode not in ("lower", "upper"):
-            raise InputError(f"mode must be 'lower' or 'upper', got {self.mode!r}")
+        super().__init__(points, mode)
+        _sign(mode)
         if not self.points:
             raise InputError("generator set must be nonempty")
         dims = {p.dim for p in self.points}
         if len(dims) != 1:
             raise InputError("generators must share one dimension")
-
-    def _astuple(self) -> tuple:
-        return (self.points, self.mode)
 
     @classmethod
     def of(cls, points: Iterable, mode: str = "lower") -> "TropGeneratorSet":
@@ -198,9 +199,7 @@ def tp_combine(points: Sequence[TropPoint], coeffs: Sequence, mode: str = "lower
     dims = {p.dim for p in points}
     if len(dims) != 1:
         raise InputError("points must share one dimension")
-    op = min if mode == "lower" else max
-    if mode not in ("lower", "upper"):
-        raise InputError(f"mode must be 'lower' or 'upper', got {mode!r}")
+    op = min if _sign(mode) > 0 else max
     vec = [op(p.coords[k] + c for p, c in zip(points, cs)) for k in range(points[0].dim)]
     return TropPoint.of(vec)
 
@@ -223,18 +222,14 @@ def tp_pseudonorm(point: TropPoint, p, mode: str = "lower",
     upper: p-norm of (representative minus its maximum), i.e. of the
     distance down from the top. p is 1, 2, or the string 'inf'. The p=2
     value is a float and is informational only; everything else is exact.
-    A p=2 value past the float range is an InputError at "output".
+    A p=2 value past the float range, or one that rounds to 0 for a
+    nonzero class, is an InputError at "output".
     """
     if space is None:
         space = GroundSpace.of([f"x{i}" for i in range(point.dim)])
     if space.size != point.dim:
         raise InputError("space size does not match point dimension")
-    if mode == "lower":
-        vec = point.coords
-    elif mode == "upper":
-        vec = tuple(-v for v in point.max_normalized())
-    else:
-        raise InputError(f"mode must be 'lower' or 'upper', got {mode!r}")
+    vec = point.coords if _sign(mode) > 0 else tuple(-v for v in point.max_normalized())
     if p == "inf" or p == math.inf:
         return max(vec)
     if p == 1:
@@ -244,7 +239,7 @@ def tp_pseudonorm(point: TropPoint, p, mode: str = "lower",
             value = math.sqrt(sum(float(w) * float(v) ** 2 for w, v in zip(space.weights, vec)))
         except OverflowError:
             value = math.inf
-        if value == math.inf:
+        if value == math.inf or value == 0 and any(vec):
             raise InputError("the p=2 pseudonorm is past the float range", "output")
         return value
     raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")
@@ -268,10 +263,8 @@ def tp_path(a: TropPoint, b: TropPoint, t, mode: str = "lower") -> TropPoint:
     Both are unit-speed: consecutive points are at distance |t1 - t2|.
     """
     t = as_fraction(t)
-    if mode == "upper":
+    if _sign(mode) < 0:
         return tp_path(a.negate(), b.negate(), t, "lower").negate()
-    if mode != "lower":
-        raise InputError(f"mode must be 'lower' or 'upper', got {mode!r}")
     _check_dim(a, b)
     d = b.diff(a)
     rho = tp_norm(d)
@@ -283,9 +276,6 @@ def tp_path(a: TropPoint, b: TropPoint, t, mode: str = "lower") -> TropPoint:
 # ---------------------------------------------------------------------------
 # hulls: membership, projection, extremals
 # ---------------------------------------------------------------------------
-
-_SIGN = {"lower": 1, "upper": -1}
-
 
 def _integer_vectors(points: Sequence[TropPoint], sign: int):
     """Min-zero int vectors sign * scale * p of the points, and the scale,
@@ -331,7 +321,7 @@ def tp_member(S: TropGeneratorSet, gamma: TropPoint):
     """
     if gamma.dim != S.dim:
         raise InputError("point dimension does not match generators")
-    sign = _SIGN[S.mode]
+    sign = _sign(S.mode)
     (*H, y), scale = _integer_vectors(S.points + (gamma,), sign)
     # each generator, lifted by its coefficient, touches y on its cover set
     cs = _lifts(H, y)
@@ -382,7 +372,7 @@ def tp_project(S: TropGeneratorSet, gamma: TropPoint,
     else:
         wscale = math.lcm(*[w.denominator for w in space.weights])
         weights = [w.numerator * (wscale // w.denominator) for w in space.weights]
-    sign = _SIGN[S.mode]
+    sign = _sign(S.mode)
     (*H, y), scale = _integer_vectors(S.points + (gamma,), sign)
     cs = _lifts(H, y)
     f = _combine(H, cs)
@@ -511,7 +501,7 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
                                         "coefficients": cert["coefficients"]}}
         return {"kind": kind, "status": "independent", "certificate": None}
 
-    sign = _SIGN[S.mode]
+    sign = _sign(S.mode)
     ivecs, scale = _integer_vectors(pts, sign)
 
     if kind == "gondran_minoux":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -46,6 +47,17 @@ def _expect(data, types, what: str, location: str):
     return data
 
 
+@contextmanager
+def _located(location: str):
+    """Re-raise an InputError that names no location at location."""
+    try:
+        yield
+    except InputError as exc:
+        if exc.location:
+            raise
+        raise InputError(str(exc), location) from None
+
+
 def _name_lists(block, known: dict, what: str, kind: str, member: str,
                 location: str) -> dict:
     """A systems or sets block: each entry, what, is a list of names in known."""
@@ -71,19 +83,15 @@ def point_from_json(graph: MetricGraph, data, location: str) -> GraphPoint:
             raise InputError("a point is either a vertex or an edge "
                              "position, not both", location)
         name = _expect(data["vertex"], str, "vertex", f"{location}.vertex")
-        try:
+        with _located(f"{location}.vertex"):
             return graph.vertex_point(name)
-        except InputError as exc:
-            raise InputError(str(exc), f"{location}.vertex") from None
     if "edge" not in data or "offset" not in data:
         raise InputError("a point needs either \"vertex\" or both \"edge\" "
                          "and \"offset\"", location)
     eid = _expect(data["edge"], str, "edge id", f"{location}.edge")
     offset = as_fraction(data["offset"], f"{location}.offset")
-    try:
+    with _located(location):
         return graph.point(edge=eid, offset=offset)
-    except InputError as exc:
-        raise InputError(str(exc), location) from None
 
 
 def divisor_from_json(graph: MetricGraph, data, location: str) -> Divisor:
@@ -110,14 +118,14 @@ def divisor_from_json(graph: MetricGraph, data, location: str) -> Divisor:
 class Workspace:
     """Parsed workspace: at most one graph block and one point block."""
 
-    def __init__(self, graph: MetricGraph | None = None, graph_report: dict | None = None,
-                 divisors=None, systems=None, space: GroundSpace | None = None,
-                 points=None, sets=None):
-        self.graph, self.graph_report, self.space = graph, graph_report, space
-        self.divisors: dict[str, Divisor] = divisors or {}
-        self.systems: dict[str, tuple[str, ...]] = systems or {}
-        self.points: dict[str, TropPoint] = points or {}
-        self.sets: dict[str, tuple[str, ...]] = sets or {}
+    def __init__(self):
+        self.graph: MetricGraph | None = None
+        self.graph_report: dict | None = None
+        self.space: GroundSpace | None = None
+        self.divisors: dict[str, Divisor] = {}
+        self.systems: dict[str, tuple[str, ...]] = {}
+        self.points: dict[str, TropPoint] = {}
+        self.sets: dict[str, tuple[str, ...]] = {}
         self._system_cache: dict[str, LinearSystem] = {}
 
     def need_graph(self) -> MetricGraph:
@@ -198,16 +206,11 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
                 as_fraction(e["length"], f"{here}.length"),
             ))
         from .graphs import mg_validate
-        try:
+        with _located(location):
             graph, report = mg_validate(
                 [_expect(v, str, "a vertex name", f"{location}.vertices")
                  for v in vertices], edges)
-        except InputError as exc:
-            if not exc.location:
-                raise InputError(str(exc), location) from None
-            raise
-        ws.graph = graph
-        ws.graph_report = report
+        ws.graph, ws.graph_report = graph, report
 
         divisors = _expect(data.get("divisors", {}), dict, "divisors",
                            f"{location}.divisors")
@@ -236,10 +239,8 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
                                  "element", f"{location}.weights")
             weights = [as_fraction(w, f"{location}.weights[{i}]")
                        for i, w in enumerate(raw)]
-        try:
+        with _located(f"{location}.ground"):
             ws.space = GroundSpace.of(labels, weights)
-        except InputError as exc:
-            raise InputError(str(exc), f"{location}.ground") from None
         points = _expect(data.get("points", {}), dict, "points",
                          f"{location}.points")
         for name in sorted(points):

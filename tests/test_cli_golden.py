@@ -9,7 +9,8 @@ of each input error the front end raises itself or passes on from the
 workspace: argument counts, missing and malformed flags, unknown names,
 a workspace without the block a command needs, a system that is not
 the tree a command needs, values past the int digit limit, and a p=2
-pseudonorm past the float range.
+pseudonorm past the float range. The last row pins the support report of
+a tree that misses part of the graph, with its uncovered components.
 """
 
 import contextlib
@@ -171,6 +172,9 @@ GOLDEN = [
     # a p=2 pseudonorm past the float range
     (["tp", "norm", "--space", "tests/fixtures/tp3.json", "--point", "[\"0\",\"1e155\",\"0\"]", "--p", "2"], 2,
      "277781f1ce35d2e3795cf2723e6e66f9a1ff846c46181530398a3e6f8ea4e9a4"),
+    # a tree whose support misses part of the graph
+    (["tree", "support", "--graph", "tests/fixtures/banana.json", "--system", "seg_E1_E3"], 0,
+     "514125c8e292a4c99c58cf352638de4e247376c402b14324b1574cd4367f84cc"),
 ]
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tropkit import (
+    CertificateError,
     Divisor,
     GraphPoint,
     InputError,
@@ -47,6 +48,22 @@ class TestRoundTrip:
         first = serialize_workspace(ws)
         again = serialize_workspace(parse_workspace(first, "round-trip"))
         assert first == again
+        assert dumps_canonical(first) == dumps_canonical(again)
+
+    def test_loops_round_trip_as_one_edge(self):
+        ws = parse_workspace({
+            "schema_version": 1, "vertices": ["a", "b"],
+            "edges": [{"id": "e", "tail": "a", "head": "b", "length": 1},
+                      {"id": "L", "tail": "a", "head": "a", "length": "3"}],
+            "divisors": {"D": [[{"edge": "L", "offset": 1}, 1],
+                               [{"edge": "L", "offset": "5/2"}, 2]]}})
+        first = serialize_workspace(ws)
+        assert first["vertices"] == ["a", "b"]
+        assert first["edges"] == [
+            {"id": "e", "tail": "a", "head": "b", "length": "1"},
+            {"id": "L", "tail": "a", "head": "a", "length": "3"},
+        ]
+        again = serialize_workspace(parse_workspace(first, "round-trip"))
         assert dumps_canonical(first) == dumps_canonical(again)
 
     def test_canonical_rationals_survive(self, banana):
@@ -168,6 +185,21 @@ class TestErrorHandling:
             "message": "the p=2 pseudonorm is past the float range",
         }
         assert capsys.readouterr().err == ""
+
+    def test_vanishing_quadratic_pseudonorms_are_located(self, tmp_path, capsys):
+        # the class is not zero, but its weight rounds to 0.0 as a float
+        ws = tmp_path / "light.json"
+        ws.write_text(json.dumps({"schema_version": 1, "ground": ["a", "b"],
+                                  "weights": ["1e-400", "1"], "points": {"P": ["1", "0"]}}))
+        code = main(["tp", "norm", "--space", str(ws), "--point", "P", "--p", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error",
+            "location": "output",
+            "message": "the p=2 pseudonorm is past the float range",
+        })
+        assert err == ""
 
     def test_quadratic_pseudonorms_inside_the_float_range_print(self, capsys):
         code, payload = run_json(capsys, "tp", "norm", "--space", TP3,
@@ -395,6 +427,21 @@ class TestPredicateExitCodes:
             "--divisor", '[[{"vertex":"v1"},"2"]]')
         assert code == 2
         assert payload["message"] == "divisors must have equal degree"
+
+    def test_certificate_failures_exit_3(self, capsys, monkeypatch):
+        import tropkit
+
+        def failing(system):
+            raise CertificateError("probe", {"k": "v"})
+
+        # handlers read library names from the package at call time
+        monkeypatch.setattr(tropkit, "tt_is_tree", failing)
+        code = main(["tree", "check", "--graph", C6, "--system", "triangle_mid"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == dumps_canonical({"code": "certificate-failure", "message": "probe",
+                                       "detail": {"k": "v"}})
+        assert err == ""
 
     def test_witness_codes(self, capsys):
         code, _ = run_json(capsys, "tree", "witness", "--graph", BANANA,
