@@ -234,7 +234,9 @@ class PLFunction:
     segment over _ds. _ds is the least common denominator of the slopes, so
     they are integral iff it is 1, and _do * _ds divides _dv, so v + (o - o1) s
     stays integral. Consecutive slopes differ: no breakpoint is kept where
-    the slope does not change.
+    the slope does not change. An edge linear in both operands of add, sub
+    or min_with is combined from its ends without a merge, and minus_min
+    shifts the value numerators by an int.
 
     The exact views are built on demand, not stored: data maps every edge
     id to its (offset, value) breakpoints, slopes to the slopes of its
@@ -344,6 +346,10 @@ class PLFunction:
         pieces = {}
         for eid, a in pa.items():
             b = pb[eid]
+            if len(a[2]) == 1 == len(b[2]):  # linear on both sides: no merge
+                (va0, va1), (vb0, vb1), (sa,), (sb,) = a[1], b[1], a[2], b[2]
+                pieces[eid] = a[0], (va0 + sign * vb0, va1 + sign * vb1), (sa + sign * sb,)
+                continue
             offs, vals, ss = [], [], []
             for o, va, sa, vb, sb in _merge(a, b, kv):
                 _push(offs, vals, ss, o, va + sign * vb, sa + sign * sb)
@@ -382,7 +388,9 @@ class PLFunction:
         merged, ro = {}, do  # ro, rv: the offset and value denominators of the result
         for eid, a in pa.items():
             b = pb[eid]
-            pts = merged[eid] = [*_merge(a, b, kv), (a[0][-1], a[1][-1], 0, b[1][-1], 0)]
+            start = [(0, a[1][0], a[2][0], b[1][0], b[2][0])] if len(a[2]) == 1 == len(b[2]) \
+                else _merge(a, b, kv)  # linear on both sides: just the two ends
+            pts = merged[eid] = [*start, (a[0][-1], a[1][-1], 0, b[1][-1], 0)]
             for (_, a0, sa, b0, sb), (_, a1, _, b1, _) in zip(pts, pts[1:]):
                 if (a0 - b0) * (a1 - b1) < 0:
                     q = kv * do * (sb - sa)  # the crossing is at o0/do + (a0 - b0)/q
@@ -423,7 +431,16 @@ class PLFunction:
         return Fraction(self._extremes()[1], self._dv)
 
     def minus_min(self) -> "PLFunction":
-        return self.add_const(-self.min_value())
+        """add_const(-min_value()) as an int shift: -low/dv needs no finer dv."""
+        low, high = self._extremes()
+        if low == 0:
+            return self
+        f = PLFunction._of_valid(
+            self.graph, {eid: (offs, tuple(v - low for v in vals), ss)
+                         for eid, (offs, vals, ss) in self._pieces.items()},
+            self._do, self._ds, self._dv)
+        f._range = 0, high - low
+        return f
 
     def spread(self) -> Fraction:
         low, high = self._extremes()
@@ -517,7 +534,7 @@ def _rescaled(f: PLFunction, do: int, ds: int, dv: int) -> dict:
 
 def _lowest(graph: MetricGraph, pieces: dict, do: int, ds: int, dv: int) -> PLFunction:
     """The function of an integer form, over the least slope denominator."""
-    gs = gcd(ds, *(s for _, _, ss in pieces.values() for s in ss))
+    gs = 1 if ds == 1 else gcd(ds, *(s for _, _, ss in pieces.values() for s in ss))
     if gs > 1:
         pieces = {eid: (offs, vals, tuple(s // gs for s in ss))
                   for eid, (offs, vals, ss) in pieces.items()}
@@ -846,7 +863,7 @@ class Subdivision:
     nodes lists the vertices, as points, then the interior points by edge id
     and offset; index maps each node to its position, and segments lists
     the resulting simple pieces as (tail node, head node, length, edge id,
-    start offset).
+    start offset), an edge with no cut point as one segment.
     """
 
     def __init__(self, graph: MetricGraph, points: Iterable[GraphPoint]):
@@ -864,8 +881,11 @@ class Subdivision:
         at = {v: i for i, v in enumerate(graph.vertices)}
         self.segments: list[tuple[int, int, Fraction, str, Fraction]] = []
         for e in graph.edges:
-            offs = [_ZERO, *cuts.get(e.id, ()), e.length]
-            k = first.get(e.id, 0)
+            if e.id not in cuts:  # uncut: one full-length segment
+                self.segments.append((at[e.tail], at[e.head], e.length, e.id, _ZERO))
+                continue
+            offs = [_ZERO, *cuts[e.id], e.length]
+            k = first[e.id]
             ids = [at[e.tail], *range(k, k + len(offs) - 2), at[e.head]]
             self.segments += [(a, b, o2 - o1, e.id, o1)
                               for a, b, o1, o2 in zip(ids, ids[1:], offs, offs[1:])]

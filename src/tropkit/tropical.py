@@ -117,9 +117,14 @@ class TropPoint(_Frozen):
 
     @classmethod
     def of(cls, values: Iterable) -> "TropPoint":
+        """The point of values, shifted to minimum zero only when it is not."""
         vals = tuple(as_fraction(v) for v in values)
-        m = min(vals, default=0)
-        return cls(tuple(v - m for v in vals))
+        if not vals:
+            return cls(vals)  # raises the empty-point error
+        m = min(vals)
+        p = object.__new__(cls)  # canonical by construction: skip __init__'s checks
+        _Frozen.__init__(p, vals if m == 0 else tuple(v - m for v in vals))
+        return p
 
     @property
     def dim(self) -> int:

@@ -518,6 +518,80 @@ class TestIntegerKernel:
         ref = pl_oracle.PLFunction(g, f.data).min_with(pl_oracle.PLFunction(g, h.data))
         assert _boundary(low) == _boundary(ref)
 
+    def test_edges_linear_on_both_sides_match_the_oracle(self, c6):
+        """Potentials between vertex-supported divisors are linear on every
+        edge, so add, sub and min_with combine each edge without a merge;
+        a potential with an interior point in its support mixes in cut
+        edges."""
+        g = c6.need_graph()
+        pairs = [("D1", "D2"), ("D2", "D3"), ("D12", "D0"), ("D3", "D13"), ("D23", "D1")]
+        pairs = [(c6.divisor(a), c6.divisor(b)) for a, b in pairs]
+        pots = [mg_potential(g, *pair) for pair in pairs]
+        refs = [pl_oracle.potential(g, *pair) for pair in pairs]
+        assert all(len(ss) == 1 for f in pots for ss in f.slopes.values())
+        mid = Divisor.of(g, [(g.point(edge="e3", offset=Fraction(1, 3)), 3)])
+        pots.append(mg_potential(g, c6.divisor("D1"), mid))
+        refs.append(pl_oracle.potential(g, c6.divisor("D1"), mid))
+        assert len(pots[-1].slopes["e3"]) == 2
+        shifts = [Fraction(k, 7) for k in range(len(pots))]
+        for i, (f, ref) in enumerate(zip(pots, refs)):
+            for h, href in zip(pots[i + 1:], refs[i + 1:]):
+                h, href = h.add_const(shifts[i]), href.add_const(shifts[i])
+                for name in ("add", "sub", "min_with"):
+                    assert _boundary(getattr(f, name)(h)) == _boundary(getattr(ref, name)(href))
+
+    def test_linear_edges_crossing_off_every_input_denominator(self):
+        """On a unit path a - m - b, the potential from a to b rises by 1
+        per edge and the one from 2b to 2a falls by 2, so their minimum
+        crosses a third of the way into an edge."""
+        g = MetricGraph.of(["a", "m", "b"], [("e1", "a", "m", 1), ("e2", "m", "b", 1)])
+        a, b = Divisor.of(g, [(g.vertex_point("a"), 1)]), Divisor.of(g, [(g.vertex_point("b"), 1)])
+        pairs = [(a, b), (b.add(b), a.add(a))]
+        f, h = (mg_potential(g, *pair) for pair in pairs)
+        ref, href = (pl_oracle.potential(g, *pair) for pair in pairs)
+        assert all(len(ss) == 1 for fn in (f, h) for ss in fn.slopes.values())
+        low = f.min_with(h)
+        assert {o for bps in low.data.values() for o, _ in bps} - {0, 1} \
+            in ({Fraction(1, 3)}, {Fraction(2, 3)})
+        assert _boundary(low) == _boundary(ref.min_with(href))
+        assert _boundary(h.min_with(f)) == _boundary(href.min_with(ref))
+
+    def test_minus_min_is_an_int_shift(self, c6):
+        """minus_min is f itself at minimum 0, and otherwise the function
+        add_const(-min_value()) builds: the same pieces, denominators and
+        extremes."""
+        g = c6.need_graph()
+        f = mg_potential(g, c6.divisor("D12"), c6.divisor("D0"))
+        h = mg_potential(g, c6.divisor("D2"), c6.divisor("D13"))
+        assert f.min_value() == 0 and f.minus_min() is f
+        for shifted in (f.add_const(Fraction(5, 3)), f.sub(h), h.neg(), f.add_const(-4)):
+            assert shifted.min_value() != 0
+            low, want = shifted.minus_min(), shifted.add_const(-shifted.min_value())
+            assert (low._pieces, low._do, low._ds, low._dv) \
+                == (want._pieces, want._do, want._ds, want._dv)
+            assert low._range == want._extremes()
+            assert _boundary(low) == _boundary(want)
+
+
+class TestSubdivision:
+    def test_an_uncut_edge_is_one_segment(self, c6):
+        """c6 cut at 1/3 along e3: every other edge is one full-length
+        segment between its ends, e3 two segments through the cut node."""
+        g = c6.need_graph()
+        cut = g.point(edge="e3", offset=Fraction(1, 3))
+        sub = graphs.Subdivision(g, [cut, g.vertex_point("v1")])
+        at = {p.vertex: i for i, p in enumerate(sub.nodes) if p.is_vertex}
+        assert sub.nodes[sub.index[cut]] == cut
+        for e in g.edges:
+            segs = [seg for seg in sub.segments if seg[3] == e.id]
+            if e.id != "e3":
+                assert segs == [(at[e.tail], at[e.head], e.length, e.id, 0)]
+                continue
+            assert [(a, b, off) for a, b, _, _, off in segs] \
+                == [(at[e.tail], sub.index[cut], 0), (sub.index[cut], at[e.head], Fraction(1, 3))]
+            assert [length for _, _, length, _, _ in segs] == [Fraction(1, 3), Fraction(2, 3)]
+            assert sum(length for _, _, length, _, _ in segs) == e.length
+
 
 class TestJFunctions:
     def test_c6_reference_values(self, c6):

@@ -151,40 +151,42 @@ class TestErrorHandling:
         # denominator Q1*Q2 has 8,599
         q1, q2 = 10 ** 4299 + 1, 10 ** 4299 + 3
         point = json.dumps([f"1/{q1}", f"-1/{q2}", "0"])
-        code, out = run(capsys, "tp", "norm", "--space", TP3, "--point", point)
+        code = main(["tp", "norm", "--space", TP3, "--point", point])
+        out, err = capsys.readouterr()
         assert code == 2
         assert out == dumps_canonical({
             "code": "input-error",
             "location": "output",
             "message": "a result has a rational past the 4300-digit limit",
         })
-        assert capsys.readouterr().err == ""
+        assert err == ""
 
     @pytest.mark.parametrize("point", ['["0", "1e155", "0"]', '["0", "1e400", "0"]'])
     def test_quadratic_pseudonorms_past_the_float_range_are_located(self, capsys, point):
-        code, out = run(capsys, "tp", "norm", "--space", TP3, "--point", point, "--p", "2")
+        code = main(["tp", "norm", "--space", TP3, "--point", point, "--p", "2"])
+        out, err = capsys.readouterr()
         assert code == 2
         assert out == dumps_canonical({
             "code": "input-error",
             "location": "output",
             "message": "the p=2 pseudonorm is past the float range",
         })
-        assert capsys.readouterr().err == ""
+        assert err == ""
 
     def test_infinite_quadratic_pseudonorms_are_located(self, tmp_path, capsys):
         # each term is finite, but the weight times the square is not
         ws = tmp_path / "heavy.json"
         ws.write_text(json.dumps({"schema_version": 1, "ground": ["a", "b"],
                                   "weights": ["1e300", "1"], "points": {"P": ["1e100", "0"]}}))
-        code, payload = run_json(capsys, "tp", "norm", "--space", str(ws), "--point", "P",
-                                 "--p", "2")
+        code = main(["tp", "norm", "--space", str(ws), "--point", "P", "--p", "2"])
+        out, err = capsys.readouterr()
         assert code == 2
-        assert payload == {
+        assert json.loads(out) == {
             "code": "input-error",
             "location": "output",
             "message": "the p=2 pseudonorm is past the float range",
         }
-        assert capsys.readouterr().err == ""
+        assert err == ""
 
     def test_vanishing_quadratic_pseudonorms_are_located(self, tmp_path, capsys):
         # the class is not zero, but its weight rounds to 0.0 as a float
