@@ -27,7 +27,9 @@ from .rational import as_fraction, rational_str
 from .workspace import (
     Workspace,
     _exact_int,
+    _located,
     _reject_float,
+    _trop_point,
     divisor_from_json,
     dumps_canonical,
     load_workspace,
@@ -68,11 +70,7 @@ def _point_at(ws: Workspace, args):
 def _resolve_trop_point(ws: Workspace, text: str, location: str):
     s = text.strip()
     if s.startswith("["):
-        data = _loads_strict(s, location)
-        if not isinstance(data, list):
-            raise InputError("a point is a JSON array of rationals",
-                             location)
-        return tk.TropPoint.of(as_fraction(c, f"{location}[{i}]") for i, c in enumerate(data))
+        return _trop_point(ws.need_space(), _loads_strict(s, location), location)
     return ws.point(s)
 
 
@@ -258,10 +256,12 @@ def _tree_preimage(ws: Workspace, args):
 def _tree_redmap(ws: Workspace, args):
     T = ws.system(args.system)
     graph = ws.need_graph()
-    per_edge = 3 if args.samples is None else args.samples
+    per_edge = 3 if args.samples is None else as_fraction(args.samples, "--samples")
     if per_edge < 0:
         raise InputError("--samples must be nonnegative", "--samples")
-    rows = tk.tt_reduced_map(T, tk.trees._sample_points(graph, per_edge))
+    if per_edge.denominator != 1:
+        raise InputError("--samples must be an integer", "--samples")
+    rows = tk.tt_reduced_map(T, tk.trees._sample_points(graph, int(per_edge)))
     if args.format != "csv":
         return 0, {"samples": [{"point": p, "reduced": r} for p, r in rows]}
     import csv
@@ -310,8 +310,10 @@ def _tree_harmonize(ws: Workspace, args):
 
 
 def _tree_witness(ws: Workspace, args):
-    ok, report = tk.tt_verify_witness(ws.system(args.system),
-                                      _required(args, "degree"))
+    T = ws.system(args.system)
+    degree = as_fraction(_required(args, "degree"), "--degree")
+    with _located("--degree"):
+        ok, report = tk.tt_verify_witness(T, degree)
     return 0 if ok else 1, report
 
 
@@ -338,9 +340,9 @@ _FLAGS = {
     "--t": dict(metavar="RATIONAL"),
     "--at": dict(metavar="POINT",
                  help="JSON point, e.g. '{\"vertex\":\"v1\"}'"),
-    "--samples": dict(type=int, default=None, metavar="N",
+    "--samples": dict(default=None, metavar="N",
                       help="interior sample points per edge (default 3)"),
-    "--degree": dict(type=int, default=None, metavar="N"),
+    "--degree": dict(default=None, metavar="N"),
     "--out": dict(metavar="PATH",
                   help="write the report to this file instead of stdout"),
     "--format": dict(choices=["json", "csv", "dot"], default="json",

@@ -114,20 +114,17 @@ class MetricGraph:
                 raise InputError(f"edge {e.id!r} is a loop after normalization")
             if e.length <= 0:
                 raise InputError(f"edge {e.id!r} must have positive length")
-        # connectivity
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != self.vertex_set:
+        adj = self._adjacency()
+        if _reachable(self.vertices[0], lambda v: (w for w, _ in adj[v])) != self.vertex_set:
             raise InputError("graph must be connected")
+
+    def _adjacency(self) -> dict[str, list[tuple[str, Fraction]]]:
+        """{vertex: [(neighbour, edge length), ...]}, built on each call."""
+        adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            adj[e.tail].append((e.head, e.length))
+            adj[e.head].append((e.tail, e.length))
+        return adj
 
     @property
     def genus(self) -> int:
@@ -138,11 +135,8 @@ class MetricGraph:
         """Position of every vertex in a minimum-degree elimination order of the
         vertex Laplacian, the grounded first vertex at -1; one per graph."""
         ground = self.vertices[0]
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices[1:]}
-        for e in self.edges:
-            if ground not in (e.tail, e.head):
-                adj[e.tail].add(e.head)
-                adj[e.head].add(e.tail)
+        adj = {v: {w for w, _ in nbrs if w != ground}
+               for v, nbrs in self._adjacency().items() if v != ground}
         pos = {ground: -1}
         while adj:
             v = min(adj, key=lambda u: len(adj[u]))
@@ -814,42 +808,25 @@ class ClosedSubset:
         return missing_vertices, gaps
 
     def complement_components(self):
-        """Connected components of the open complement, for reporting."""
+        """Connected components of the open complement, for reporting: each gap
+        (edge, from, to) links to the uncovered vertices at its ends, and
+        `_reachable` collects the component of each item not yet reached."""
         missing_vertices, gaps = self.complement_gaps()
-        items: list[tuple] = [("v", v) for v in missing_vertices]
-        items += [("g", i) for i in range(len(gaps))]
-        parent = {it: it for it in items}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def unite(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        vset = set(missing_vertices)
-        for i, (eid, a, b) in enumerate(gaps):
-            e = self.graph.edge_map[eid]
-            if a == 0 and e.tail in vset:
-                unite(("g", i), ("v", e.tail))
-            if b == e.length and e.head in vset:
-                unite(("g", i), ("v", e.head))
-        groups: dict[tuple, dict] = {}
-        for it in items:
-            root = find(it)
-            grp = groups.setdefault(root, {"vertices": [], "gaps": []})
-            if it[0] == "v":
-                grp["vertices"].append(it[1])
-            else:
-                eid, a, b = gaps[it[1]]
-                grp["gaps"].append({"edge": eid, "from": a, "to": b})
-        out = [{"vertices": sorted(g["vertices"]),
-                "gaps": sorted(g["gaps"], key=lambda d: (d["edge"], d["from"]))}
-               for g in groups.values()]
+        links: dict = {v: [] for v in missing_vertices}
+        for gap in gaps:
+            e = self.graph.edge_map[gap[0]]
+            links[gap] = [v for v, at_end in ((e.tail, gap[1] == 0), (e.head, gap[2] == e.length))
+                          if at_end and v in links]
+            for v in links[gap]:
+                links[v].append(gap)
+        out, seen = [], set()
+        for item in links:
+            if item not in seen:
+                comp = _reachable(item, links.__getitem__)
+                seen |= comp
+                out.append({"vertices": sorted(x for x in comp if isinstance(x, str)),
+                            "gaps": [{"edge": eid, "from": a, "to": b} for eid, a, b
+                                     in sorted(x for x in comp if isinstance(x, tuple))]})
         return sorted(out, key=lambda g: (g["vertices"], [x["edge"] for x in g["gaps"]]))
 
 
@@ -1098,40 +1075,39 @@ def mg_distance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
         e = graph.edge_map[pt.edge]
         return [(e.tail, pt.offset), (e.head, e.length - pt.offset)]
 
-    best = None
-    if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
-        best = abs(p.offset - q.offset)
     dist_from = _dijkstra(graph, anchors(p))
-    for v, extra in anchors(q):
-        cand = dist_from[v] + extra
-        if best is None or cand < best:
-            best = cand
+    best = min(dist_from[v] + extra for v, extra in anchors(q))
+    if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
+        best = min(best, abs(p.offset - q.offset))
     return best
 
 
 def _dijkstra(graph: MetricGraph, sources: list[tuple[str, Fraction]]) -> dict[str, Fraction]:
-    dist: dict[str, Fraction] = {}
-    heap: list[tuple[Fraction, int, str]] = []
-    counter = 0
-    for v, d in sources:
-        if v not in dist or d < dist[v]:
-            dist[v] = d
-            heapq.heappush(heap, (d, counter, v))
-            counter += 1
-    adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        adj[e.tail].append((e.head, e.length))
-        adj[e.head].append((e.tail, e.length))
+    """Distance to each vertex from the nearest (vertex, start distance)
+    source, by a lazy-deletion heap of (distance, vertex): a tie compares names."""
+    adj = graph._adjacency()
+    heap = [(d, v) for v, d in sources]
+    heapq.heapify(heap)
     final: dict[str, Fraction] = {}
     while heap:
-        d, _, v = heapq.heappop(heap)
+        d, v = heapq.heappop(heap)
         if v in final:
             continue
         final[v] = d
         for w, ln in adj[v]:
-            nd = d + ln
-            if w not in final and (w not in dist or nd < dist[w]):
-                dist[w] = nd
-                heapq.heappush(heap, (nd, counter, w))
-                counter += 1
+            if w not in final:
+                heapq.heappush(heap, (d + ln, w))
     return final
+
+
+def _reachable(start, step) -> set:
+    """Everything reachable from start, start included, where step(x) lists
+    the neighbours of x."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 from . import _LAZY
 from .divisors import LinearSystem, ls_bases, ls_reduced
 from .errors import CertificateError, InputError
-from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, Subdivision
+from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, Subdivision, _reachable
 from .rational import as_fraction
 
 __all__ = _LAZY["trees"]
@@ -269,27 +269,14 @@ class TreeSkeleton(NamedTuple):
 
     def neighbors(self, n: int) -> list[tuple[int, int]]:
         """(arc index, far node index) pairs at node n."""
-        out = []
-        for i, arc in enumerate(self.arcs):
-            if arc.a == n:
-                out.append((i, arc.b))
-            elif arc.b == n:
-                out.append((i, arc.a))
-        return out
+        return [(i, arc.b if arc.a == n else arc.a)
+                for i, arc in enumerate(self.arcs) if n in (arc.a, arc.b)]
 
     def component_through(self, cut_arc: int, endpoint: int) -> frozenset[int]:
         """Nodes of the component containing ``endpoint`` once ``cut_arc``
-        is removed (-1 removes none)."""
-        seen = {endpoint}
-        stack = [endpoint]
-        while stack:
-            cur = stack.pop()
-            for i, far in self.neighbors(cur):
-                if i == cut_arc or far in seen:
-                    continue
-                seen.add(far)
-                stack.append(far)
-        return frozenset(seen)
+        is removed (-1 removes none), read by `graphs._reachable`."""
+        return frozenset(_reachable(endpoint, lambda n: [
+            far for i, far in self.neighbors(n) if i != cut_arc]))
 
 
 def tt_skeleton(system: LinearSystem) -> TreeSkeleton:

@@ -111,6 +111,15 @@ def divisor_from_json(graph: MetricGraph, data, location: str) -> Divisor:
     return Divisor.of(graph, pairs)
 
 
+def _trop_point(space: GroundSpace, data, location: str) -> TropPoint:
+    """Tropical point from a list of one rational per ground element."""
+    coords = _expect(data, list, "a point", location)
+    if len(coords) != space.size:
+        raise InputError("point dimension does not match the ground set", location)
+    from .tropical import TropPoint
+    return TropPoint.of([as_fraction(c, f"{location}[{i}]") for i, c in enumerate(coords)])
+
+
 # ---------------------------------------------------------------------------
 # the workspace
 
@@ -225,7 +234,7 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
 
     has_points = "ground" in data or "points" in data
     if has_points:
-        from .tropical import GroundSpace, TropPoint
+        from .tropical import GroundSpace
         ground = _expect(data.get("ground"), list, "ground labels",
                          f"{location}.ground")
         labels = [_expect(x, str, "a ground label", f"{location}.ground")
@@ -244,14 +253,8 @@ def parse_workspace(data, location: str = "workspace") -> Workspace:
         points = _expect(data.get("points", {}), dict, "points",
                          f"{location}.points")
         for name in sorted(points):
-            here = f"{location}.points.{name}"
-            coords = _expect(points[name], list, "a point", here)
-            if len(coords) != len(labels):
-                raise InputError("point dimension does not match the "
-                                 "ground set", here)
-            ws.points[str(name)] = TropPoint.of(
-                [as_fraction(c, f"{here}[{i}]")
-                 for i, c in enumerate(coords)])
+            ws.points[str(name)] = _trop_point(
+                ws.space, points[name], f"{location}.points.{name}")
         ws.sets = _name_lists(data.get("sets", {}), ws.points, "a point set", "set",
                               "point", f"{location}.sets")
     elif "weights" in data or "sets" in data:

@@ -101,6 +101,34 @@ class TestDistances:
         b = g.point(edge="e1", offset=Fraction(3, 4))
         assert mg_distance(g, a, b) == Fraction(1, 2)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), same_edge=st.booleans())
+    def test_matches_floyd_warshall_on_the_subdivision(self, seed, same_edge):
+        """Random multigraphs and random pairs of vertices and interior
+        points, on one edge when same_edge: the distance either way equals
+        the shortest path over the segments of the graph cut at both."""
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        if same_edge:
+            e = rng.choice(g.edges)
+            p, q = (g.point(edge=e.id, offset=e.length * Fraction(rng.randint(1, 7), 8))
+                    for _ in range(2))
+        else:
+            p, q = random_point(rng, g), random_point(rng, g)
+        sub = graphs.Subdivision(g, [p, q])
+        n = len(sub.nodes)
+        dist = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+        for a, b, length, _, _ in sub.segments:
+            if dist[a][b] is None or length < dist[a][b]:
+                dist[a][b] = dist[b][a] = length
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if dist[i][k] is not None and dist[k][j] is not None and (
+                            dist[i][j] is None or dist[i][k] + dist[k][j] < dist[i][j]):
+                        dist[i][j] = dist[i][k] + dist[k][j]
+        expected = dist[sub.index[p]][sub.index[q]]
+        assert mg_distance(g, p, q) == mg_distance(g, q, p) == expected
+
     def test_resistance_definitions_agree(self, c6):
         g = c6.need_graph()
         v1, v3 = g.vertex_point("v1"), g.vertex_point("v3")

@@ -283,6 +283,50 @@ class TestErrorHandling:
                                  "--system", "missing", "--divisor", "D0")
         assert code == 2
 
+    @pytest.mark.parametrize("action", [["norm"], ["project", "--generators", "rect"]])
+    @pytest.mark.parametrize("point", ["[1,2,3,4,5]", "[1]", "[]"])
+    def test_inline_points_of_another_dimension_are_located(self, capsys, action, point):
+        code = main(["tp", action[0], "--space", TP3, *action[1:], "--point", point])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error",
+            "location": "--point",
+            "message": "point dimension does not match the ground set",
+        })
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["witness", "--system", "triangle_mid", "--degree", "x"], "not a rational: 'x'"),
+        (["witness", "--system", "triangle_mid", "--degree", "1.5x"], "not a rational: '1.5x'"),
+        (["witness", "--system", "triangle_mid", "--degree", "0"],
+         "the witness degree must be a positive integer"),
+        (["witness", "--system", "triangle_mid", "--degree", "3/2"],
+         "the witness degree must be a positive integer"),
+        (["redmap", "--system", "triangle_mid", "--samples", "x"], "not a rational: 'x'"),
+        (["redmap", "--system", "triangle_mid", "--samples", "1/2"],
+         "--samples must be an integer"),
+        (["redmap", "--system", "triangle_mid", "--samples", "-1"],
+         "--samples must be nonnegative"),
+    ])
+    def test_malformed_degrees_and_sample_counts_are_located(self, capsys, argv, message):
+        flag = argv[-2]
+        code = main(["tree", argv[0], "--graph", C6, *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({"code": "input-error", "location": flag,
+                                       "message": message})
+        assert err == ""
+
+    def test_integral_degrees_and_sample_counts_are_read_as_rationals(self, capsys):
+        code, payload = run_json(capsys, "tree", "witness", "--graph", C6,
+                                 "--system", "triangle_mid", "--degree", "6/2")
+        assert (code, payload["stably_gonal"]) == (0, 3)
+        code, payload = run_json(capsys, "tree", "redmap", "--graph", C6,
+                                 "--system", "triangle_mid", "--samples", "2/2")
+        g = load_workspace(C6).need_graph()
+        assert (code, len(payload["samples"])) == (0, len(g.vertices) + len(g.edges))
+
 
 class TestRationalParsing:
     """The library entry points parse outside values like workspace files."""
