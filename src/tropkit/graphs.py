@@ -59,46 +59,52 @@ class GraphPoint(NamedTuple):
 
 
 class MetricGraph:
-    """Validated compact connected metric graph."""
+    """Validated compact connected metric graph. The solvers read vertices
+    and edges, each loop split at its midpoint; given holds the vertices and
+    edges as given, loops whole (for a graph with no loop, the same two
+    tuples), and validation, loop offsets and serialization read it."""
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge],
-                 loop_aliases: dict | None = None):
+                 given: tuple[tuple[str, ...], tuple[Edge, ...]] | None = None):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        # original loop edge id -> (first half id, second half id, half length)
-        self.loop_aliases: dict[str, tuple[str, str, Fraction]] = loop_aliases or {}
+        self.given = given or (self.vertices, self.edges)
         self.edge_map: dict[str, Edge] = {e.id: e for e in self.edges}
         self.vertex_set: frozenset[str] = frozenset(self.vertices)
         self._validate()
+        # given loop edge id -> (first half id, second half id, half length)
+        self.loop_aliases: dict[str, tuple[str, str, Fraction]] = {
+            e.id: (f"{e.id}:a", f"{e.id}:b", e.length / 2)
+            for e in self.given[1] if e.tail == e.head}
         self.total_length: Fraction = sum((e.length for e in self.edges), Fraction(0))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def of(cls, vertices: Iterable[str], edges: Iterable) -> "MetricGraph":
-        """Build from (id, tail, head, length) tuples, splitting loops."""
-        verts = [str(v) for v in vertices]
-        out: list[Edge] = []
-        aliases: dict[str, tuple[str, str, Fraction]] = {}
-        for entry in edges:
-            eid, tail, head, length = entry
-            length = as_fraction(length)
-            if length <= 0:
-                raise InputError(f"edge {eid!r} must have positive length")
-            if tail == head:
-                mid = f"{eid}:mid"
-                if mid in verts:
-                    raise InputError(f"vertex name {mid!r} collides with loop split")
-                verts.append(mid)
-                half = length / 2
-                out.append(Edge(f"{eid}:a", tail, mid, half))
-                out.append(Edge(f"{eid}:b", mid, head, half))
-                aliases[str(eid)] = (f"{eid}:a", f"{eid}:b", half)
-            else:
-                out.append(Edge(str(eid), str(tail), str(head), length))
-        return cls(verts, out, aliases)
+        """Build from vertex names and (id, tail, head, length) tuples, whose
+        ids and ends are read as str; each loop is split into halves id:a
+        and id:b at a new vertex id:mid, and the record keeps it whole."""
+        names = tuple(str(v) for v in vertices)
+        given = tuple(Edge(str(eid), str(tail), str(head), as_fraction(length))
+                      for eid, tail, head, length in edges)
+        verts, split = list(names), []
+        for e in given:
+            if e.tail != e.head:
+                split.append(e)
+                continue
+            mid = f"{e.id}:mid"
+            if mid in verts:
+                raise InputError(f"vertex name {mid!r} collides with loop split")
+            verts.append(mid)
+            split += [Edge(f"{e.id}:a", e.tail, mid, e.length / 2),
+                      Edge(f"{e.id}:b", mid, e.head, e.length / 2)]
+        return cls(verts, split, (names, given) if len(split) > len(given) else None)
 
     def _validate(self) -> None:
+        for e in self.given[1]:  # a bad length is reported before any other fault
+            if e.length <= 0:
+                raise InputError(f"edge {e.id!r} must have positive length")
         if not self.vertices:
             raise InputError("graph needs at least one vertex")
         if len(self.vertex_set) != len(self.vertices):
@@ -107,13 +113,12 @@ class MetricGraph:
             raise InputError("edge ids must be distinct")
         if not self.edges:
             raise InputError("graph needs at least one edge")
-        for e in self.edges:
+        for e in self.given[1]:
             if e.tail not in self.vertex_set or e.head not in self.vertex_set:
                 raise InputError(f"edge {e.id!r} references an unknown vertex")
+        for e in self.edges:
             if e.tail == e.head:
                 raise InputError(f"edge {e.id!r} is a loop after normalization")
-            if e.length <= 0:
-                raise InputError(f"edge {e.id!r} must have positive length")
         adj = self._adjacency()
         if _reachable(self.vertices[0], lambda v: (w for w, _ in adj[v])) != self.vertex_set:
             raise InputError("graph must be connected")
@@ -151,7 +156,8 @@ class MetricGraph:
 
     def point(self, vertex: str | None = None, edge: str | None = None,
               offset=None) -> GraphPoint:
-        """Build a normalized point (endpoint offsets collapse to vertices)."""
+        """Build a normalized point (endpoint offsets collapse to vertices).
+        A loop's offset runs over the whole loop and lands on one half."""
         if vertex is not None:
             if vertex not in self.vertex_set:
                 raise InputError(f"unknown vertex {vertex!r}")
@@ -159,22 +165,20 @@ class MetricGraph:
         if edge is None or offset is None:
             raise InputError("a point needs a vertex, or an edge and an offset")
         offset = as_fraction(offset)
-        if edge in self.loop_aliases:
-            a, b, half = self.loop_aliases[edge]
-            if offset <= half:
-                edge = a
-            else:
-                edge, offset = b, offset - half
-        e = self.edge_map.get(edge)
+        first, second, _ = self.loop_aliases.get(edge, (edge, None, None))
+        e = self.edge_map.get(first)
         if e is None:
             raise InputError(f"unknown edge {edge!r}")
-        if not (0 <= offset <= e.length):
-            raise InputError(f"offset {offset} outside [0, {e.length}] on edge {edge!r}")
+        length = e.length if second is None else 2 * e.length
+        if not (0 <= offset <= length):
+            raise InputError(f"offset {offset} outside [0, {length}] on edge {edge!r}")
+        if offset > e.length:  # on a loop's second half
+            e, offset = self.edge_map[second], offset - e.length
         if offset == 0:
             return GraphPoint(vertex=e.tail)
         if offset == e.length:
             return GraphPoint(vertex=e.head)
-        return GraphPoint(edge=edge, offset=offset)
+        return GraphPoint(edge=e.id, offset=offset)
 
     def vertex_point(self, name: str) -> GraphPoint:
         return self.point(vertex=name)
@@ -191,7 +195,8 @@ class MetricGraph:
         e = self.edge_map.get(point.edge)
         if e is None:
             raise InputError(f"unknown edge {point.edge!r}", location)
-        if not (isinstance(point.offset, (int, Fraction)) and 0 < point.offset < e.length):
+        if isinstance(point.offset, bool) or not (
+                isinstance(point.offset, (int, Fraction)) and 0 < point.offset < e.length):
             raise InputError(f"offset {point.offset} is not inside (0, {e.length}) "
                              f"on edge {e.id!r}", location)
 

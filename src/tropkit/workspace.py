@@ -310,9 +310,9 @@ def to_jsonable(obj):
     """Canonical JSON-ready form of library values.
 
     Rationals become canonical strings, points and divisors their file
-    encodings, sets and maps sorted containers, and records (the tree
-    layer's ``NamedTuple``s) maps of their ``_fields`` in field order. Used
-    both by the workspace serializer and by command-line reports.
+    encodings, sets and maps sorted containers, and records (graph edges
+    and the tree layer's ``NamedTuple``s) maps of their ``_fields`` in field
+    order. Used both by the workspace serializer and by command-line reports.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -354,34 +354,11 @@ def to_jsonable(obj):
     return str(obj)
 
 
-def _original_graph_shape(graph: MetricGraph):
-    """Vertex and edge lists as they stood before loop splitting."""
-    first_half = {a: (orig, b) for orig, (a, b, _) in
-                  graph.loop_aliases.items()}
-    second_half = {b for _, (_, b, _) in graph.loop_aliases.items()}
-    midpoints = {graph.edge_map[a].head
-                 for a, _, _ in graph.loop_aliases.values()}
-    vertices = [v for v in graph.vertices if v not in midpoints]
-    edges = []
-    for e in graph.edges:
-        if e.id in first_half:
-            orig, b_id = first_half[e.id]
-            other = graph.edge_map[b_id]
-            edges.append({"id": orig, "tail": e.tail, "head": other.head,
-                          "length": rational_str(e.length + other.length)})
-        elif e.id not in second_half:
-            edges.append({"id": e.id, "tail": e.tail, "head": e.head,
-                          "length": rational_str(e.length)})
-    return vertices, edges
-
-
 def serialize_workspace(ws: Workspace) -> dict:
     """Canonical file form of a workspace."""
     out: dict = {"schema_version": SCHEMA_VERSION}
     if ws.graph is not None:
-        vertices, edges = _original_graph_shape(ws.graph)
-        out["vertices"] = vertices
-        out["edges"] = edges
+        out["vertices"], out["edges"] = to_jsonable(ws.graph.given)
         out["divisors"] = {name: to_jsonable(d)
                            for name, d in sorted(ws.divisors.items())}
         out["systems"] = {name: list(members)

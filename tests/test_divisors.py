@@ -586,3 +586,34 @@ class TestTropicalProjection:
 
         check()
         assert seen == {True, False}
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_projection_minimizes_its_pseudonorm(self, seed):
+        """The paper's definition of the projection of e: the member m of
+        the system with the least dv_b1(m, e), and the only one. dv_b1
+        solves each potential afresh, sharing no cache with ls_project.
+        The members sampled are the generators, the points at 1/4, 1/2 and
+        3/4 of rho along each pair of them, and the projections of three
+        deg·(q) targets; the projection is also its own projection."""
+        rng = random.Random(seed)
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        deg = g.genus + 1
+        D = Divisor.of(g, [(random_point(rng, g), 1) for _ in range(deg)])
+        gens = list(dict.fromkeys(
+            dv_dhar(g, D, random_point(rng, g)) for _ in range(rng.randint(2, 4))))
+        T = LinearSystem(g, gens)
+        e = Divisor.of(g, [(random_point(rng, g), 1) for _ in range(deg)])
+        projection = ls_project(T, e)[0]
+        assert ls_project(T, projection)[0] == projection
+        members = list(gens)
+        for i, a in enumerate(gens):
+            for b in gens[i + 1:]:
+                rho = dv_rho(g, a, b)
+                members += [dv_path(g, a, b, rho * Fraction(k, 4)) for k in (1, 2, 3)]
+        members += [ls_project(T, Divisor.of(g, [(random_point(rng, g), deg)]))[0]
+                    for _ in range(3)]
+        least = dv_b1(g, projection, e)
+        for m in dict.fromkeys(members):
+            assert ls_member(T, m)[0]
+            if m != projection:
+                assert least < dv_b1(g, m, e)

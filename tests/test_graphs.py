@@ -66,6 +66,40 @@ class TestGraphConstruction:
         assert report["genus"] == 1
         assert report["total_length"] == 3
 
+    def test_loop_offsets_run_over_the_whole_loop(self):
+        g = MetricGraph.of(["a", "b"], [("e", "a", "b", 1), ("L", "a", "a", 2)])
+        assert [g.point(edge="L", offset=t) for t in (0, "1/2", 1, "3/2", 2)] == [
+            GraphPoint(vertex="a"), GraphPoint(edge="L:a", offset=Fraction(1, 2)),
+            GraphPoint(vertex="L:mid"), GraphPoint(edge="L:b", offset=Fraction(1, 2)),
+            GraphPoint(vertex="a")]
+
+    @pytest.mark.parametrize("offset", [3, "5/2", -1, "-1/2"])
+    def test_loop_offsets_past_the_loop_name_it_as_given(self, offset):
+        g = MetricGraph.of(["a", "b"], [("e", "a", "b", 1), ("L", "a", "a", 2)])
+        with pytest.raises(InputError) as err:
+            g.point(edge="L", offset=offset)
+        assert str(err.value) == f"offset {offset} outside [0, 2] on edge 'L'"
+
+    @pytest.mark.parametrize("loop, message", [
+        (("L", "x", "x", 2), "edge 'L' references an unknown vertex"),
+        (("L", "a", "a", 0), "edge 'L' must have positive length"),
+        (("L", "a", "a", -2), "edge 'L' must have positive length"),
+    ])
+    def test_invalid_loops_are_named_as_given(self, loop, message):
+        with pytest.raises(InputError) as err:
+            MetricGraph.of(["a", "b"], [("e", "a", "b", 1), loop])
+        assert str(err.value) == message
+
+    def test_boolean_offsets_are_not_inside_an_edge(self):
+        g = MetricGraph.of(["a", "b"], [("e", "a", "b", 2)])
+        for offset in (True, False):
+            with pytest.raises(InputError) as err:
+                g.check_point(GraphPoint(edge="e", offset=offset), "q")
+            assert (str(err.value), err.value.location) == \
+                (f"offset {offset} is not inside (0, 2) on edge 'e'", "q")
+        with pytest.raises(InputError):
+            mg_distance(g, GraphPoint(edge="e", offset=True), g.vertex_point("a"))
+
     def test_offset_normalization(self, c6):
         g = c6.need_graph()
         assert g.point(edge="e1", offset=0).vertex == "v1"

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tropkit import (
     CertificateError,
@@ -14,20 +17,26 @@ from tropkit import (
     InputError,
     MetricGraph,
     TropPoint,
+    Workspace,
     as_fraction,
     dumps_canonical,
     load_workspace,
     parse_workspace,
+    rational_str,
     serialize_workspace,
 )
 from tropkit import cli
 from tropkit.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_graph
 
 C6 = str(FIXTURES / "c6.json")
 BANANA = str(FIXTURES / "banana.json")
 TP3 = str(FIXTURES / "tp3.json")
+LOOP = {"schema_version": 1, "vertices": ["a", "b"],
+        "edges": [{"id": "e", "tail": "a", "head": "b", "length": 1},
+                  {"id": "L", "tail": "a", "head": "a", "length": 2}],
+        "divisors": {"D": [[{"vertex": "a"}, 1]]}}
 
 
 def run(capsys, *argv):
@@ -65,6 +74,25 @@ class TestRoundTrip:
         ]
         again = serialize_workspace(parse_workspace(first, "round-trip"))
         assert dumps_canonical(first) == dumps_canonical(again)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_graphs_serialize_their_record(self, seed):
+        """random_graph draws loops; the file holds the graph's record of
+        its vertices and edges as given, loops whole, the record rebuilds
+        the graph, and serialize -> parse -> serialize keeps every byte."""
+        g = random_graph(random.Random(seed))
+        ws = Workspace()
+        ws.graph = g
+        first = serialize_workspace(ws)
+        vertices, edges = g.given
+        assert first["vertices"] == list(vertices)
+        assert first["edges"] == [{"id": e.id, "tail": e.tail, "head": e.head,
+                                   "length": rational_str(e.length)} for e in edges]
+        assert {e.id for e in edges if e.tail == e.head} == set(g.loop_aliases)
+        rebuilt = MetricGraph.of(vertices, edges)
+        assert (rebuilt.vertices, rebuilt.edges) == (g.vertices, g.edges)
+        again = serialize_workspace(parse_workspace(first, "round-trip"))
+        assert dumps_canonical(again) == dumps_canonical(first)
 
     def test_canonical_rationals_survive(self, banana):
         data = serialize_workspace(banana)
@@ -223,6 +251,35 @@ class TestErrorHandling:
                             "--samples", "9", "--format", fmt)
             assert code == 2
             assert json.loads(out)["location"] == "output"
+
+    @pytest.mark.parametrize("offset", ["3", "5/2", "-1"])
+    def test_loop_offsets_past_the_loop_name_it_as_given(self, tmp_path, capsys, offset):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP))
+        code = main(["div", "reduce", "--graph", str(path), "--divisor", "D",
+                     "--at", json.dumps({"edge": "L", "offset": offset})])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error",
+            "location": "--at",
+            "message": f"offset {offset} outside [0, 2] on edge 'L'",
+        })
+        assert err == ""
+
+    def test_a_loop_on_an_unknown_vertex_is_named_as_given(self, tmp_path, capsys):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({**LOOP, "divisors": {}, "edges": [
+            *LOOP["edges"][:1], {"id": "L", "tail": "x", "head": "x", "length": 2}]}))
+        code = main(["graph", "validate", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error",
+            "location": str(path),
+            "message": "edge 'L' references an unknown vertex",
+        })
+        assert err == ""
 
     def test_missing_schema_version(self, tmp_path, capsys):
         bad = tmp_path / "nover.json"
