@@ -445,6 +445,14 @@ def main(argv: list[str] | None = None) -> int:
         ws = load_workspace(getattr(args, args.workspace))
         code, payload = args.handler(ws, args)
         text = payload if isinstance(payload, str) else dumps_canonical(payload)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out}: {exc.strerror}", "--out") from None
+        else:
+            sys.stdout.write(text)
     except InputError as exc:
         sys.stdout.write(dumps_canonical({
             "code": "input-error", "message": str(exc),
@@ -455,11 +463,6 @@ def main(argv: list[str] | None = None) -> int:
             "code": "certificate-failure", "message": str(exc),
             "detail": exc.detail}))
         return 3
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import _LAZY
 from .errors import CertificateError, InputError
@@ -59,23 +59,28 @@ class GraphPoint(NamedTuple):
 
 
 class MetricGraph:
-    """Validated compact connected metric graph. The solvers read vertices
-    and edges, each loop split at its midpoint; given holds the vertices and
-    edges as given, loops whole (for a graph with no loop, the same two
-    tuples), and validation, loop offsets and serialization read it."""
+    """Validated compact connected metric graph. given holds the vertices and
+    edges as given, loops whole, and validation, loop offsets and serialization
+    read it. The solvers read vertices and edges, derived from it with each loop
+    split at its midpoint (for a graph with no loop, the same two tuples)."""
 
-    def __init__(self, vertices: Sequence[str], edges: Sequence[Edge],
-                 given: tuple[tuple[str, ...], tuple[Edge, ...]] | None = None):
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self.given = given or (self.vertices, self.edges)
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
+        self.given: tuple[tuple[str, ...], tuple[Edge, ...]] = (tuple(vertices), tuple(edges))
+        self._validate()
+        verts, split = list(self.given[0]), []
+        # given loop edge id -> (first half id, second half id, half length)
+        self.loop_aliases: dict[str, tuple[str, str, Fraction]] = {}
+        for e in self.given[1]:
+            if e.tail != e.head:
+                split.append(e)
+                continue
+            mid, half = f"{e.id}:mid", e.length / 2
+            self.loop_aliases[e.id] = (f"{e.id}:a", f"{e.id}:b", half)
+            verts.append(mid)
+            split += [Edge(f"{e.id}:a", e.tail, mid, half), Edge(f"{e.id}:b", mid, e.head, half)]
+        self.vertices, self.edges = (tuple(verts), tuple(split)) if self.loop_aliases else self.given
         self.edge_map: dict[str, Edge] = {e.id: e for e in self.edges}
         self.vertex_set: frozenset[str] = frozenset(self.vertices)
-        self._validate()
-        # given loop edge id -> (first half id, second half id, half length)
-        self.loop_aliases: dict[str, tuple[str, str, Fraction]] = {
-            e.id: (f"{e.id}:a", f"{e.id}:b", e.length / 2)
-            for e in self.given[1] if e.tail == e.head}
         self.total_length: Fraction = sum((e.length for e in self.edges), Fraction(0))
 
     # -- construction ------------------------------------------------------
@@ -83,53 +88,38 @@ class MetricGraph:
     @classmethod
     def of(cls, vertices: Iterable[str], edges: Iterable) -> "MetricGraph":
         """Build from vertex names and (id, tail, head, length) tuples, whose
-        ids and ends are read as str; each loop is split into halves id:a
-        and id:b at a new vertex id:mid, and the record keeps it whole."""
-        names = tuple(str(v) for v in vertices)
-        given = tuple(Edge(str(eid), str(tail), str(head), as_fraction(length))
-                      for eid, tail, head, length in edges)
-        verts, split = list(names), []
-        for e in given:
-            if e.tail != e.head:
-                split.append(e)
-                continue
-            mid = f"{e.id}:mid"
-            if mid in verts:
-                raise InputError(f"vertex name {mid!r} collides with loop split")
-            verts.append(mid)
-            split += [Edge(f"{e.id}:a", e.tail, mid, e.length / 2),
-                      Edge(f"{e.id}:b", mid, e.head, e.length / 2)]
-        return cls(verts, split, (names, given) if len(split) > len(given) else None)
+        ids and ends are read as str and lengths as rationals."""
+        return cls((str(v) for v in vertices),
+                   [Edge(str(eid), str(tail), str(head), as_fraction(length))
+                    for eid, tail, head, length in edges])
 
     def _validate(self) -> None:
-        for e in self.given[1]:  # a bad length is reported before any other fault
+        """Check the record and the names its split adds: no given vertex is a
+        loop's id:mid, and the given ids and every id:a and id:b are distinct."""
+        vertices, edges = self.given
+        for e in edges:  # a bad length is reported before any other fault
             if e.length <= 0:
                 raise InputError(f"edge {e.id!r} must have positive length")
-        if not self.vertices:
+        names = set(vertices)
+        if not vertices:
             raise InputError("graph needs at least one vertex")
-        if len(self.vertex_set) != len(self.vertices):
+        if len(names) != len(vertices):
             raise InputError("vertex names must be distinct")
-        if len(self.edge_map) != len(self.edges):
+        loops = [e.id for e in edges if e.tail == e.head]
+        for mid in (f"{eid}:mid" for eid in loops):
+            if mid in names:
+                raise InputError(f"vertex name {mid!r} collides with loop split")
+        ids = [e.id for e in edges] + [f"{eid}:{half}" for eid in loops for half in "ab"]
+        if len(set(ids)) != len(ids):
             raise InputError("edge ids must be distinct")
-        if not self.edges:
+        if not edges:
             raise InputError("graph needs at least one edge")
-        for e in self.given[1]:
-            if e.tail not in self.vertex_set or e.head not in self.vertex_set:
+        for e in edges:
+            if e.tail not in names or e.head not in names:
                 raise InputError(f"edge {e.id!r} references an unknown vertex")
-        for e in self.edges:
-            if e.tail == e.head:
-                raise InputError(f"edge {e.id!r} is a loop after normalization")
-        adj = self._adjacency()
-        if _reachable(self.vertices[0], lambda v: (w for w, _ in adj[v])) != self.vertex_set:
+        adj = _adjacency(vertices, edges)
+        if _reachable(vertices[0], lambda v: (w for w, _ in adj[v])) != names:
             raise InputError("graph must be connected")
-
-    def _adjacency(self) -> dict[str, list[tuple[str, Fraction]]]:
-        """{vertex: [(neighbour, edge length), ...]}, built on each call."""
-        adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append((e.head, e.length))
-            adj[e.head].append((e.tail, e.length))
-        return adj
 
     @property
     def genus(self) -> int:
@@ -141,7 +131,7 @@ class MetricGraph:
         vertex Laplacian, the grounded first vertex at -1; one per graph."""
         ground = self.vertices[0]
         adj = {v: {w for w, _ in nbrs if w != ground}
-               for v, nbrs in self._adjacency().items() if v != ground}
+               for v, nbrs in _adjacency(self.vertices, self.edges).items() if v != ground}
         pos = {ground: -1}
         while adj:
             v = min(adj, key=lambda u: len(adj[u]))
@@ -159,8 +149,7 @@ class MetricGraph:
         """Build a normalized point (endpoint offsets collapse to vertices).
         A loop's offset runs over the whole loop and lands on one half."""
         if vertex is not None:
-            if vertex not in self.vertex_set:
-                raise InputError(f"unknown vertex {vertex!r}")
+            self.check_point(GraphPoint(vertex, edge, offset), "")
             return GraphPoint(vertex=vertex)
         if edge is None or offset is None:
             raise InputError("a point needs a vertex, or an edge and an offset")
@@ -189,6 +178,9 @@ class MetricGraph:
         if not isinstance(point, GraphPoint):
             raise InputError("expected a graph point", location)
         if point.is_vertex:
+            if point.edge is not None or point.offset is not None:
+                raise InputError("a point is either a vertex or an edge position, "
+                                 "not both", location)
             if point.vertex not in self.vertex_set:
                 raise InputError(f"unknown vertex {point.vertex!r}", location)
             return
@@ -329,6 +321,7 @@ class PLFunction:
                                      for e in graph.edges}, do, 1, dv)
 
     def eval(self, point: GraphPoint) -> Fraction:
+        self.graph.check_point(point, "point")
         if point.is_vertex:
             return self.vertex_values[point.vertex]
         offs, vals, ss = self._pieces[point.edge]
@@ -1090,7 +1083,7 @@ def mg_distance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
 def _dijkstra(graph: MetricGraph, sources: list[tuple[str, Fraction]]) -> dict[str, Fraction]:
     """Distance to each vertex from the nearest (vertex, start distance)
     source, by a lazy-deletion heap of (distance, vertex): a tie compares names."""
-    adj = graph._adjacency()
+    adj = _adjacency(graph.vertices, graph.edges)
     heap = [(d, v) for v, d in sources]
     heapq.heapify(heap)
     final: dict[str, Fraction] = {}
@@ -1103,6 +1096,15 @@ def _dijkstra(graph: MetricGraph, sources: list[tuple[str, Fraction]]) -> dict[s
             if w not in final:
                 heapq.heappush(heap, (d + ln, w))
     return final
+
+
+def _adjacency(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, list[tuple[str, Fraction]]]:
+    """{vertex: [(neighbour, edge length), ...]}, built on each call."""
+    adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in vertices}
+    for e in edges:
+        adj[e.tail].append((e.head, e.length))
+        adj[e.head].append((e.tail, e.length))
+    return adj
 
 
 def _reachable(start, step) -> set:

@@ -225,8 +225,8 @@ def tp_pseudonorm(point: TropPoint, p, mode: str = "lower",
 
     lower: p-norm of the minimum-zero representative;
     upper: p-norm of (representative minus its maximum), i.e. of the
-    distance down from the top. p is 1, 2, or the string 'inf'. The p=2
-    value is a float and is informational only; everything else is exact.
+    distance down from the top. p is 1, 2 or 'inf' (or math.inf; no bool or
+    other float). The p=2 value is a float, informational only; the rest is exact.
     A p=2 value past the float range, or one that rounds to 0 for a
     nonzero class, is an InputError at "output".
     """
@@ -235,8 +235,8 @@ def tp_pseudonorm(point: TropPoint, p, mode: str = "lower",
     if space.size != point.dim:
         raise InputError("space size does not match point dimension")
     vec = point.coords if _sign(mode) > 0 else tuple(-v for v in point.max_normalized())
-    if p == "inf" or p == math.inf:
-        return max(vec)
+    if isinstance(p, bool) or p not in ((math.inf,) if isinstance(p, float) else (1, 2, "inf")):
+        raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")
     if p == 1:
         return sum((w * v for w, v in zip(space.weights, vec)), Fraction(0))
     if p == 2:
@@ -247,7 +247,7 @@ def tp_pseudonorm(point: TropPoint, p, mode: str = "lower",
         if value == math.inf or value == 0 and any(vec):
             raise InputError("the p=2 pseudonorm is past the float range", "output")
         return value
-    raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")
+    return max(vec)
 
 
 def tp_argext(point: TropPoint, which: str = "min") -> frozenset:

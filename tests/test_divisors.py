@@ -149,6 +149,7 @@ class TestEquivalenceAndSegments:
             assert ok
 
 
+@pytest.mark.thorough
 class TestDharReduction:
     def test_reference_trace(self, c6):
         g = c6.need_graph()
@@ -429,6 +430,7 @@ class TestLinearSystems:
             LinearSystem(g, [])
 
 
+@pytest.mark.thorough
 class TestRandomExtremals:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_one_pass_matches_the_greedy_loop(self, seed):
@@ -587,6 +589,7 @@ class TestTropicalProjection:
         check()
         assert seen == {True, False}
 
+    @pytest.mark.thorough
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_the_projection_minimizes_its_pseudonorm(self, seed):
         """The paper's definition of the projection of e: the member m of

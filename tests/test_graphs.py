@@ -90,6 +90,28 @@ class TestGraphConstruction:
             MetricGraph.of(["a", "b"], [("e", "a", "b", 1), loop])
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (["a", "b"], [("L", "a", "b", 1), ("L", "a", "a", 2)], "edge ids must be distinct"),
+        (["a", "b"], [("e", "a", "b", 1), ("L", "a", "a", 2), ("f", "b", "L:mid", 1)],
+         "edge 'f' references an unknown vertex"),
+        (["a", "b"], [("e", "a", "b", 1), ("L", "a", "a", 2), ("L", "b", "b", 1)],
+         "edge ids must be distinct"),
+        (["a", "L:mid"], [("e", "a", "L:mid", 0), ("L", "a", "a", 2)],
+         "edge 'e' must have positive length"),
+    ], ids=["loop beside an edge of its id", "end at an undeclared midpoint",
+            "two loops of one id", "bad length before a midpoint clash"])
+    def test_the_record_is_checked_before_the_split(self, vertices, edges, message):
+        with pytest.raises(InputError) as err:
+            MetricGraph.of(vertices, edges)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("edge, offset", [("e", 1), ("e", None), (None, 1)])
+    def test_a_point_is_a_vertex_or_an_edge_position(self, edge, offset):
+        g = MetricGraph.of(["a", "b"], [("e", "a", "b", 2)])
+        with pytest.raises(InputError) as err:
+            g.point(vertex="a", edge=edge, offset=offset)
+        assert str(err.value) == "a point is either a vertex or an edge position, not both"
+
     def test_boolean_offsets_are_not_inside_an_edge(self):
         g = MetricGraph.of(["a", "b"], [("e", "a", "b", 2)])
         for offset in (True, False):
@@ -125,6 +147,45 @@ class TestGraphConstruction:
             assert g.genus >= 0
 
 
+@pytest.mark.thorough
+class TestRandomRecords:
+    """The constructor takes the record as given, loops whole, and derives
+    the loopless model the solvers read; a clash added to a record is refused."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_constructor_splits_the_record(self, seed):
+        g = random_graph(random.Random(seed))
+        vertices, edges = g.given
+        rebuilt = MetricGraph(vertices, edges)
+        assert (rebuilt.given, rebuilt.vertices, rebuilt.edges, rebuilt.loop_aliases) == \
+            (g.given, g.vertices, g.edges, g.loop_aliases)
+        assert g.vertices == vertices + tuple(f"{eid}:mid" for eid in g.loop_aliases)
+        assert all(e.tail != e.head for e in g.edges)
+        assert len(g.edge_map) == len(g.edges) == len(edges) + len(g.loop_aliases)
+        assert g.total_length == sum(e.length for e in edges)
+        model = MetricGraph(g.vertices, g.edges)  # loopless: its own record
+        assert model.given[0] is model.vertices and model.given[1] is model.edges
+        assert (model.vertices, model.edges, model.loop_aliases) == (g.vertices, g.edges, {})
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), clash=st.sampled_from(["id", "end", "mid"]))
+    def test_clashes_added_to_a_record_are_refused(self, seed, clash):
+        rng = random.Random(seed)
+        vertices, edges = random_graph(rng).given
+        v, one = rng.choice(vertices), Fraction(1)
+        vertices, edges, message = {
+            "id": (vertices, edges + (graphs.Edge(rng.choice(edges).id, v, v, one),),
+                   "edge ids must be distinct"),
+            "end": (vertices, edges + (graphs.Edge("L", v, v, one), graphs.Edge("f", v, "L:mid", one)),
+                    "edge 'f' references an unknown vertex"),
+            "mid": (vertices + ("L:mid",),
+                    edges + (graphs.Edge("L", v, v, one), graphs.Edge("f", v, "L:mid", one)),
+                    "vertex name 'L:mid' collides with loop split"),
+        }[clash]
+        with pytest.raises(InputError) as err:
+            MetricGraph(vertices, edges)
+        assert str(err.value) == message
+
+
 class TestDistances:
     def test_c6_distances(self, c6):
         g = c6.need_graph()
@@ -135,6 +196,7 @@ class TestDistances:
         b = g.point(edge="e1", offset=Fraction(3, 4))
         assert mg_distance(g, a, b) == Fraction(1, 2)
 
+    @pytest.mark.thorough
     @given(seed=st.integers(0, 2 ** 32 - 1), same_edge=st.booleans())
     def test_matches_floyd_warshall_on_the_subdivision(self, seed, same_edge):
         """Random multigraphs and random pairs of vertices and interior
@@ -440,7 +502,10 @@ class TestPointsOffTheGraph:
         (GraphPoint(edge="x", offset=Fraction(1, 2)), "unknown edge 'x'"),
         (GraphPoint(vertex="z"), "unknown vertex 'z'"),
         ("a", "expected a graph point"),
-    ], ids=["before", "at the end", "unknown edge", "unknown vertex", "not a point"])
+        (GraphPoint("a", "e", Fraction(1, 2)),
+         "a point is either a vertex or an edge position, not both"),
+    ], ids=["before", "at the end", "unknown edge", "unknown vertex", "not a point",
+            "vertex and edge"])
     @pytest.mark.parametrize("call, location", [
         (lambda g, p, a: mg_resistance(g, p, a), "p"),
         (lambda g, p, a: mg_resistance(g, a, p), "q"),
@@ -464,10 +529,11 @@ class TestPointsOffTheGraph:
          "e"),
         (lambda g, p, a: ls_project(LinearSystem(g, [Divisor(g, {a: 1})]), Divisor(g, {p: 1})),
          "e"),
+        (lambda g, p, a: PLFunction.constant(g, 0).eval(p), "point"),
     ], ids=["resistance p", "resistance q", "jfunction q", "distance q", "dhar trace q",
             "dhar certificate q", "dhar divisor", "reduced q", "Divisor.of", "potential from",
             "potential to", "equivalence", "rho", "path", "b1 d", "b1 e", "system generator",
-            "member target", "project target"])
+            "member target", "project target", "eval point"])
     def test_rejected_at_its_location(self, call, location, point, message):
         with pytest.raises(InputError) as exc:
             call(self.G, point, self.A)
@@ -523,6 +589,7 @@ def _boundary(f):
 _CHAIN = ("add", "sub", "neg", "add_const", "minus_min", "clip_max", "min_with")
 
 
+@pytest.mark.thorough
 class TestIntegerKernel:
     """The integer kernel against the Fraction kernel it replaced
     (tests/pl_oracle.py): the same breakpoints, slopes, values, integrals,
@@ -863,6 +930,7 @@ def _assert_same_closed_set(g, s, o):
         assert s.contains(p) == o.contains(p)
 
 
+@pytest.mark.thorough
 class TestIntegerClosedSets:
     """Closed subsets on int intervals over one denominator per set against
     the Fraction closed sets they replaced (tests/closed_oracle.py)."""

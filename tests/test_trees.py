@@ -311,6 +311,7 @@ class TestWitnessVerification:
             tt_verify_witness(banana.system("witness4"), "1/2")
 
 
+@pytest.mark.thorough
 class TestRandomCovers:
     """A harmonic morphism planted by conftest.random_cover is found again:
     the pullback of its tree is a dominant tropical tree whose

@@ -147,6 +147,16 @@ class TestNormsAndPseudonorms:
         assert tp_pseudonorm(a, 1, "upper", space) == Fraction(7, 3)
         assert tp_pseudonorm(a, "inf", "lower", space) == 4
 
+    @pytest.mark.parametrize("p", [True, 1.0, 2.0])
+    def test_bool_and_float_p_are_refused(self, p):
+        """True passed as the 1-pseudonorm and 2.0 as the float p=2 value;
+        math.inf, the one float that names a p, still passes."""
+        a = TropPoint.of((-1, 3, 0))
+        with pytest.raises(InputError) as err:
+            tp_pseudonorm(a, p)
+        assert str(err.value) == f"p must be 1, 2 or 'inf', got {p!r}"
+        assert tp_pseudonorm(a, math.inf) == 4
+
     @given(point_family(1), st.lists(st.integers(1, 5), min_size=4, max_size=4))
     def test_upper_equals_lower_of_negation(self, fam, wseed):
         (p,) = fam
@@ -174,6 +184,7 @@ class TestNormsAndPseudonorms:
         assert m1 <= m2 + 1e-9
         assert m2 <= minf + 1e-9
 
+    @pytest.mark.thorough
     @given(st.integers(2, 5).flatmap(lambda dim: st.tuples(
         st.lists(huge_rationals, min_size=dim, max_size=dim),
         st.lists(huge_weights, min_size=dim, max_size=dim))),

@@ -75,6 +75,7 @@ class TestRoundTrip:
         again = serialize_workspace(parse_workspace(first, "round-trip"))
         assert dumps_canonical(first) == dumps_canonical(again)
 
+    @pytest.mark.thorough
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_random_graphs_serialize_their_record(self, seed):
         """random_graph draws loops; the file holds the graph's record of
@@ -280,6 +281,39 @@ class TestErrorHandling:
             "message": "edge 'L' references an unknown vertex",
         })
         assert err == ""
+
+    @pytest.mark.parametrize("edges, message", [
+        ([{"id": "L", "tail": "a", "head": "b", "length": 1},
+          {"id": "L", "tail": "a", "head": "a", "length": 2}], "edge ids must be distinct"),
+        ([*LOOP["edges"], {"id": "f", "tail": "b", "head": "L:mid", "length": 1}],
+         "edge 'f' references an unknown vertex"),
+    ], ids=["loop beside an edge of its id", "end at an undeclared midpoint"])
+    def test_records_the_loop_split_would_hide_are_refused(self, tmp_path, capsys, edges,
+                                                           message):
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({**LOOP, "divisors": {}, "edges": edges}))
+        code = main(["graph", "validate", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error", "location": str(path), "message": message})
+        assert err == ""
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/report.json", "No such file or directory"),
+        ("reports", "Is a directory"),
+    ], ids=["missing parent", "a directory"])
+    def test_unwritable_out_paths_are_input_errors(self, tmp_path, capsys, target, reason):
+        (tmp_path / "reports").mkdir()
+        path = str(tmp_path / target)
+        code = main(["graph", "validate", C6, "--out", path])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({
+            "code": "input-error", "location": "--out",
+            "message": f"cannot write {path}: {reason}"})
+        assert err == ""
+        assert [p.name for p in tmp_path.rglob("*")] == ["reports"]
 
     def test_missing_schema_version(self, tmp_path, capsys):
         bad = tmp_path / "nover.json"
