@@ -99,14 +99,11 @@ def _first_names(table: dict, members, kept) -> list[str]:
 
 
 def _component_label(component: dict) -> str:
-    """Short name for an uncovered component, from its edge ids."""
+    """Short name for an uncovered component, from its edge ids: every
+    uncovered vertex has a gap on each edge at it, so each component has one."""
     ids = sorted({gap["edge"] for gap in component["gaps"]})
-    if ids:
-        prefix = os.path.commonprefix([eid.split("-") for eid in ids])
-        return "-".join(prefix) if prefix else ids[0]
-    if component["vertices"]:
-        return component["vertices"][0]
-    return "(empty)"
+    prefix = os.path.commonprefix([eid.split("-") for eid in ids])
+    return "-".join(prefix) if prefix else ids[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +168,15 @@ def _tp_norm(ws: Workspace, args):
 
 def _div_equiv(ws: Workspace, args):
     d1, d2 = _divisors(ws, args, 2)
-    ok = tk.dv_lin_equiv(ws.need_graph(), d1, d2)
+    with _located("--divisor"):
+        ok = tk.dv_lin_equiv(ws.need_graph(), d1, d2)
     return 0 if ok else 1, {"equivalent": ok}
 
 
 def _div_rho(ws: Workspace, args):
     d1, d2 = _divisors(ws, args, 2)
-    return 0, {"rho": tk.dv_rho(ws.need_graph(), d1, d2)}
+    with _located("--divisor"):
+        return 0, {"rho": tk.dv_rho(ws.need_graph(), d1, d2)}
 
 
 def _div_path(ws: Workspace, args):
@@ -188,25 +187,30 @@ def _div_path(ws: Workspace, args):
 
 def _div_b1(ws: Workspace, args):
     d, e = _divisors(ws, args, 2)
-    return 0, {"b1": tk.dv_b1(ws.need_graph(), d, e)}
+    with _located("--divisor"):
+        return 0, {"b1": tk.dv_b1(ws.need_graph(), d, e)}
 
 
 def _div_reduce(ws: Workspace, args):
     d, = _divisors(ws, args, 1)
     q = _point_at(ws, args)
-    reduced, steps = tk.dv_dhar_trace(ws.need_graph(), d, q)
+    with _located("--divisor"):
+        reduced, steps = tk.dv_dhar_trace(ws.need_graph(), d, q)
     return 0, {"point": q, "reduced": reduced, "steps": steps,
                "rounds": len(steps)}
 
 
 def _sys_member(ws: Workspace, args):
-    ok, cert = tk.ls_member(ws.system(args.system), *_divisors(ws, args, 1))
+    T, (d,) = ws.system(args.system), _divisors(ws, args, 1)
+    with _located("--divisor"):
+        ok, cert = tk.ls_member(T, d)
     return 0 if ok else 1, {"member": ok, "certificate": cert}
 
 
 def _sys_project(ws: Workspace, args):
-    projection, cert = tk.ls_project(ws.system(args.system),
-                                     *_divisors(ws, args, 1))
+    T, (d,) = ws.system(args.system), _divisors(ws, args, 1)
+    with _located("--divisor"):
+        projection, cert = tk.ls_project(T, d)
     return 0, {"projection": projection, "certificate": cert}
 
 
@@ -248,7 +252,8 @@ def _tree_dominant(ws: Workspace, args):
 def _tree_preimage(ws: Workspace, args):
     T = ws.system(args.system)
     d, = _divisors(ws, args, 1)
-    region = tk.tt_preimage(T, d)
+    with _located("--divisor"):
+        region = tk.tt_preimage(T, d)
     return 0, {"divisor": d, "preimage": region,
                "points": region.finite_points()}
 

@@ -480,21 +480,16 @@ class PLFunction:
         if which == "min" and self._min_set is not None:
             return self._min_set
         target, do = self._extremes()[which == "max"], self._do
-        vertices: set[str] = set()
         intervals: dict[str, list[tuple[int, int]]] = {}  # over do
         for e in self.graph.edges:
             offs, vals, ss = self._pieces[e.id]
-            if vals[0] == target:
-                vertices.add(e.tail)
-            if vals[-1] == target:
-                vertices.add(e.head)
             segs = [(o1, o1 if s else o2)
                     for o1, o2, v1, s in zip(offs, offs[1:], vals, ss) if v1 == target]
             if vals[-1] == target:
                 segs.append((offs[-1], offs[-1]))
             if segs:
                 intervals[e.id] = segs
-        found = ClosedSubset._of_valid(self.graph, vertices, intervals, do)
+        found = ClosedSubset._of_valid(self.graph, set(), intervals, do)
         if which == "min":
             self._min_set = found
         return found
@@ -654,7 +649,8 @@ class ClosedSubset:
     intervals into that form, builds from it. Library code holding
     rational intervals (Dhar burning, the tree layer) calls _encode
     directly, and extremum_set, nonconstant_set, union and intersect build
-    their results from ints through _of_valid; neither checks. Instances
+    their results from ints through _of_valid, the one place that adds the
+    vertex where an interval reaches an edge end; neither checks. Instances
     are immutable and may be shared: the minimizer set a function caches
     is the one its certificates report, so never mutate one."""
 

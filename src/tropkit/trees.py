@@ -111,9 +111,9 @@ def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
             for x in _turns(system, crits[ia], crits[ib]).values():
                 if x in confirmed:
                     continue
-                # x is not a generator, so the one-point segment from a to a misses it
+                # one pair each: a..a holds only the generator a, b..a is a..b backwards
                 if all(_level(system, a, b, x) is None
-                       for a in gens for b in gens if b is not a):
+                       for i, a in enumerate(gens) for b in gens[i + 1:]):
                     return False, {
                         "method": "critical-set verified",
                         "reason": "a segment between members leaves the "
@@ -223,8 +223,7 @@ def tt_preimage(system: LinearSystem, d: Divisor) -> ClosedSubset:
     if bases:
         return reduce(ClosedSubset.intersect, bases)
     graph = system.graph
-    return ClosedSubset._encode(graph, graph.vertices,
-                                {e.id: [(0, e.length)] for e in graph.edges})
+    return ClosedSubset._encode(graph, (), {e.id: [(0, e.length)] for e in graph.edges})
 
 
 def tt_reduced_map(
@@ -288,14 +287,10 @@ def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
     arcs: dict[tuple[int, int], SkeletonArc] = {}
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            points = _turns(system, gens[i], gens[j])
-            # Criticals discovered on other generator segments may sit at
-            # interior levels of this one; include them so no arc skips
-            # through a node.
-            for d in crits:
-                t = _level(system, gens[i], gens[j], d)
-                if t is not None:
-                    points.setdefault(t, d)
+            # every turn of this segment is a critical, and so is any critical
+            # from another segment lying on it, so no arc skips a node
+            points = {t: d for d in crits
+                      if (t := _level(system, gens[i], gens[j], d)) is not None}
             ordered = sorted(points)
             for lo, hi in zip(ordered, ordered[1:]):
                 na, nb = index[points[lo]], index[points[hi]]

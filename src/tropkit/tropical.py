@@ -340,8 +340,8 @@ def tp_member(S: TropGeneratorSet, gamma: TropPoint):
         combo = [c - m for c in combo]
         if combo != y:
             raise CertificateError("membership combination failed to reproduce the point",
-                                   {"combo": str(_point(combo, 1, scale)),
-                                    "point": str(_point(y, 1, scale))})
+                                   {"combo": str(_point(combo, sign, scale)),
+                                    "point": str(_point(y, sign, scale))})
     return not missing, {"cover": cover,
                          "coefficients": [Fraction(sign * c, scale) for c in cs],
                          "missing": missing}

@@ -620,3 +620,50 @@ class TestTropicalProjection:
             assert ls_member(T, m)[0]
             if m != projection:
                 assert least < dv_b1(g, m, e)
+
+
+def _chips(ws, **at):
+    """The divisor of the given coefficients at vertices of ws's graph."""
+    g = ws.need_graph()
+    return Divisor.of(g, [(g.vertex_point(v), c) for v, c in at.items()])
+
+
+class TestInputErrors:
+    """Each input the divisor layer refuses, on the six-cycle, with its
+    message and no location: the command line locates it at --divisor."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda ws: dv_rho(ws.need_graph(), _chips(ws, v1=4, v2=-1), ws.divisor("D1")),
+                     "the first divisor must be effective", id="rho first"),
+        pytest.param(lambda ws: dv_rho(ws.need_graph(), ws.divisor("D1"), _chips(ws, w12=3)),
+                     "divisors are not linearly equivalent", id="rho class"),
+        pytest.param(lambda ws: dv_path(ws.need_graph(), ws.divisor("D1"), ws.divisor("D3"), 5),
+                     "t must lie in [0, 4]", id="path range"),
+        pytest.param(lambda ws: dv_dhar(ws.need_graph(), _chips(ws, v1="1/2"),
+                                        ws.need_graph().vertex_point("v2")),
+                     "the divisor must be effective with integer coefficients", id="burning"),
+        pytest.param(lambda ws: LinearSystem(ws.need_graph(), [ws.divisor("D1"), "D3"]),
+                     "generator 1 is not a divisor", id="generator type"),
+        pytest.param(lambda ws: LinearSystem(ws.need_graph(), [ws.divisor("D1"),
+                                                               _chips(ws, v1=2)]),
+                     "generators must share one degree", id="generator degrees"),
+        pytest.param(lambda ws: ws.system("complete").path_point(ws.divisor("D1"),
+                                                                 ws.divisor("D3"), -1),
+                     "t must lie in [0, 4]", id="system path range"),
+        pytest.param(lambda ws: ls_member(ws.system("complete"), "D1"),
+                     "the target must be a divisor", id="target type"),
+        pytest.param(lambda ws: ls_member(ws.system("complete"), _chips(ws, v1=2)),
+                     "divisor degree does not match the system", id="target degree"),
+        pytest.param(lambda ws: ls_project(ws.system("complete"), _chips(ws, v1=4, v2=-1)),
+                     "the target divisor must be effective", id="target effective"),
+    ])
+    def test_refused_inputs(self, c6, call, message):
+        with pytest.raises(InputError) as refused:
+            call(c6)
+        assert (str(refused.value), refused.value.location) == (message, "")
+
+    def test_a_fractional_target_is_no_member(self, c6, complete):
+        ok, cert = ls_member(complete, _chips(c6, v1="3/2", v2="3/2"))
+        assert not ok
+        assert cert == {"member": False, "reason": "coefficients are not integers",
+                        "min_sets": [], "uncovered": []}

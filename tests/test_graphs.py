@@ -978,3 +978,38 @@ def _probe_points(g, offsets):
         for o in offs[1:-1] + [(x + y) / 2 for x, y in zip(offs, offs[1:])]:
             pts.append(GraphPoint(edge=e.id, offset=o))
     return pts
+
+
+def _segment():
+    return MetricGraph.of(["a", "b"], [("e", "a", "b", 1)])
+
+
+class TestInputErrors:
+    """Each input the graph layer refuses, with its message and no location."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: MetricGraph.of([], [("e", "a", "b", 1)]),
+                     "graph needs at least one vertex", id="no vertex"),
+        pytest.param(lambda: MetricGraph.of(["a", "a"], [("e", "a", "a", 1)]),
+                     "vertex names must be distinct", id="repeated vertex"),
+        pytest.param(lambda: MetricGraph.of(["a"], []), "graph needs at least one edge",
+                     id="no edge"),
+        pytest.param(lambda: _segment().point(),
+                     "a point needs a vertex, or an edge and an offset", id="empty point"),
+        pytest.param(lambda: _segment().point(edge="f", offset=0), "unknown edge 'f'",
+                     id="point edge"),
+        pytest.param(lambda: ClosedSubset(_segment(), (), {"f": [(0, 1)]}), "unknown edge 'f'",
+                     id="interval edge"),
+        pytest.param(lambda: ClosedSubset(_segment(), (), {"e": [(0, 2)]}),
+                     "interval [0,2] outside edge 'e'", id="interval range"),
+        pytest.param(lambda: ClosedSubset(_segment(), ["c"]), "unknown vertex 'c'",
+                     id="set vertex"),
+    ])
+    def test_refused_inputs(self, call, message):
+        with pytest.raises(InputError) as refused:
+            call()
+        assert (str(refused.value), refused.value.location) == (message, "")
+
+
+def test_the_zero_divisor_prints_as_zero():
+    assert str(Divisor(_segment(), {})) == "0"

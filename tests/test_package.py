@@ -61,6 +61,16 @@ def test_the_one_rational_parser_is_exported():
     assert tropkit.rational_str is rational.rational_str
 
 
+def test_layers_and_names_resolve_in_process():
+    import tropkit
+    from tropkit import graphs
+
+    assert tropkit.graphs is graphs
+    with pytest.raises(AttributeError, match="module 'tropkit' has no attribute 'nope'"):
+        tropkit.nope
+    assert {name for names in tropkit._LAZY.values() for name in names} <= set(dir(tropkit))
+
+
 # One run of the command line; prints its exit code, the tropkit modules it
 # loaded, and whether anything imported dataclasses.
 CLI_PROBE = """

@@ -196,6 +196,11 @@ class TestSkeletonAndMorphism:
         assert all(a.expansion == 1 for a in morphism.sub_arcs)
         assert morphism.degree_of(g.vertex_point("v1")) == 1
         assert morphism.degree_of(g.vertex_point("w12")) == 2
+        quarter = g.point(edge="e1", offset="1/4")  # no subdivision node
+        with pytest.raises(InputError) as refused:
+            morphism.degree_of(quarter)
+        assert (str(refused.value), refused.value.location) == (
+            "e1@1/4 is not a subdivision node of the map", "")
 
     def test_segment_morphism_expansions(self, c6, seg):
         morphism = tt_morphism(seg)

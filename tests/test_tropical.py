@@ -469,8 +469,9 @@ class TestKernelCertificates:
         S, gamma = self.instance(mode)
         assert tp_member(S, gamma)[0]
         self.raise_first_coefficient(monkeypatch)
-        with pytest.raises(CertificateError, match="membership combination"):
+        with pytest.raises(CertificateError, match="membership combination") as failure:
             tp_member(S, gamma)
+        assert failure.value.detail["point"] == str(gamma)
 
     @pytest.mark.parametrize("mode", ["lower", "upper"])
     def test_a_wrong_projection_fails_additivity(self, mode, monkeypatch):
@@ -758,3 +759,64 @@ class TestFixedPoint:
         S_up = TropGeneratorSet.of([TropPoint.of((0, 3))], "upper")
         with pytest.raises(InputError):
             tp_fixed_point(S_low, S_up, TropPoint.of((0, 1)))
+
+
+def _corners():
+    """The lower-mode set of the corners (0, 1) and (1, 0)."""
+    return TropGeneratorSet.of([(0, 1), (1, 0)])
+
+
+class TestInputErrors:
+    """Each input the tropical layer refuses, with its message; the layer
+    names no location, which the workspace and the command line add."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: TropGeneratorSet.of([(0, 1)], "middle"),
+                     "mode must be 'lower' or 'upper', got 'middle'", id="mode"),
+        pytest.param(lambda: GroundSpace.of([]), "ground set must be nonempty",
+                     id="empty ground"),
+        pytest.param(lambda: GroundSpace.of(["x", "x"]), "ground labels must be distinct",
+                     id="repeated label"),
+        pytest.param(lambda: GroundSpace.of(["x", "y"], ["1"]),
+                     "need exactly one weight per ground element", id="weight count"),
+        pytest.param(lambda: GroundSpace.of(["x", "y"], ["1", "0"]),
+                     "weights must be positive", id="zero weight"),
+        pytest.param(lambda: TropPoint((Fraction(1), Fraction(2))),
+                     "canonical coordinates must have minimum zero", id="not canonical"),
+        pytest.param(lambda: TropGeneratorSet.of([]), "generator set must be nonempty",
+                     id="no generators"),
+        pytest.param(lambda: TropGeneratorSet.of([(0, 1), (0, 1, 2)]),
+                     "generators must share one dimension", id="generator dimensions"),
+        pytest.param(lambda: tp_combine([TropPoint.of((0, 1))], [0, 1]),
+                     "need one coefficient per point", id="coefficient count"),
+        pytest.param(lambda: tp_combine([], []), "combination of an empty family",
+                     id="empty combination"),
+        pytest.param(lambda: tp_combine([TropPoint.of((0, 1)), TropPoint.of((0, 1, 2))], [0, 0]),
+                     "points must share one dimension", id="point dimensions"),
+        pytest.param(lambda: tp_pseudonorm(TropPoint.of((0, 1)), 1, "lower",
+                                           GroundSpace.of(["x"])),
+                     "space size does not match point dimension", id="pseudonorm space"),
+        pytest.param(lambda: tp_argext(TropPoint.of((0, 1)), "mid"),
+                     "which must be 'min' or 'max', got 'mid'", id="argext which"),
+        pytest.param(lambda: tp_member(_corners(), TropPoint.of((0, 1, 2))),
+                     "point dimension does not match generators", id="member dimension"),
+        pytest.param(lambda: tp_independence(_corners(), "strong"),
+                     "kind must be weak, gondran_minoux or tropical, got 'strong'",
+                     id="independence kind"),
+        pytest.param(lambda: tp_retract(_corners(), TropPoint.of((0, 1)), 2),
+                     "t=2 outside [0, 1]", id="retract time"),
+        pytest.param(lambda: tp_fixed_point(_corners(), _corners(), TropPoint.of((0, 1))),
+                     "expected a lower-mode and an upper-mode generator set",
+                     id="fixed point modes"),
+    ])
+    def test_refused_inputs(self, call, message):
+        with pytest.raises(InputError) as refused:
+            call()
+        assert (str(refused.value), refused.value.location) == (message, "")
+
+    def test_values_are_immutable_and_equal_only_within_their_class(self):
+        p = TropPoint.of((0, 1))
+        with pytest.raises(AttributeError, match="cannot assign to field 'coords'"):
+            p.coords = (Fraction(0),)
+        assert p.__eq__(GroundSpace.of(["x", "y"])) is NotImplemented
+        assert p != TropGeneratorSet.of([p]) and p == TropPoint.of((0, 1))

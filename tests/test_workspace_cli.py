@@ -16,23 +16,29 @@ from tropkit import (
     GraphPoint,
     InputError,
     MetricGraph,
+    TropGeneratorSet,
     TropPoint,
     Workspace,
     as_fraction,
     dumps_canonical,
+    dv_lin_equiv,
     load_workspace,
     parse_workspace,
     rational_str,
     serialize_workspace,
+    to_jsonable,
+    tp_argext,
 )
 from tropkit import cli
 from tropkit.cli import main
+from tropkit.workspace import _located
 
 from conftest import FIXTURES, random_graph
 
 C6 = str(FIXTURES / "c6.json")
 BANANA = str(FIXTURES / "banana.json")
 TP3 = str(FIXTURES / "tp3.json")
+SEGMENT = {"vertices": ["a", "b"], "edges": [{"id": "e", "tail": "a", "head": "b", "length": 1}]}
 LOOP = {"schema_version": 1, "vertices": ["a", "b"],
         "edges": [{"id": "e", "tail": "a", "head": "b", "length": 1},
                   {"id": "L", "tail": "a", "head": "a", "length": 2}],
@@ -94,6 +100,11 @@ class TestRoundTrip:
         assert (rebuilt.vertices, rebuilt.edges) == (g.vertices, g.edges)
         again = serialize_workspace(parse_workspace(first, "round-trip"))
         assert dumps_canonical(again) == dumps_canonical(first)
+
+    def test_tropical_values_serialize(self):
+        S = TropGeneratorSet.of([(0, "1/2"), (1, 0)], "upper")
+        assert to_jsonable(S) == {"mode": "upper", "points": [["0", "1/2"], ["1", "0"]]}
+        assert to_jsonable(tp_argext(TropPoint.of((0, 2, 0)))) == [0, 2]
 
     def test_canonical_rationals_survive(self, banana):
         data = serialize_workspace(banana)
@@ -409,6 +420,83 @@ class TestErrorHandling:
                                        "message": message})
         assert err == ""
 
+    @pytest.mark.parametrize("data, location, message", [
+        ({**SEGMENT, "divisors": {"D": [[{"vertex": "a"}, 1]]}, "systems": {"S": ["X"]}},
+         ".systems.S", "system 'S' references unknown divisor 'X'"),
+        ({**SEGMENT, "divisors": {"D": [[{"vertex": "a", "colour": 1}, 1]]}},
+         ".divisors.D[0]", "unknown point fields: ['colour']"),
+        ({**SEGMENT, "divisors": {"D": [[{"edge": "e"}, 1]]}},
+         ".divisors.D[0]", 'a point needs either "vertex" or both "edge" and "offset"'),
+        ({**SEGMENT, "divisors": {"D": [[{"vertex": "a"}]]}},
+         ".divisors.D[0]", "a divisor entry is a [point, coefficient] pair"),
+        ({**SEGMENT, "schema_version": 2}, ".schema_version", "unsupported schema_version 2"),
+        ({**SEGMENT, "edges": [{"id": "e", "tail": "a", "head": "b"}]},
+         ".edges[0]", "edge missing fields ['length']"),
+        ({**SEGMENT, "edges": [{"id": "e", "tail": "a", "head": "b", "length": 1,
+                                "colour": "red"}]},
+         ".edges[0]", "unknown edge fields ['colour']"),
+        ({"ground": ["x"], "divisors": {}}, "", "divisors and systems need a graph block"),
+        ({"ground": ["x", "y"], "weights": ["1"]},
+         ".weights", "need exactly one weight per ground element"),
+        ({**SEGMENT, "weights": ["1"]}, "", "weights and sets need a ground block"),
+        ({}, "", "a workspace needs a graph block or a point block"),
+    ], ids=["unknown member", "point fields", "point without place", "entry length",
+            "schema version", "edge missing fields", "edge fields", "divisors without graph",
+            "weight count", "weights without ground", "no block"])
+    def test_refused_files_are_located(self, tmp_path, capsys, data, location, message):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"schema_version": 1, **data}))
+        code = main(["graph", "validate", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({"code": "input-error", "location": f"{path}{location}",
+                                       "message": message})
+        assert err == ""
+
+    def test_malformed_inline_json_is_located_at_the_flag(self, capsys):
+        code = main(["div", "rho", "--graph", C6, "--divisor", "[", "--divisor", "D1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({"code": "input-error", "location": "--divisor",
+                                       "message": "invalid JSON: Expecting value"})
+        assert err == ""
+
+    def test_a_location_the_library_names_is_kept(self, c6):
+        g = c6.need_graph()
+        stray = Divisor(g, {GraphPoint(vertex="x"): 1})
+        with pytest.raises(InputError) as refused:
+            with _located("--divisor"):
+                dv_lin_equiv(g, stray, c6.divisor("D1"))
+        assert (str(refused.value), refused.value.location) == ("unknown vertex 'x'", "d1")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["div", "equiv", "--divisor", "D1", "--divisor", '[[{"vertex":"v1"},"2"]]'],
+         "divisors must have equal degree"),
+        (["div", "rho", "--divisor", "D1",
+          "--divisor", '[[{"vertex":"v1"},"4"],[{"vertex":"v2"},"-1"]]'],
+         "the second divisor must be effective"),
+        (["div", "b1", "--divisor", "D1", "--divisor", '[[{"vertex":"v1"},"2"]]'],
+         "divisors must have equal degree"),
+        (["div", "reduce", "--divisor", '[[{"vertex":"v1"},"1/2"]]', "--at", '{"vertex":"v2"}'],
+         "the divisor must be effective with integer coefficients"),
+        (["sys", "member", "--system", "complete",
+          "--divisor", '[[{"vertex":"v1"},"1/2"],[{"vertex":"v2"},"3/2"]]'],
+         "divisor degree does not match the system"),
+        (["sys", "project", "--system", "complete",
+          "--divisor", '[[{"vertex":"v1"},"4"],[{"vertex":"v2"},"-1"]]'],
+         "the target divisor must be effective"),
+        (["tree", "preimage", "--system", "seg_D1_D3", "--divisor", "D2"],
+         "the divisor is not a member of the system"),
+    ], ids=["div equiv", "div rho", "div b1", "div reduce", "sys member", "sys project",
+            "tree preimage"])
+    def test_library_errors_on_a_divisor_are_located_at_the_flag(self, capsys, argv, message):
+        code = main([*argv[:2], "--graph", C6, *argv[2:]])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({"code": "input-error", "location": "--divisor",
+                                       "message": message})
+        assert err == ""
+
     def test_integral_degrees_and_sample_counts_are_read_as_rationals(self, capsys):
         code, payload = run_json(capsys, "tree", "witness", "--graph", C6,
                                  "--system", "triangle_mid", "--degree", "6/2")
@@ -525,6 +613,10 @@ class TestPredicateExitCodes:
         assert code == 1
         assert payload["member"] is False
         assert payload["certificate"]["uncovered"]
+        code, payload = run_json(capsys, "sys", "member", "--graph", C6, "--system", "complete",
+                                 "--divisor", '[[{"vertex":"v1"},"3/2"],[{"vertex":"v2"},"3/2"]]')
+        assert code == 1
+        assert payload["certificate"]["reason"] == "coefficients are not integers"
 
     def test_tree_check_codes(self, capsys):
         code, _ = run_json(capsys, "tree", "check", "--graph", C6,
