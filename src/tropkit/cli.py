@@ -182,7 +182,10 @@ def _div_rho(ws: Workspace, args):
 def _div_path(ws: Workspace, args):
     d1, d2 = _divisors(ws, args, 2)
     t = as_fraction(_required(args, "t"), "--t")
-    return 0, {"t": t, "divisor": tk.dv_path(ws.need_graph(), d1, d2, t)}
+    with _located("--divisor"):  # dv_rho refuses the pair as dv_path would
+        tk.dv_rho(ws.need_graph(), d1, d2)
+    with _located("--t"):
+        return 0, {"t": t, "divisor": tk.dv_path(ws.need_graph(), d1, d2, t)}
 
 
 def _div_b1(ws: Workspace, args):
@@ -266,7 +269,10 @@ def _tree_redmap(ws: Workspace, args):
         raise InputError("--samples must be nonnegative", "--samples")
     if per_edge.denominator != 1:
         raise InputError("--samples must be an integer", "--samples")
-    rows = tk.tt_reduced_map(T, tk.trees._sample_points(graph, int(per_edge)))
+    if len(graph.vertices) + per_edge * len(graph.edges) > _SAMPLE_LIMIT:
+        raise InputError(f"--samples must give at most {_SAMPLE_LIMIT} sample points, "
+                         "vertices included", "--samples")
+    rows = tk.tt_reduced_map(T, int(per_edge))
     if args.format != "csv":
         return 0, {"samples": [{"point": p, "reduced": r} for p, r in rows]}
     import csv
@@ -325,6 +331,8 @@ def _tree_witness(ws: Workspace, args):
 # ---------------------------------------------------------------------------
 # command table and parser
 
+# tree redmap refuses more sample points: each costs one ls_reduced, about 1 ms on the fixtures
+_SAMPLE_LIMIT = 1000
 _FLAGS = {
     "file": dict(metavar="FILE"),
     "--space": dict(required=True, metavar="FILE",
@@ -346,7 +354,8 @@ _FLAGS = {
     "--at": dict(metavar="POINT",
                  help="JSON point, e.g. '{\"vertex\":\"v1\"}'"),
     "--samples": dict(default=None, metavar="N",
-                      help="interior sample points per edge (default 3)"),
+                      help="interior sample points per edge (default 3); with the "
+                           f"vertices, at most {_SAMPLE_LIMIT} points in all"),
     "--degree": dict(default=None, metavar="N"),
     "--out": dict(metavar="PATH",
                   help="write the report to this file instead of stdout"),

@@ -94,7 +94,7 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
     whether each of its nodes burnt, and the maximal closed set the fire
     cannot enter, or None when the fire consumes the whole graph.
     """
-    sub = Subdivision(graph, d.support() + [q])
+    sub = Subdivision(graph, [*d.entries, q])
     n = len(sub.nodes)
     chips = [0] * n
     for p, c in d.entries.items():
@@ -116,19 +116,12 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
                     front.append(other)
     if all(burnt):
         return sub, burnt, None
-    vertices = set()
     intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for p, is_burnt in zip(sub.nodes, burnt):
-        if is_burnt:
-            continue
-        if p.is_vertex:
-            vertices.add(p.vertex)
-        else:
-            intervals.setdefault(p.edge, []).append((p.offset, p.offset))
     for a, b, length, eid, off in sub.segments:
         if not burnt[a] and not burnt[b]:
             intervals.setdefault(eid, []).append((off, off + length))
-    return sub, burnt, ClosedSubset._encode(graph, vertices, intervals)
+    unburnt = (p for p, is_burnt in zip(sub.nodes, burnt) if not is_burnt)
+    return sub, burnt, ClosedSubset._encode(graph, unburnt, intervals)
 
 
 def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,
@@ -170,7 +163,7 @@ def _check_burning_input(graph: MetricGraph, d: Divisor, q: GraphPoint) -> None:
 
 def _dhar_round_cap(graph: MetricGraph, d: Divisor, q: GraphPoint) -> int:
     denom = lcm(*(e.length.denominator for e in graph.edges),
-                *(p.offset.denominator for p in d.support() + [q] if not p.is_vertex))
+                *(p.offset.denominator for p in (*d.entries, q) if not p.is_vertex))
     scaled_length = int(graph.total_length * denom)
     return 64 * (1 + scaled_length) * (int(d.degree()) + 2)
 

@@ -645,14 +645,14 @@ class ClosedSubset:
     """Closed subset: a vertex set plus closed intervals on each edge, kept
     as sorted, disjoint int pairs over one denominator _den per set (_ivs)
     and shown as Fractions by intervals. The constructor checks and coerces
-    outside input and returns what _encode, the one encoder of rational
-    intervals into that form, builds from it. Library code holding
-    rational intervals (Dhar burning, the tree layer) calls _encode
-    directly, and extremum_set, nonconstant_set, union and intersect build
-    their results from ints through _of_valid, the one place that adds the
-    vertex where an interval reaches an edge end; neither checks. Instances
-    are immutable and may be shared: the minimizer set a function caches
-    is the one its certificates report, so never mutate one."""
+    outside input and returns what _encode, the one encoder of graph points
+    and rational intervals into that form, builds from it. Library code
+    holding points or rational intervals (Dhar burning, the tree layer)
+    calls _encode directly, and extremum_set, nonconstant_set, union and
+    intersect build their results from ints through _of_valid, the one place
+    that adds the vertex where an interval reaches an edge end; neither
+    checks. Instances are immutable and may be shared: the minimizer set a
+    function caches is the one its certificates report, so never mutate one."""
 
     __slots__ = ("graph", "vertices", "_ivs", "_den")
 
@@ -673,17 +673,23 @@ class ClosedSubset:
         for v in verts:
             if v not in graph.vertex_set:
                 raise InputError(f"unknown vertex {v!r}")
-        return cls._encode(graph, verts, ivs)
+        return cls._encode(graph, (GraphPoint(vertex=v) for v in verts), ivs)
 
     @classmethod
-    def _encode(cls, graph: MetricGraph, vertices: Iterable[str],
+    def _encode(cls, graph: MetricGraph, points: Iterable[GraphPoint],
                 intervals: dict) -> "ClosedSubset":
-        """Build from known vertices and rational intervals [a, b] within
-        their edges, in any order, over the lcm of their ends."""
-        den = lcm(*(x.denominator for segs in intervals.values() for seg in segs for x in seg))
-        return cls._of_valid(graph, set(vertices), {
+        """Build from known points and rational intervals [a, b] within their
+        edges, in any order, over the lcm of their ends."""
+        verts, ivs = set(), {eid: list(segs) for eid, segs in intervals.items()}
+        for p in points:
+            if p.is_vertex:
+                verts.add(p.vertex)
+            else:
+                ivs.setdefault(p.edge, []).append((p.offset, p.offset))
+        den = lcm(*(x.denominator for segs in ivs.values() for seg in segs for x in seg))
+        return cls._of_valid(graph, verts, {
             eid: sorted((_over(a, den), _over(b, den)) for a, b in segs)
-            for eid, segs in intervals.items()}, den)
+            for eid, segs in ivs.items()}, den)
 
     @classmethod
     def _of_valid(cls, graph: MetricGraph, verts: set, intervals: dict,

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Sequence
+from itertools import combinations
+from typing import NamedTuple
 
 from . import _LAZY
 from .divisors import LinearSystem, ls_bases, ls_reduced
@@ -50,9 +51,8 @@ def tt_critical(system: LinearSystem) -> list[Divisor]:
 def _criticals(system: LinearSystem) -> tuple[Divisor, ...]:
     gens = system.generators
     crits = dict.fromkeys(gens)  # an ordered set: equal divisors keep the first found
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            crits.update(dict.fromkeys(_turns(system, gens[i], gens[j]).values()))
+    for a, b in combinations(gens, 2):
+        crits.update(dict.fromkeys(_turns(system, a, b).values()))
     return tuple(sorted(crits, key=Divisor.key))
 
 
@@ -93,35 +93,30 @@ def tt_is_tree(system: LinearSystem) -> tuple[bool, dict]:
 def _tree_check(system: LinearSystem) -> tuple[bool, dict]:
     crits = tt_critical(system)
     for d in crits:
-        bases = ls_bases(system, d)
-        for x in range(len(bases)):
-            for y in range(x + 1, len(bases)):
-                if not bases[x].union(bases[y]).covers_graph():
-                    return False, {
-                        "method": "critical-set verified",
-                        "reason": "two chip-firing bases fail to cover "
-                                  "the graph",
-                        "divisor": d,
-                        "bases": (bases[x], bases[y]),
-                    }
+        for x, y in combinations(ls_bases(system, d), 2):
+            if not x.union(y).covers_graph():
+                return False, {
+                    "method": "critical-set verified",
+                    "reason": "two chip-firing bases fail to cover the graph",
+                    "divisor": d,
+                    "bases": (x, y),
+                }
     gens = system.generators
     confirmed: set[Divisor] = set(gens)
-    for ia in range(len(crits)):
-        for ib in range(ia + 1, len(crits)):
-            for x in _turns(system, crits[ia], crits[ib]).values():
-                if x in confirmed:
-                    continue
-                # one pair each: a..a holds only the generator a, b..a is a..b backwards
-                if all(_level(system, a, b, x) is None
-                       for i, a in enumerate(gens) for b in gens[i + 1:]):
-                    return False, {
-                        "method": "critical-set verified",
-                        "reason": "a segment between members leaves the "
-                                  "generator segments",
-                        "divisor": x,
-                        "between":(crits[ia], crits[ib]),
-                    }
-                confirmed.add(x)
+    for ca, cb in combinations(crits, 2):
+        for x in _turns(system, ca, cb).values():
+            if x in confirmed:
+                continue
+            # one pair each: a..a holds only the generator a, b..a is a..b backwards
+            if all(_level(system, a, b, x) is None for a, b in combinations(gens, 2)):
+                return False, {
+                    "method": "critical-set verified",
+                    "reason": "a segment between members leaves the "
+                              "generator segments",
+                    "divisor": x,
+                    "between": (ca, cb),
+                }
+            confirmed.add(x)
     return True, {"method": "critical-set verified", "criticals": len(crits)}
 
 
@@ -134,17 +129,8 @@ def _tree_support(system: LinearSystem) -> ClosedSubset:
     Each non-constant piece contributes its closed parameter interval.
     """
     gens = system.generators
-    vertices: set[str] = set()
-    points: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for g in gens:
-        for p in g.support():
-            if p.is_vertex:
-                vertices.add(p.vertex)
-            else:
-                points.setdefault(p.edge, []).append((p.offset, p.offset))
-    return ClosedSubset._encode(system.graph, vertices, points).union(
-        *(system.pair_function(a, b).nonconstant_set()
-          for i, a in enumerate(gens) for b in gens[i + 1:]))
+    return ClosedSubset._encode(system.graph, (p for g in gens for p in g.entries), {}).union(
+        *(system.pair_function(a, b).nonconstant_set() for a, b in combinations(gens, 2)))
 
 
 def _require(verdict: tuple[bool, dict], what: str) -> None:
@@ -226,19 +212,11 @@ def tt_preimage(system: LinearSystem, d: Divisor) -> ClosedSubset:
     return ClosedSubset._encode(graph, (), {e.id: [(0, e.length)] for e in graph.edges})
 
 
-def tt_reduced_map(
-    system: LinearSystem,
-    samples: Sequence[GraphPoint] | None = None,
-) -> list[tuple[GraphPoint, Divisor]]:
-    """Reduced divisor at each sample point (default: vertices and edge
-    midpoints)."""
-    if samples is None:
-        samples = _sample_points(system.graph)
-    out = []
-    for q in samples:
-        red, _ = ls_reduced(system, q)
-        out.append((q, red))
-    return out
+def tt_reduced_map(system: LinearSystem, per_edge: int = 1) -> list[tuple[GraphPoint, Divisor]]:
+    """Reduced divisor at each point of _sample_points(graph, per_edge):
+    the vertices, then per_edge evenly spaced interior points of each edge.
+    ls_reduced gives it at any other point."""
+    return [(q, ls_reduced(system, q)[0]) for q in _sample_points(system.graph, per_edge)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +263,28 @@ def tt_skeleton(system: LinearSystem) -> TreeSkeleton:
     index = {d: i for i, d in enumerate(crits)}
     gens = system.generators
     arcs: dict[tuple[int, int], SkeletonArc] = {}
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            # every turn of this segment is a critical, and so is any critical
-            # from another segment lying on it, so no arc skips a node
-            points = {t: d for d in crits
-                      if (t := _level(system, gens[i], gens[j], d)) is not None}
-            ordered = sorted(points)
-            for lo, hi in zip(ordered, ordered[1:]):
-                na, nb = index[points[lo]], index[points[hi]]
-                if na == nb:
-                    raise CertificateError(
-                        "two distinct levels yield the same divisor on a "
-                        "generator segment",
-                        {"pair": (i, j), "level": str(lo)})
-                stored = arcs.get((min(na, nb), max(na, nb)))
-                if stored is None:
-                    arcs[(min(na, nb), max(na, nb))] = SkeletonArc(
-                        a=na, b=nb, length=hi - lo, pair=(i, j), level=lo)
-                elif stored.length != hi - lo:
-                    raise CertificateError(
-                        "the same pair of critical divisors is joined by "
-                        "arcs of different lengths",
-                        {"nodes": (na, nb),
-                         "lengths": (str(stored.length), str(hi - lo))})
+    for (i, a), (j, b) in combinations(enumerate(gens), 2):
+        # every turn of this segment is a critical, and so is any critical
+        # from another segment lying on it, so no arc skips a node
+        points = {t: d for d in crits if (t := _level(system, a, b, d)) is not None}
+        ordered = sorted(points)
+        for lo, hi in zip(ordered, ordered[1:]):
+            na, nb = index[points[lo]], index[points[hi]]
+            if na == nb:
+                raise CertificateError(
+                    "two distinct levels yield the same divisor on a "
+                    "generator segment",
+                    {"pair": (i, j), "level": str(lo)})
+            stored = arcs.get((min(na, nb), max(na, nb)))
+            if stored is None:
+                arcs[(min(na, nb), max(na, nb))] = SkeletonArc(
+                    a=na, b=nb, length=hi - lo, pair=(i, j), level=lo)
+            elif stored.length != hi - lo:
+                raise CertificateError(
+                    "the same pair of critical divisors is joined by "
+                    "arcs of different lengths",
+                    {"nodes": (na, nb),
+                     "lengths": (str(stored.length), str(hi - lo))})
     arc_list = tuple(arcs[k] for k in sorted(arcs))
     # A connected graph on n nodes with n-1 edges and no repeated edge is
     # a tree; verify connectivity explicitly.

@@ -156,6 +156,18 @@ class TestReducedMapAndPreimages:
             assert red.coeff(q) > 0
             assert tt_preimage(triangle, red).contains(q)
 
+    @pytest.mark.parametrize("ws, name", [("c6", "triangle_mid"), ("banana", "witness4")])
+    def test_the_map_samples_vertices_then_each_edge_at_even_spacing(self, request, ws, name):
+        T = request.getfixturevalue(ws).system(name)
+        g = T.graph
+        vertices = [g.vertex_point(v) for v in g.vertices]
+        assert [q for q, _ in tt_reduced_map(T, 0)] == vertices
+        rows = tt_reduced_map(T, 2)
+        assert [q for q, _ in rows] == vertices + [
+            g.point(edge=e.id, offset=e.length * k / 3) for e in g.edges for k in (1, 2)]
+        assert all(red == ls_reduced(T, q)[0] for q, red in rows)
+        assert tt_reduced_map(T) == tt_reduced_map(T, 1)
+
     def test_subtree_reduction_compatibility(self, c6, triangle):
         """Reducing in a generator-subset subtree equals projecting the
         full reduction onto that subtree."""

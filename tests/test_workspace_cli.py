@@ -410,6 +410,8 @@ class TestErrorHandling:
          "--samples must be an integer"),
         (["redmap", "--system", "triangle_mid", "--samples", "-1"],
          "--samples must be nonnegative"),
+        (["redmap", "--system", "triangle_mid", "--samples", "1e400"],
+         "--samples must give at most 1000 sample points, vertices included"),
     ])
     def test_malformed_degrees_and_sample_counts_are_located(self, capsys, argv, message):
         flag = argv[-2]
@@ -475,6 +477,9 @@ class TestErrorHandling:
         (["div", "rho", "--divisor", "D1",
           "--divisor", '[[{"vertex":"v1"},"4"],[{"vertex":"v2"},"-1"]]'],
          "the second divisor must be effective"),
+        (["div", "path", "--divisor", "D1",
+          "--divisor", '[[{"vertex":"v1"},"4"],[{"vertex":"v2"},"-1"]]', "--t", "1"],
+         "the second divisor must be effective"),
         (["div", "b1", "--divisor", "D1", "--divisor", '[[{"vertex":"v1"},"2"]]'],
          "divisors must have equal degree"),
         (["div", "reduce", "--divisor", '[[{"vertex":"v1"},"1/2"]]', "--at", '{"vertex":"v2"}'],
@@ -487,14 +492,23 @@ class TestErrorHandling:
          "the target divisor must be effective"),
         (["tree", "preimage", "--system", "seg_D1_D3", "--divisor", "D2"],
          "the divisor is not a member of the system"),
-    ], ids=["div equiv", "div rho", "div b1", "div reduce", "sys member", "sys project",
-            "tree preimage"])
+    ], ids=["div equiv", "div rho", "div path", "div b1", "div reduce", "sys member",
+            "sys project", "tree preimage"])
     def test_library_errors_on_a_divisor_are_located_at_the_flag(self, capsys, argv, message):
         code = main([*argv[:2], "--graph", C6, *argv[2:]])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == dumps_canonical({"code": "input-error", "location": "--divisor",
                                        "message": message})
+        assert err == ""
+
+    def test_a_t_off_the_segment_is_located_at_the_flag(self, capsys):
+        code = main(["div", "path", "--graph", C6, "--divisor", "D1", "--divisor", "D3",
+                     "--t", "9"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == dumps_canonical({"code": "input-error", "location": "--t",
+                                       "message": "t must lie in [0, 4]"})
         assert err == ""
 
     def test_integral_degrees_and_sample_counts_are_read_as_rationals(self, capsys):
