@@ -150,8 +150,7 @@ def _tp_extremals(ws: Workspace, args):
 def _tp_independence(ws: Workspace, args):
     result = tk.tp_independence(ws.generator_set(args.generators, args.mode),
                                 args.kind)
-    code = {"independent": 0, "dependent": 1, "undecided": 3}[result["status"]]
-    return code, result
+    return int(result["status"] == "dependent"), result
 
 
 def _tp_norm(ws: Workspace, args):

@@ -4,8 +4,7 @@ Exit-code contract for the command line front-end:
   0  operation succeeded / predicate true
   1  predicate false
   2  input error (malformed file, bad reference, violated precondition)
-  3  certificate failure (an internal consistency check did not hold), or
-     an "undecided" verdict of ``tp independence --kind tropical``
+  3  certificate failure (an internal consistency check did not hold)
 """
 
 

@@ -37,13 +37,17 @@ __all__ = _LAZY["trees"]
 
 
 def tt_critical(system: LinearSystem) -> list[Divisor]:
-    """Critical divisors: generators plus every divisor at which some
-    generator segment changes direction.
+    """Critical divisors: generators plus the path point at every
+    breakpoint value of each generator pair's function, deduplicated and
+    sorted canonically.
 
     The segment between two generators is swept by clipping their pair
-    function; its direction changes exactly at the function's breakpoint
-    values, so the critical set is the collection of path points at those
-    levels, deduplicated and sorted canonically.
+    function. Its breakpoint values are its values at the ends of its
+    linear pieces, and a piece ends where the slope changes or at a vertex.
+    So the set holds every divisor where a generator segment changes
+    direction, and depends on the graph's model: subdividing an edge where
+    a pair function keeps its slope can add a critical, and a node of
+    valence 2 to tt_skeleton.
     """
     return list(system.cached(("criticals",), _criticals, system))
 
@@ -58,7 +62,8 @@ def _criticals(system: LinearSystem) -> tuple[Divisor, ...]:
 
 def _turns(system: LinearSystem, a: Divisor, b: Divisor) -> dict[Fraction, Divisor]:
     """The path points at the breakpoint levels of the segment from a to b,
-    by level in increasing order: where the segment changes direction."""
+    by level in increasing order: where the segment changes direction, and
+    at the pair function's value at every vertex."""
     return {t: system.path_point(a, b, t)
             for t in system.pair_function(a, b).breakpoint_values()}
 
@@ -215,7 +220,10 @@ def tt_preimage(system: LinearSystem, d: Divisor) -> ClosedSubset:
 def tt_reduced_map(system: LinearSystem, per_edge: int = 1) -> list[tuple[GraphPoint, Divisor]]:
     """Reduced divisor at each point of _sample_points(graph, per_edge):
     the vertices, then per_edge evenly spaced interior points of each edge.
-    ls_reduced gives it at any other point."""
+    ls_reduced gives it at any other point. per_edge must be an int (not a
+    bool) and at least 0, or the call raises InputError at "per_edge"."""
+    if isinstance(per_edge, bool) or not isinstance(per_edge, int) or per_edge < 0:
+        raise InputError("the sample density must be a nonnegative integer", "per_edge")
     return [(q, ls_reduced(system, q)[0]) for q in _sample_points(system.graph, per_edge)]
 
 

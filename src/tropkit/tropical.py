@@ -445,6 +445,8 @@ _gm_partition_meets' bound 2*D*dim + 1; past it a family is rejected. The
 benchmark's families need at most 816, 16 points in dimension 16 with
 spread 10 need 10,518,528."""
 
+TIE_PATTERN_LIMIT = 2_000_000  # most tie patterns, C(n, 2)^dim, a tropical check searches
+
 
 def _gm_partition_meets(left: list[list[int]], right: list[list[int]]):
     """A common point of the lower cones of two integer families, or None.
@@ -471,6 +473,46 @@ def _gm_partition_meets(left: list[list[int]], right: list[list[int]]):
             return None
 
 
+def _gm_rounds(rows: list[list[int]], dim: int) -> int:
+    """The round bound of a Gondran-Minoux check of the rows."""
+    return 2 ** (len(rows) - 1) * (2 * max(map(max, rows)) * dim + 1)
+
+
+def _gm_meeting(rows: list[list[int]]):
+    """([left, right], z) for the first 2-partition of the rows, row 0 on
+    the left, whose lower cones meet, z a common point; or None."""
+    n = len(rows)
+    for mask in range(2 ** (n - 1)):
+        left_idx = [0] + [i for i in range(1, n) if mask & (1 << (i - 1))]
+        right_idx = [i for i in range(1, n) if not mask & (1 << (i - 1))]
+        if not right_idx:
+            continue
+        point = _gm_partition_meets([rows[i] for i in left_idx],
+                                    [rows[i] for i in right_idx])
+        if point is not None:
+            return [left_idx, right_idx], point
+    return None
+
+
+def _gm_tie_solution(rows: list[list[int]], dim: int):
+    """Coefficients that tie every ground element at least twice, from a
+    Gondran-Minoux common point z of the first min(n, dim + 1) rows, or
+    None when they have none within GM_ROUND_LIMIT rounds.
+
+    Those rows are lifted to z, so each side of the partition attains z
+    everywhere, and every later row v sits above z, at max_x (z_x - v_x)
+    + 1. Any dim + 1 points have a meeting partition (the tropical Radon
+    theorem), so only a family of at most dim points, or one past the round
+    limit, gets None.
+    """
+    head = rows[:dim + 1]
+    meeting = _gm_meeting(head) if _gm_rounds(head, dim) <= GM_ROUND_LIMIT else None
+    if meeting is None:
+        return None
+    z = meeting[1]
+    return _lifts(head, z) + [c + 1 for c in _lifts(rows[dim + 1:], z)]
+
+
 def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     """Independence check of one of three strengths.
 
@@ -484,12 +526,13 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
       combination envelope at least twice (decided exactly by choosing,
       for every ground element, which pair of generators ties at the
       minimum there, and testing each choice as a difference-constraint
-      system, depth first with infeasible prefixes pruned). Families with
-      more than 2*10**6 patterns report 'undecided', the only case that
-      does.
+      system, depth first with infeasible prefixes pruned). Past
+      TIE_PATTERN_LIMIT patterns a Gondran-Minoux common point of the
+      first min(n, dim + 1) generators gives the coefficients
+      (_gm_tie_solution); a family without one raises InputError.
 
-    Returns a dict with keys status ('independent', 'dependent' or
-    'undecided'), kind, and certificate.
+    Returns a dict with keys status ('independent' or 'dependent'), kind,
+    and certificate.
     """
     pts = list(dict.fromkeys(S.points))
     n = len(pts)
@@ -510,37 +553,36 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     ivecs, scale = _integer_vectors(pts, sign)
 
     if kind == "gondran_minoux":
-        rounds = 2 ** (n - 1) * (2 * max(map(max, ivecs)) * S.dim + 1)
+        rounds = _gm_rounds(ivecs, S.dim)
         if rounds > GM_ROUND_LIMIT:
             raise InputError(f"Gondran-Minoux check of {n} generators may take {rounds} "
                              f"rounds, more than the limit {GM_ROUND_LIMIT}", "generators")
-        for mask in range(2 ** (n - 1)):
-            left_idx = [0] + [i for i in range(1, n) if mask & (1 << (i - 1))]
-            right_idx = [i for i in range(1, n) if not mask & (1 << (i - 1))]
-            if not right_idx:
-                continue
-            point = _gm_partition_meets([ivecs[i] for i in left_idx],
-                                        [ivecs[i] for i in right_idx])
-            if point is None:
-                continue
-            witness = TropPoint.of(tuple(Fraction(sign * c, scale) for c in point))
-            for side in (left_idx, right_idx):
-                if not tp_member(TropGeneratorSet.of([pts[i] for i in side], S.mode),
-                                 witness)[0]:
-                    raise CertificateError(
-                        "Gondran-Minoux common point is not in both hulls",
-                        {"partition": [left_idx, right_idx], "point": str(witness)})
-            return {"kind": kind, "status": "dependent",
-                    "certificate": {"partition": [left_idx, right_idx],
-                                    "common_point": [str(c) for c in witness.coords]}}
-        return {"kind": kind, "status": "independent", "certificate": None}
+        meeting = _gm_meeting(ivecs)
+        if meeting is None:
+            return {"kind": kind, "status": "independent", "certificate": None}
+        partition, point = meeting
+        witness = TropPoint.of(tuple(Fraction(sign * c, scale) for c in point))
+        for side in partition:
+            if not tp_member(TropGeneratorSet.of([pts[i] for i in side], S.mode),
+                             witness)[0]:
+                raise CertificateError("Gondran-Minoux common point is not in both hulls",
+                                       {"partition": partition, "point": str(witness)})
+        return {"kind": kind, "status": "dependent",
+                "certificate": {"partition": partition,
+                                "common_point": [str(c) for c in witness.coords]}}
 
-    tie_pairs = list(itertools.combinations(range(n), 2))
-    if len(tie_pairs) ** S.dim > 2_000_000:
-        return {"kind": kind, "status": "undecided", "certificate": None}
-    solution = _first_tie_solution(ivecs, tie_pairs)
-    if solution is None:
-        return {"kind": kind, "status": "independent", "certificate": None}
+    pairs = n * (n - 1) // 2
+    if pairs ** S.dim <= TIE_PATTERN_LIMIT:
+        solution = _first_tie_solution(ivecs, list(itertools.combinations(range(n), 2)))
+        if solution is None:
+            return {"kind": kind, "status": "independent", "certificate": None}
+    else:
+        solution = _gm_tie_solution(ivecs, S.dim)
+        if solution is None:
+            raise InputError(f"tropical check of {n} generators has {pairs}^{S.dim} tie "
+                             f"patterns, more than the limit {TIE_PATTERN_LIMIT}, and its "
+                             f"first {min(n, S.dim + 1)} show no Gondran-Minoux meeting "
+                             f"within {GM_ROUND_LIMIT} rounds", "generators")
     base = solution[0]
     cs = [Fraction(c - base, scale) for c in solution]
     if not _ties_everywhere(ivecs, solution):

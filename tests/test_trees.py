@@ -168,6 +168,12 @@ class TestReducedMapAndPreimages:
         assert all(red == ls_reduced(T, q)[0] for q, red in rows)
         assert tt_reduced_map(T) == tt_reduced_map(T, 1)
 
+    @pytest.mark.parametrize("per_edge", [-1, 1.5, True, Fraction(1), "1", None])
+    def test_a_density_that_is_not_a_nonnegative_int_is_refused(self, c6, per_edge):
+        with pytest.raises(InputError) as exc:
+            tt_reduced_map(c6.system("triangle_mid"), per_edge)
+        assert exc.value.location == "per_edge"
+
     def test_subtree_reduction_compatibility(self, c6, triangle):
         """Reducing in a generator-subset subtree equals projecting the
         full reduction onto that subtree."""

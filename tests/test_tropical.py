@@ -65,11 +65,11 @@ def hull_with_member(draw, max_gens: int = 4):
 
 @st.composite
 def integer_family(draw, max_points: int = 4, max_dim: int = 4, top: int = 5,
-                   modes=("lower", "upper")):
-    """Two to max_points generators with entries 0..top, in a drawn mode."""
-    dim = draw(st.integers(2, max_dim))
+                   modes=("lower", "upper"), min_points: int = 2, min_dim: int = 2):
+    """min_points to max_points generators with entries 0..top, in a drawn mode."""
+    dim = draw(st.integers(min_dim, max_dim))
     rows = draw(st.lists(st.lists(st.integers(0, top), min_size=dim, max_size=dim),
-                         min_size=2, max_size=max_points))
+                         min_size=min_points, max_size=max_points))
     return TropGeneratorSet.of(rows, draw(st.sampled_from(modes)))
 
 
@@ -665,13 +665,50 @@ class TestIndependence:
             assert tp_independence(S, kind) == \
                 {"kind": kind, "status": "independent", "certificate": None}
 
-    def test_only_the_tie_pattern_guard_is_undecided(self):
-        """Ten tie pairs in dimension 7 exceed 2*10**6 patterns."""
+    def test_past_the_tie_pattern_bound_a_gm_meeting_decides_or_the_family_is_refused(self):
+        """Ten tie pairs in dimension 7 exceed 2*10**6 patterns; these five
+        points are GM independent, so the check is refused at once. Nine
+        points in dimension 6 (36^6 patterns) have a GM meeting among their
+        first seven, whose lifts tie every ground element twice."""
         S = TropGeneratorSet.of([[(3 * i + 5 * x) % 7 for x in range(7)]
                                  for i in range(5)], "lower")
         assert len(S.points) == 5
-        assert tp_independence(S, "tropical")["status"] == "undecided"
-        assert tp_independence(S, "gondran_minoux")["status"] in ("independent", "dependent")
+        assert tp_independence(S, "gondran_minoux")["status"] == "independent"
+        start = time.perf_counter()
+        with pytest.raises(InputError) as exc:
+            tp_independence(S, "tropical")
+        assert time.perf_counter() - start < 1
+        assert exc.value.location == "generators"
+        assert "10^7 tie patterns" in str(exc.value)
+        assert str(tropical.TIE_PATTERN_LIMIT) in str(exc.value)
+        for mode in ("lower", "upper"):
+            S = TropGeneratorSet.of([[(7 * i * x + i + 2 * x) % 11 for x in range(6)]
+                                     for i in range(9)], mode)
+            result = tp_independence(S, "tropical")
+            assert result["status"] == "dependent"
+            cs = [Fraction(c) for c in result["certificate"]["coefficients"]]
+            sign = 1 if mode == "lower" else -1
+            vecs = [[sign * c - min(sign * d for d in p.coords) for c in p.coords]
+                    for p in S.points]
+            for x in range(S.dim):
+                column = [c + v[x] for c, v in zip(cs, vecs)]
+                assert column.count(min(column)) >= 2
+
+    @given(integer_family(min_dim=6, max_dim=7, min_points=5, max_points=9, top=9))
+    @settings(max_examples=30)
+    def test_every_family_past_the_tie_pattern_bound_is_decided_or_refused(self, S):
+        """More points than dimensions always have a GM meeting, so only a
+        family of at most dim points may be refused."""
+        n = len(S.points)
+        assume((n * (n - 1) // 2) ** S.dim > tropical.TIE_PATTERN_LIMIT)
+        try:
+            result = tp_independence(S, "tropical")
+        except InputError as exc:
+            assert exc.location == "generators"
+            assert n <= S.dim
+            assert tp_independence(S, "gondran_minoux")["status"] == "independent"
+        else:
+            assert result["status"] == "dependent"
 
     def test_gm_rejects_families_past_its_round_limit_at_once(self):
         """30 points in dimension 30 with spread 10 would need 2**29 * 601
@@ -700,6 +737,14 @@ class TestIndependence:
                             lambda vals, pairs: [1000 * i for i in range(len(vals))])
         with pytest.raises(CertificateError):
             tp_independence(tp3.generator_set("rect"), "tropical")
+
+    def test_gm_lifts_without_ties_fail_their_check(self, monkeypatch):
+        monkeypatch.setattr(tropical, "_gm_tie_solution",
+                            lambda rows, dim: [1000 * i for i in range(len(rows))])
+        S = TropGeneratorSet.of([[(7 * i * x + i + 2 * x) % 11 for x in range(6)]
+                                 for i in range(9)], "lower")
+        with pytest.raises(CertificateError):
+            tp_independence(S, "tropical")
 
 
 class TestRetraction:

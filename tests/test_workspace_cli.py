@@ -655,6 +655,31 @@ class TestPredicateExitCodes:
         assert code == 1
         assert payload["status"] == "dependent"
 
+    @pytest.mark.parametrize("kind, rows, code", [
+        ("gondran_minoux", [[0 if i == x else 10 for x in range(30)] for i in range(30)], 2),
+        ("tropical", [[(3 * i + 5 * x) % 7 for x in range(7)] for i in range(5)], 2),
+        ("tropical", [[(7 * i * x + i + 2 * x) % 11 for x in range(6)] for i in range(9)], 1),
+    ], ids=["gm-past-its-round-limit", "tropical-refused", "tropical-decided"])
+    def test_oversized_independence_checks_are_decided_or_refused(self, tmp_path, capsys,
+                                                                  kind, rows, code):
+        """Past its limit a check is refused at the generators, unless a
+        tropical check finds a Gondran-Minoux meeting to decide it."""
+        ws = tmp_path / "big.json"
+        ws.write_text(json.dumps({
+            "schema_version": 1, "ground": [f"x{x}" for x in range(len(rows[0]))],
+            "points": {f"P{i}": [str(c) for c in r] for i, r in enumerate(rows)},
+            "sets": {"S": [f"P{i}" for i in range(len(rows))]}}))
+        exit_code = main(["tp", "independence", "--space", str(ws), "--generators", "S",
+                          "--kind", kind])
+        out, err = capsys.readouterr()
+        assert exit_code == code
+        payload = json.loads(out)
+        if code == 2:
+            assert payload["location"] == "generators"
+        else:
+            assert payload["status"] == "dependent"
+        assert err == ""
+
     def test_equiv_codes(self, capsys):
         code, _ = run_json(capsys, "div", "equiv", "--graph", C6,
                            "--divisor", "D1", "--divisor", "D3")
