@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import _LAZY
 from .divisors import LinearSystem, ls_bases, ls_reduced
 from .errors import CertificateError, InputError
-from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, Subdivision, _reachable
+from .graphs import ClosedSubset, Divisor, GraphPoint, MetricGraph, _reachable
 from .rational import as_fraction
 
 __all__ = _LAZY["trees"]
@@ -353,11 +353,12 @@ class SubArcMap(NamedTuple):
 class PseudoHarmonicMap(NamedTuple):
     """Reduced-divisor map from the graph onto a tree skeleton.
 
-    ``cut_points`` are the interior points at which the graph was
-    subdivided (the non-vertex fiber points); ``sub_arcs`` cover every
-    subdivided edge segment; ``fibers`` lists the preimage of each node;
-    ``local_degrees`` records the reduced-divisor coefficient of every
-    subdivision node at itself.
+    ``cut_points`` are the fiber points that are not vertices, by edge
+    and offset; ``sub_arcs`` map the gaps of the fiber set, the open
+    stretches of edge between those points and the vertices, one per gap
+    in edge and offset order; ``fibers`` lists the preimage of each node;
+    ``local_degrees`` records the reduced-divisor coefficient at itself of
+    every vertex, in graph order, then of every cut point.
     """
 
     skeleton: TreeSkeleton
@@ -376,11 +377,13 @@ class PseudoHarmonicMap(NamedTuple):
 def tt_morphism(system: LinearSystem) -> PseudoHarmonicMap:
     """Build and verify the reduced-divisor map of a dominant tree.
 
-    The graph is subdivided at every fiber point of every skeleton node.
-    On each resulting segment the map must be linear: its endpoint images
-    must lie on a common arc, the expansion factor must be a positive
-    integer, and the midpoint must land exactly halfway between the
-    endpoint images.  Finally the sub-arc images must cover every arc.
+    The fiber points of every skeleton node form one finite set; the
+    reduced divisor is computed once at each vertex and fiber point, and
+    its position on the skeleton once per distinct reduced divisor.  On
+    each gap of the fiber set the map must be linear: the images of the
+    gap's ends must lie on a common arc, the expansion factor must be a
+    positive integer, and the midpoint must land exactly halfway between
+    the end images.  Finally the sub-arc images must cover every arc.
     """
     return system.cached(("morphism",), _morphism, system)
 
@@ -400,46 +403,46 @@ def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
                 {"node": str(node)})
         fibers.append(tuple(points))
 
-    sub = Subdivision(graph, [p for fiber in fibers for p in fiber])
+    cuts = ClosedSubset._encode(graph, (p for fiber in fibers for p in fiber), {})
+    red = {p: ls_reduced(system, p)[0] for p in [GraphPoint(vertex=v) for v in graph.vertices]
+           + [p for p in cuts.finite_points() if not p.is_vertex]}
 
-    node_red: list[Divisor] = [ls_reduced(system, p)[0] for p in sub.nodes]
-
-    for ni, fiber in enumerate(fibers):
+    for node, fiber in zip(skel.nodes, fibers):
         for p in fiber:
-            if node_red[sub.index[p]] != skel.nodes[ni]:
+            if red[p] != node:
                 raise CertificateError(
                     "a fiber point does not reduce to its node",
-                    {"point": str(p), "node": str(skel.nodes[ni])})
+                    {"point": str(p), "node": str(node)})
 
-    places = [_places(system, skel, r) for r in node_red]
+    places = {r: _places(system, skel, r) for r in dict.fromkeys(red.values())}
 
     sub_arcs: list[SubArcMap] = []
-    for na, nb, length, eid, off in sub.segments:
-        ra, rb = node_red[na], node_red[nb]
+    for eid, off, end in cuts.complement_gaps()[1]:
+        ra, rb = red[graph.point(edge=eid, offset=off)], red[graph.point(edge=eid, offset=end)]
         rho_ab = system.rho(ra, rb)
         if rho_ab == 0:
             raise CertificateError(
                 "the reduced-divisor map is constant on a segment",
                 {"edge": eid, "start": str(off)})
-        factor = rho_ab / length
+        factor = rho_ab / (end - off)
         if factor.denominator != 1:
             raise CertificateError(
                 "an expansion factor is not an integer",
                 {"edge": eid, "start": str(off), "factor": str(factor)})
-        mid = graph.point(edge=eid, offset=off + length / 2)
+        mid = graph.point(edge=eid, offset=(off + end) / 2)
         red_mid, _ = ls_reduced(system, mid)
         if red_mid != system.path_point(ra, rb, rho_ab / 2):
             raise CertificateError(
                 "the reduced-divisor map is not linear on a segment",
                 {"edge": eid, "start": str(off)})
-        shared = places[na].keys() & places[nb].keys()
+        shared = places[ra].keys() & places[rb].keys()
         if not shared:
             raise CertificateError(
                 "segment endpoint images do not share an arc",
                 {"from": str(ra), "to": str(rb)})
         ai = min(shared)
-        sub_arcs.append(SubArcMap(edge=eid, start=off, end=off + length, arc=ai,
-                                  arc_from=places[na][ai], arc_to=places[nb][ai],
+        sub_arcs.append(SubArcMap(edge=eid, start=off, end=end, arc=ai,
+                                  arc_from=places[ra][ai], arc_to=places[rb][ai],
                                   expansion=int(factor)))
 
     for ai, arc in enumerate(skel.arcs):
@@ -457,9 +460,9 @@ def _morphism(system: LinearSystem) -> PseudoHarmonicMap:
                 {"arc": ai, "covered": str(reach),
                  "length": str(arc.length)})
 
-    local_degrees = tuple((p, int(red.coeff(p))) for p, red in zip(sub.nodes, node_red))
+    local_degrees = tuple((p, int(r.coeff(p))) for p, r in red.items())
     return PseudoHarmonicMap(
-        skeleton=skel, cut_points=tuple(sub.nodes[len(graph.vertices):]),
+        skeleton=skel, cut_points=tuple(p for p in red if not p.is_vertex),
         sub_arcs=tuple(sub_arcs), fibers=tuple(fibers), local_degrees=local_degrees)
 
 

@@ -555,7 +555,11 @@ def tp_independence(S: TropGeneratorSet, kind: str = "weak"):
     if kind == "gondran_minoux":
         rounds = _gm_rounds(ivecs, S.dim)
         if rounds > GM_ROUND_LIMIT:
-            raise InputError(f"Gondran-Minoux check of {n} generators may take {rounds} "
+            try:
+                shown = str(rounds)
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                shown = f"at least 2^{rounds.bit_length() - 1}"
+            raise InputError(f"Gondran-Minoux check of {n} generators may take {shown} "
                              f"rounds, more than the limit {GM_ROUND_LIMIT}", "generators")
         meeting = _gm_meeting(ivecs)
         if meeting is None:

@@ -38,11 +38,9 @@ SCHEMA_VERSION = 1
 # parsing helpers
 
 
-def _expect(data, types, what: str, location: str):
-    if not isinstance(data, types):
-        names = types.__name__ if isinstance(types, type) else \
-            "/".join(t.__name__ for t in types)
-        raise InputError(f"{what} must be a {names}, "
+def _expect(data, kind: type, what: str, location: str):
+    if not isinstance(data, kind):
+        raise InputError(f"{what} must be a {kind.__name__}, "
                          f"got {type(data).__name__}", location)
     return data
 

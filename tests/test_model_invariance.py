@@ -3,11 +3,14 @@
 Subdividing an edge at an interior point, reversing an edge, renaming and
 reordering the vertices and edges, and giving a cycle as a loop instead of
 as two edges through a declared vertex change no intrinsic answer; scaling
-every length by λ scales resistances and chip-firing distances by λ and
-changes nothing else. Every point is carried through the change of model
-and every answer is compared with the carried answer. The critical set and
-the skeleton of a tree are left out: they list a divisor at every piece
-end of a pair function, so a new vertex can add one (see tt_critical).
+every length by λ scales resistances, chip-firing distances and
+j-function values by λ and the b1 pseudonorm (a potential's integral) by
+λ², and changes nothing else. Every point is carried through the change of
+model and every answer is compared with the carried answer. The critical
+set and the skeleton of a tree are left out: they list a divisor at every
+piece end of a pair function, so a new vertex can add one (see
+tt_critical). The morphism's local degrees are compared only at the
+original vertices, which every model keeps as vertices.
 """
 
 import random
@@ -20,18 +23,23 @@ from hypothesis import strategies as st
 from conftest import random_cover, random_length, random_point
 from tropkit import (
     Divisor,
+    GraphPoint,
     LinearSystem,
     MetricGraph,
+    dv_b1,
     dv_dhar,
     dv_rho,
     ls_extremals,
     ls_member,
     ls_project,
     ls_reduced,
+    mg_jfunction,
     mg_resistance,
     tt_harmonize,
     tt_is_dominant,
     tt_is_tree,
+    tt_morphism,
+    tt_verify_witness,
 )
 
 CHANGES = ("subdivide", "reverse", "relabel", "scale", "loop")
@@ -114,11 +122,15 @@ def test_a_change_of_model_changes_no_intrinsic_answer(seed, change):
     assert mg_resistance(H, move(p), move(q)) == scale * mg_resistance(G, p, q)
     d = Divisor.of(G, [(random_point(rng, G), rng.randint(1, 2))
                        for _ in range(rng.randint(1, 3))])
+    j, k = mg_jfunction(G, q, p), mg_jfunction(H, move(q), move(p))
+    for x in d.entries:
+        assert k.eval(move(x)) == scale * j.eval(x)
     gens = []
     for at in [random_point(rng, G) for _ in range(rng.randint(2, 4))]:
         gens.append(dv_dhar(G, d, at))
         assert dv_dhar(H, carry(d), move(at)) == carry(gens[-1])
     assert dv_rho(H, carry(gens[0]), carry(gens[1])) == scale * dv_rho(G, gens[0], gens[1])
+    assert dv_b1(H, carry(gens[0]), carry(gens[1])) == scale ** 2 * dv_b1(G, gens[0], gens[1])
     T, U = LinearSystem(G, gens), LinearSystem(H, [carry(g) for g in gens])
     assert ls_reduced(U, move(p))[0] == carry(ls_reduced(T, p)[0])
     e = Divisor.of(G, [(random_point(rng, G), 1) for _ in range(int(d.degree()))])
@@ -133,5 +145,10 @@ def test_a_change_of_model_changes_no_intrinsic_answer(seed, change):
     U = LinearSystem(H, [carry(g) for g in T.generators])
     assert tt_is_tree(U)[0] == tt_is_tree(T)[0]
     assert tt_is_dominant(U)[0] == tt_is_dominant(T)[0]
+    assert tt_verify_witness(U, U.degree)[0] == tt_verify_witness(T, T.degree)[0]
     if tt_is_dominant(T)[0]:  # only a new cycle through w leaves the cover not dominant
         assert tt_harmonize(U)[2] == tt_harmonize(T)[2]
+        f, g = tt_morphism(T), tt_morphism(U)
+        for v in graph.vertices:
+            at = GraphPoint(vertex=v)
+            assert g.degree_of(move(at)) == f.degree_of(at)

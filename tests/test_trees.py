@@ -11,6 +11,7 @@ from conftest import random_cover
 from tropkit import (
     Attachment,
     Divisor,
+    GraphPoint,
     InputError,
     LinearSystem,
     MetricGraph,
@@ -360,6 +361,17 @@ class TestRandomCovers:
             mid = graph.point(edge=sa.edge, offset=(sa.start + sa.end) / 2)
             image = _places(T, skel, ls_reduced(T, mid)[0])
             assert image == {sa.arc: (sa.arc_from + sa.arc_to) / 2}
+        # the sub-arcs tile each edge, cut exactly at the interior fiber points
+        inner = []
+        for e in graph.edges:
+            ends = [(sa.start, sa.end) for sa in morphism.sub_arcs if sa.edge == e.id]
+            assert [a for a, _ in ends] == [0, *(b for _, b in ends[:-1])]
+            assert ends[-1][1] == e.length
+            inner += [GraphPoint(edge=e.id, offset=b) for _, b in ends[:-1]]
+        assert sorted(inner, key=GraphPoint.key) == list(morphism.cut_points)
+        assert list(morphism.cut_points) == sorted(
+            {p for fiber in morphism.fibers for p in fiber if not p.is_vertex},
+            key=GraphPoint.key)
         modification, _, d = tt_harmonize(T)
         assert d == degree
         assert modification.is_trivial

@@ -726,6 +726,18 @@ class TestIndependence:
         S = TropGeneratorSet.of([[Fraction(x, 10007) for x in r] for r in rows], "lower")
         assert tp_independence(S, "gondran_minoux")["status"] in ("independent", "dependent")
 
+    def test_gm_refuses_a_bound_too_long_to_print_in_decimal(self):
+        """15,000 points (0, k) in dimension 2 have a round bound of over
+        4,300 digits, past what str() converts by default: the refusal is
+        still the located InputError, and the tropical kind decides them."""
+        S = TropGeneratorSet.of([[0, k] for k in range(15000)], "lower")
+        start = time.perf_counter()
+        with pytest.raises(InputError) as exc:
+            tp_independence(S, "gondran_minoux")
+        assert time.perf_counter() - start < 1
+        assert exc.value.location == "generators"
+        assert tp_independence(S, "tropical")["status"] == "dependent"
+
     def test_a_gm_point_outside_a_hull_fails_its_check(self, tp3, monkeypatch):
         monkeypatch.setattr(tropical, "_gm_partition_meets",
                             lambda left, right: [0, 0, 1000])

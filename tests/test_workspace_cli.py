@@ -657,9 +657,11 @@ class TestPredicateExitCodes:
 
     @pytest.mark.parametrize("kind, rows, code", [
         ("gondran_minoux", [[0 if i == x else 10 for x in range(30)] for i in range(30)], 2),
+        ("gondran_minoux", [[0, k] for k in range(15000)], 2),
         ("tropical", [[(3 * i + 5 * x) % 7 for x in range(7)] for i in range(5)], 2),
         ("tropical", [[(7 * i * x + i + 2 * x) % 11 for x in range(6)] for i in range(9)], 1),
-    ], ids=["gm-past-its-round-limit", "tropical-refused", "tropical-decided"])
+    ], ids=["gm-past-its-round-limit", "gm-bound-past-the-digit-limit",
+            "tropical-refused", "tropical-decided"])
     def test_oversized_independence_checks_are_decided_or_refused(self, tmp_path, capsys,
                                                                   kind, rows, code):
         """Past its limit a check is refused at the generators, unless a
