@@ -25,7 +25,7 @@ from .graphs import (
     GraphPoint,
     MetricGraph,
     PLFunction,
-    Subdivision,
+    _ZERO,
     _potential,
 )
 from .rational import as_fraction
@@ -85,26 +85,45 @@ def dv_b1(graph: MetricGraph, d: Divisor, e: Divisor) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
-    """One burning pass from q.
+    """One burning pass from q over the graph cut at d's support and q.
 
-    Fire starts at q and crosses a point only when the arriving directions
+    Nodes are int ids, the vertices and then the cut points; segments are
+    (tail, head, length, edge id, start offset), an uncut edge one segment.
+    Fire starts at q and crosses a node only when the arriving directions
     outnumber its chips. It spreads breadth first in one pass: each burnt
-    point sends it once along each of its segments, parallel ones apart.
-    Returns (sub, burnt, unburnt): the subdivision at d's support and q,
-    whether each of its nodes burnt, and the maximal closed set the fire
-    cannot enter, or None when the fire consumes the whole graph.
+    node sends it once along each of its segments, parallel ones apart.
+    Returns (nodes, segments, burnt, unburnt): the point of each node id,
+    the segments, whether each node burnt, and the maximal closed set the
+    fire cannot enter, or None when the fire consumes the whole graph.
     """
-    sub = Subdivision(graph, [*d.entries, q])
-    n = len(sub.nodes)
+    cut: dict[str, set[Fraction]] = {}
+    for p in (*d.entries, q):
+        if not p.is_vertex:
+            cut.setdefault(p.edge, set()).add(p.offset)
+    nodes = [GraphPoint(vertex=v) for v in graph.vertices]
+    at = {v: i for i, v in enumerate(graph.vertices)}
+    segments: list[tuple[int, int, Fraction, str, Fraction]] = []
+    for e in graph.edges:
+        if e.id not in cut:  # uncut: one full-length segment
+            segments.append((at[e.tail], at[e.head], e.length, e.id, _ZERO))
+            continue
+        offs = sorted(cut[e.id])
+        ids = [at[e.tail], *range(len(nodes), len(nodes) + len(offs)), at[e.head]]
+        nodes += [GraphPoint(edge=e.id, offset=o) for o in offs]
+        offs = [_ZERO, *offs, e.length]
+        segments += [(a, b, o2 - o1, e.id, o1)
+                     for a, b, o1, o2 in zip(ids, ids[1:], offs, offs[1:])]
+    index = {p: i for i, p in enumerate(nodes)}
+    n = len(nodes)
     chips = [0] * n
     for p, c in d.entries.items():
-        chips[sub.index[p]] = c
+        chips[index[p]] = c
     inc: list[list[int]] = [[] for _ in range(n)]
-    for a, b, _, _, _ in sub.segments:
+    for a, b, _, _, _ in segments:
         inc[a].append(b)
         inc[b].append(a)
     burnt = [False] * n
-    front = [sub.index[q]]  # the burnt nodes, in the order they burnt
+    front = [index[q]]  # the burnt nodes, in the order they burnt
     burnt[front[0]] = True
     arrived = [0] * n  # the segments along which fire has reached each node
     for node in front:
@@ -115,18 +134,18 @@ def _burn_once(graph: MetricGraph, d: Divisor, q: GraphPoint):
                     burnt[other] = True
                     front.append(other)
     if all(burnt):
-        return sub, burnt, None
+        return nodes, segments, burnt, None
     intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for a, b, length, eid, off in sub.segments:
+    for a, b, length, eid, off in segments:
         if not burnt[a] and not burnt[b]:
             intervals.setdefault(eid, []).append((off, off + length))
-    unburnt = (p for p, is_burnt in zip(sub.nodes, burnt) if not is_burnt)
-    return sub, burnt, ClosedSubset._encode(graph, unburnt, intervals)
+    unburnt = (p for p, is_burnt in zip(nodes, burnt) if not is_burnt)
+    return nodes, segments, burnt, ClosedSubset._encode(graph, unburnt, intervals)
 
 
-def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,
+def _fire_step(graph: MetricGraph, d: Divisor, nodes: list[GraphPoint], segments: list,
                burnt: list[bool]) -> tuple[Divisor, Fraction]:
-    """Fire the unburnt set by the largest event-free distance.
+    """Fire _burn_once's unburnt set by the largest event-free distance.
 
     An arm is a segment with exactly one burnt end, and l* is the length of
     the shortest arm. One chip leaves each arm's unburnt end and lands l*
@@ -135,11 +154,11 @@ def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,
     the firing function, 0 on the unburnt set, rising with slope 1 along
     each arm and flat at l* beyond.
     """
-    arms = [seg for seg in sub.segments if burnt[seg[0]] != burnt[seg[1]]]
+    arms = [seg for seg in segments if burnt[seg[0]] != burnt[seg[1]]]
     tail, head, l_star, _, _ = min(arms, key=lambda arm: arm[2])
     chips = dict(d.entries)
     for a, b, length, eid, off in arms:
-        u, w = (sub.nodes[b], sub.nodes[a]) if burnt[a] else (sub.nodes[a], sub.nodes[b])
+        u, w = (nodes[b], nodes[a]) if burnt[a] else (nodes[a], nodes[b])
         chips[u] = chips.get(u, 0) - 1
         land = w if length == l_star else GraphPoint(
             edge=eid, offset=off + length - l_star if burnt[a] else off + l_star)
@@ -150,7 +169,7 @@ def _fire_step(graph: MetricGraph, d: Divisor, sub: Subdivision,
                                {"divisor": str(fired)})
     if l_star == 0:  # firing would make no progress
         raise CertificateError("chip-firing met a zero-length arm",
-                               {"arm": f"{sub.nodes[tail]}..{sub.nodes[head]}"})
+                               {"arm": f"{nodes[tail]}..{nodes[head]}"})
     return fired, l_star
 
 
@@ -180,13 +199,13 @@ def dv_dhar_trace(graph: MetricGraph, d: Divisor, q: GraphPoint):
     current = d
     steps = []
     while True:
-        sub, burnt, unburnt = _burn_once(graph, current, q)
+        nodes, segments, burnt, unburnt = _burn_once(graph, current, q)
         if unburnt is None:
             return current, steps
         if len(steps) >= cap:
             raise CertificateError("chip-firing did not stabilize within the safety cap",
                                    {"rounds": len(steps)})
-        current, l_star = _fire_step(graph, current, sub, burnt)
+        current, l_star = _fire_step(graph, current, nodes, segments, burnt)
         steps.append({"fired_set": unburnt, "distance": l_star})
 
 
@@ -207,7 +226,7 @@ def dv_dhar_certificate(graph: MetricGraph, d: Divisor, q: GraphPoint):
     already q-reduced.
     """
     _check_burning_input(graph, d, q)
-    _, _, unburnt = _burn_once(graph, d, q)
+    *_, unburnt = _burn_once(graph, d, q)
     return unburnt is None, unburnt
 
 

@@ -831,42 +831,8 @@ class ClosedSubset:
 
 
 # ---------------------------------------------------------------------------
-# subdivision and exact potential solves
+# exact potential solves
 # ---------------------------------------------------------------------------
-
-class Subdivision:
-    """Graph refined at a finite set of interior points.
-
-    nodes lists the vertices, as points, then the interior points by edge id
-    and offset; index maps each node to its position, and segments lists
-    the resulting simple pieces as (tail node, head node, length, edge id,
-    start offset), an edge with no cut point as one segment.
-    """
-
-    def __init__(self, graph: MetricGraph, points: Iterable[GraphPoint]):
-        cut: dict[str, set[Fraction]] = {}
-        for p in points:
-            if not p.is_vertex:
-                cut.setdefault(p.edge, set()).add(p.offset)
-        cuts = {eid: sorted(offs) for eid, offs in sorted(cut.items())}
-        self.nodes = [GraphPoint(vertex=v) for v in graph.vertices]
-        first = {}  # cut edge id -> position of its first cut node
-        for eid, offs in cuts.items():
-            first[eid] = len(self.nodes)
-            self.nodes += [GraphPoint(edge=eid, offset=o) for o in offs]
-        self.index = {p: i for i, p in enumerate(self.nodes)}
-        at = {v: i for i, v in enumerate(graph.vertices)}
-        self.segments: list[tuple[int, int, Fraction, str, Fraction]] = []
-        for e in graph.edges:
-            if e.id not in cuts:  # uncut: one full-length segment
-                self.segments.append((at[e.tail], at[e.head], e.length, e.id, _ZERO))
-                continue
-            offs = [_ZERO, *cuts[e.id], e.length]
-            k = first[e.id]
-            ids = [at[e.tail], *range(k, k + len(offs) - 2), at[e.head]]
-            self.segments += [(a, b, o2 - o1, e.id, o1)
-                              for a, b, o1, o2 in zip(ids, ids[1:], offs, offs[1:])]
-
 
 def _bareiss(rows: list[dict[int, int]]) -> tuple[list[int], int]:
     """Solve A X = D b in ints, D = det A, for a symmetric positive definite

@@ -1,12 +1,15 @@
 """Reference Dhar burner, used only as an oracle by the tests.
 
-This is the burner that firing by moving chips replaced. The graph is
-subdivided at the divisor's support and at q into nodes keyed
-("v", vertex) and ("p", edge id, offset); fire spreads by sweeping every
-node until nothing changes; and each round fires the unburnt set by
-building the firing function as a checked `PLFunction` (0 on the unburnt
-set, slope 1 along each arm, flat at l* beyond) and adding its divisor.
-The library must return exactly what these return.
+This is the burner that firing by moving chips replaced. `subdivide`
+cuts the graph at the divisor's support and at q into nodes keyed
+("v", vertex) and ("p", edge id, offset); it is the tests' own cut, which
+the dense potential oracle and the distance test use too, so no oracle
+runs the library's cut, and the library burner's segments must equal its
+segments. Fire spreads by sweeping every node until nothing changes; and
+each round fires the unburnt set by building the firing function as a
+checked `PLFunction` (0 on the unburnt set, slope 1 along each arm, flat
+at l* beyond) and adding its divisor. The library must return exactly
+what these return.
 """
 
 from fractions import Fraction

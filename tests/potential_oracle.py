@@ -1,17 +1,18 @@
 """Reference potential solvers, used only as oracles by the tests.
 
-`oracle_potential` is a dense Gauss-Jordan solve over the subdivided graph:
-every point of the divisor's support becomes a node of the Laplacian, so
-the matrix order grows with the divisor. `solve` is the sparse `Fraction`
-solve that the integer elimination replaced: the support is folded onto
-the vertices and the grounded vertex Laplacian is eliminated by exact
-LDL^T in vertex order. The library must agree with both exactly.
+`oracle_potential` is a dense Gauss-Jordan solve over the graph cut at the
+divisor's support by the oracles' own `dhar_oracle.subdivide`, not by
+library code: every point of the support becomes a node of the Laplacian,
+so the matrix order grows with the divisor. `solve` is the sparse
+`Fraction` solve that the integer elimination replaced: the support is
+folded onto the vertices and the grounded vertex Laplacian is eliminated
+by exact LDL^T in vertex order. The library must agree with both exactly.
 """
 
 from fractions import Fraction
 
+from dhar_oracle import _node, subdivide
 from tropkit import Divisor, Edge, InputError, MetricGraph, PLFunction
-from tropkit.graphs import Subdivision
 
 
 def _gauss_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -32,15 +33,16 @@ def _gauss_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     return [a[r][n] for r in range(n)]
 
 
-def solve_node_potentials(sub: Subdivision, injections: dict[int, Fraction]) -> list[Fraction]:
-    """Node potentials for the given net current injections (sums to zero).
+def solve_node_potentials(n: int, segments: list,
+                          injections: dict[int, Fraction]) -> list[Fraction]:
+    """Potentials of nodes 0..n-1 joined by the segments (tail, head,
+    length, ...) for the given net current injections (sums to zero).
 
     Conductance of a segment is the reciprocal of its length; node 0 is
     grounded. Exact over the rationals.
     """
-    n = len(sub.nodes)
     lap = [[Fraction(0)] * n for _ in range(n)]
-    for a, b, length, _, _ in sub.segments:
+    for a, b, length, _, _ in segments:
         c = 1 / length
         lap[a][a] += c
         lap[b][b] += c
@@ -60,11 +62,11 @@ def solve_node_potentials(sub: Subdivision, injections: dict[int, Fraction]) -> 
 def oracle_potential(graph: MetricGraph, d_from: Divisor, d_to: Divisor) -> PLFunction:
     """The potential with divisor d_to - d_from, minimum zero, by the dense solve."""
     delta = d_to.sub(d_from)
-    sub = Subdivision(graph, delta.support())
-    injections = {sub.index[p]: c for p, c in delta.items()}
-    vals = solve_node_potentials(sub, injections)
+    nodes, index, segments = subdivide(graph, delta.support())
+    injections = {index[_node(p)]: c for p, c in delta.items()}
+    vals = solve_node_potentials(len(nodes), segments, injections)
     data: dict[str, list] = {}
-    for a, b, length, eid, off in sub.segments:  # in order along each edge
+    for a, b, length, eid, off in segments:  # in order along each edge
         data.setdefault(eid, [(off, vals[a])]).append((off + length, vals[b]))
     return PLFunction(graph, data).minus_min()
 

@@ -37,7 +37,6 @@ from tropkit import (
     tt_critical,
 )
 from tropkit.divisors import _burn_once, _fire_step
-from tropkit.graphs import Subdivision
 from tropkit.trees import _sample_points as sample_points
 
 
@@ -187,8 +186,9 @@ class TestDharReduction:
 
     def test_firing_by_moving_chips_matches_the_oracle(self):
         """Burning on random graphs against tests/dhar_oracle.py, which fires
-        through the divisor of a checked PL function: the same reduced
-        divisor, fired sets, distances and rounds, and the same certificate.
+        through the divisor of a checked PL function: the same cut segments
+        each round, the same reduced divisor, fired sets, distances and
+        rounds, and the same certificate.
         Chips sit at vertices and at interior offsets of denominator 1-5,
         and q is a vertex or an interior point."""
         seen = set()
@@ -215,9 +215,12 @@ class TestDharReduction:
             current = d  # round by round first, so a wrong move fails before a runaway trace
             while (state := dhar_oracle.burn_once(g, current, q)) is not None:
                 nodes, segments, burnt, ref_set = state
-                sub, lib_burnt, unburnt = _burn_once(g, current, q)
+                lib_nodes, lib_segments, lib_burnt, unburnt = _burn_once(g, current, q)
+                assert [(dhar_oracle._node(lib_nodes[a]), dhar_oracle._node(lib_nodes[b]), *rest)
+                        for a, b, *rest in lib_segments] == \
+                    [(nodes[a], nodes[b], *rest) for a, b, *rest in segments]
                 assert unburnt.key() == ref_set.key()
-                fired, l_star = _fire_step(g, current, sub, lib_burnt)
+                fired, l_star = _fire_step(g, current, lib_nodes, lib_segments, lib_burnt)
                 arms = [length for a, b, length, _, _ in segments if burnt[a] != burnt[b]]
                 seen.add("exact arm")  # the shortest arm lands its chip on its burnt end
                 if max(arms) > min(arms):
@@ -239,6 +242,26 @@ class TestDharReduction:
         check()
         assert seen == {"exact arm", "longer arm", "multi-round"}
 
+    def test_an_uncut_edge_is_one_segment(self, c6):
+        """The burner cuts c6 at a chip 1/3 along e3 and at q = v1: the
+        vertices come first, every other edge is one full-length segment
+        between its ends, and e3 two segments through the cut node."""
+        g = c6.need_graph()
+        cut = g.point(edge="e3", offset=Fraction(1, 3))
+        nodes, segments, _, _ = _burn_once(g, Divisor(g, {cut: 1}), g.vertex_point("v1"))
+        assert nodes == [g.vertex_point(v) for v in g.vertices] + [cut]
+        at = {p.vertex: i for i, p in enumerate(nodes) if p.is_vertex}
+        mid = nodes.index(cut)
+        for e in g.edges:
+            segs = [seg for seg in segments if seg[3] == e.id]
+            if e.id != "e3":
+                assert segs == [(at[e.tail], at[e.head], e.length, e.id, 0)]
+                continue
+            assert [(a, b, off) for a, b, _, _, off in segs] \
+                == [(at[e.tail], mid, 0), (mid, at[e.head], Fraction(1, 3))]
+            assert [length for _, _, length, _, _ in segs] == [Fraction(1, 3), Fraction(2, 3)]
+            assert sum(length for _, _, length, _, _ in segs) == e.length
+
     def test_a_zero_length_arm_is_a_certificate_failure(self, c6):
         """A chip at offset 1 of the unit edge e1, an edge point where the
         vertex w12 is, cuts e1 into a zero-length arm. Firing it would move
@@ -246,10 +269,10 @@ class TestDharReduction:
         _fire_step raises instead."""
         g = c6.need_graph()
         d = Divisor(g, {GraphPoint(edge="e1", offset=1): 1, GraphPoint(vertex="v1"): 1})
-        sub, burnt, unburnt = _burn_once(g, d, g.vertex_point("v3"))
+        nodes, segments, burnt, unburnt = _burn_once(g, d, g.vertex_point("v3"))
         assert unburnt is not None
         with pytest.raises(CertificateError, match="zero-length arm") as failure:
-            _fire_step(g, d, sub, burnt)
+            _fire_step(g, d, nodes, segments, burnt)
         assert failure.value.detail == {"arm": "e1@1..w12"}
 
     def test_two_routes_agree(self, c6, complete):
@@ -521,15 +544,19 @@ class TestInterning:
 
 
 def _node_space(graph, fns):
-    """The subdivision at every interior breakpoint of the functions, with
-    trapezoid weights: each node carries half of every segment at it."""
-    sub = Subdivision(graph, [GraphPoint(edge=eid, offset=o) for f in fns
-                              for eid, bps in f.data.items() for o, _ in bps[1:-1]])
-    weights = [Fraction(0)] * len(sub.nodes)
-    for a, b, length, _, _ in sub.segments:
+    """The graph cut at every interior breakpoint of the functions by
+    dhar_oracle.subdivide, as points, with trapezoid weights: each node
+    carries half of every segment at it."""
+    nodes, _, segments = dhar_oracle.subdivide(graph, [
+        GraphPoint(edge=eid, offset=o) for f in fns
+        for eid, bps in f.data.items() for o, _ in bps[1:-1]])
+    weights = [Fraction(0)] * len(nodes)
+    for a, b, length, _, _ in segments:
         weights[a] += length / 2
         weights[b] += length / 2
-    return sub.nodes, GroundSpace.of([f"n{i}" for i in range(len(sub.nodes))], weights)
+    points = [GraphPoint(vertex=node[1]) if node[0] == "v"
+              else GraphPoint(edge=node[1], offset=node[2]) for node in nodes]
+    return points, GroundSpace.of([f"n{i}" for i in range(len(nodes))], weights)
 
 
 def _check_against_tropical_projection(T, e):

@@ -39,6 +39,7 @@ from tropkit import graphs
 from tropkit.workspace import to_jsonable
 
 import closed_oracle
+import dhar_oracle
 import pl_oracle
 import potential_oracle
 from conftest import equal_degree_pair, random_graph, random_grid, random_point
@@ -210,10 +211,10 @@ class TestDistances:
                     for _ in range(2))
         else:
             p, q = random_point(rng, g), random_point(rng, g)
-        sub = graphs.Subdivision(g, [p, q])
-        n = len(sub.nodes)
+        nodes, index, segments = dhar_oracle.subdivide(g, [p, q])
+        n = len(nodes)
         dist = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
-        for a, b, length, _, _ in sub.segments:
+        for a, b, length, _, _ in segments:
             if dist[a][b] is None or length < dist[a][b]:
                 dist[a][b] = dist[b][a] = length
         for k in range(n):
@@ -222,7 +223,7 @@ class TestDistances:
                     if dist[i][k] is not None and dist[k][j] is not None and (
                             dist[i][j] is None or dist[i][k] + dist[k][j] < dist[i][j]):
                         dist[i][j] = dist[i][k] + dist[k][j]
-        expected = dist[sub.index[p]][sub.index[q]]
+        expected = dist[index[dhar_oracle._node(p)]][index[dhar_oracle._node(q)]]
         assert mg_distance(g, p, q) == mg_distance(g, q, p) == expected
 
     def test_resistance_definitions_agree(self, c6):
@@ -700,26 +701,6 @@ class TestIntegerKernel:
                 == (want._pieces, want._do, want._ds, want._dv)
             assert low._range == want._extremes()
             assert _boundary(low) == _boundary(want)
-
-
-class TestSubdivision:
-    def test_an_uncut_edge_is_one_segment(self, c6):
-        """c6 cut at 1/3 along e3: every other edge is one full-length
-        segment between its ends, e3 two segments through the cut node."""
-        g = c6.need_graph()
-        cut = g.point(edge="e3", offset=Fraction(1, 3))
-        sub = graphs.Subdivision(g, [cut, g.vertex_point("v1")])
-        at = {p.vertex: i for i, p in enumerate(sub.nodes) if p.is_vertex}
-        assert sub.nodes[sub.index[cut]] == cut
-        for e in g.edges:
-            segs = [seg for seg in sub.segments if seg[3] == e.id]
-            if e.id != "e3":
-                assert segs == [(at[e.tail], at[e.head], e.length, e.id, 0)]
-                continue
-            assert [(a, b, off) for a, b, _, _, off in segs] \
-                == [(at[e.tail], sub.index[cut], 0), (sub.index[cut], at[e.head], Fraction(1, 3))]
-            assert [length for _, _, length, _, _ in segs] == [Fraction(1, 3), Fraction(2, 3)]
-            assert sum(length for _, _, length, _, _ in segs) == e.length
 
 
 class TestJFunctions:

@@ -6,7 +6,9 @@ as two edges through a declared vertex change no intrinsic answer; scaling
 every length by λ scales resistances, chip-firing distances and
 j-function values by λ and the b1 pseudonorm (a potential's integral) by
 λ², and changes nothing else. Every point is carried through the change of
-model and every answer is compared with the carried answer. The critical
+model and every answer is compared with the carried answer: a burning
+certificate's unburnt set at the carried points, and on dominant covers
+the preimage of each skeleton node as a finite point set. The critical
 set and the skeleton of a tree are left out: they list a divisor at every
 piece end of a pair function, so a new vertex can add one (see
 tt_critical). The morphism's local degrees are compared only at the
@@ -28,6 +30,7 @@ from tropkit import (
     MetricGraph,
     dv_b1,
     dv_dhar,
+    dv_dhar_certificate,
     dv_rho,
     ls_extremals,
     ls_member,
@@ -39,6 +42,8 @@ from tropkit import (
     tt_is_dominant,
     tt_is_tree,
     tt_morphism,
+    tt_preimage,
+    tt_skeleton,
     tt_verify_witness,
 )
 
@@ -125,6 +130,12 @@ def test_a_change_of_model_changes_no_intrinsic_answer(seed, change):
     j, k = mg_jfunction(G, q, p), mg_jfunction(H, move(q), move(p))
     for x in d.entries:
         assert k.eval(move(x)) == scale * j.eval(x)
+    (consumed, unburnt), (carried, moved) = \
+        dv_dhar_certificate(G, d, q), dv_dhar_certificate(H, carry(d), move(q))
+    assert carried == consumed
+    if unburnt is not None:
+        for x in [*d.entries, q, *(random_point(rng, G) for _ in range(3))]:
+            assert moved.contains(move(x)) == unburnt.contains(x)
     gens = []
     for at in [random_point(rng, G) for _ in range(rng.randint(2, 4))]:
         gens.append(dv_dhar(G, d, at))
@@ -152,3 +163,7 @@ def test_a_change_of_model_changes_no_intrinsic_answer(seed, change):
         for v in graph.vertices:
             at = GraphPoint(vertex=v)
             assert g.degree_of(move(at)) == f.degree_of(at)
+        for node in tt_skeleton(T).nodes:
+            fiber = tt_preimage(T, node).finite_points()
+            assert fiber is not None
+            assert set(tt_preimage(U, carry(node)).finite_points()) == set(map(move, fiber))
